@@ -26,7 +26,7 @@ from pathlib import Path
 from . import proportionality, spin, tables, tautring, torsion
 from .arthur import Registry, RegistryConflictError, RegistryIncompleteError, \
     ingest_cardinalities
-from .symplectic import HighestWeight, set_cache_dir
+from .symplectic import HighestWeight, WeightBudgetError
 from .torsion import MassTableError
 
 SCHEMA_VERSION = 1
@@ -317,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "tsv", "latex"), default="json")
-        p.add_argument("--cache-dir", default=None,
-                       help="weight-multiplicity cache directory")
         return p
 
     p = add("taut", _cmd_taut, help="tautological ring dimensions")
@@ -409,8 +407,6 @@ def run(argv) -> tuple[int, str, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "cache_dir", None):
-            set_cache_dir(args.cache_dir)
         result, citations, warnings = args.func(args)
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -434,7 +430,7 @@ def run(argv) -> tuple[int, str, str]:
         return _error(EXIT_REGISTRY, "registry", exc)
     except spin.SignPolicyError as exc:
         return _error(EXIT_DATA, "signs", exc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, WeightBudgetError) as exc:
         return _error(EXIT_USAGE, "usage", exc)
 
 

@@ -2,46 +2,48 @@
 Weyl dimensions, weight multiplicities by the Freudenthal recursion, and
 exact character values at torsion elements.
 
-Characters at torsion elements are evaluated as weight sums
+Torsion elements are singular (the Weyl denominator vanishes there), so
+characters come from the symplectic Jacobi-Trudi identity of Koike-Terada
+(Fulton-Harris, Representation Theory, (24.18)).  With l = l(lambda) the
+number of nonzero parts,
 
-    tr(c | V_lambda) = sum_mu mult(mu) prod_k zeta_k^{mu_k}
+    tr(c | V_lambda) = det M,   1 <= i, j <= l,
+    M_{i,1} = h_{lambda_i - i + 1},
+    M_{i,j} = h_{lambda_i - i + j} + h_{lambda_i - i - j + 2}   (j >= 2),
 
-with one eigenvalue zeta_k chosen from each inverse pair of the class (the
-result is choice-independent by Weyl symmetry of the weight system).  Weight
-sums are used instead of the Weyl character formula because torsion elements
-are singular: the Weyl denominator vanishes there.  All cyclotomic
-arithmetic happens in the power basis Z[x]/Phi_N, and the final value is
-asserted to be a rational integer, which doubles as a Galois-stability
-check.
+with h_k = 0 for k < 0 and the empty determinant (lambda = 0) equal to 1.
+The h_k are the complete symmetric functions of the eigenvalues of c: the
+integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
+class's characteristic polynomial (self-reciprocal, constant term 1).  The
+determinant is taken by fraction-free Bareiss elimination with row
+pivoting, because zero pivots do occur at torsion points, so the trace is
+an integer by construction and no weight system is built.
+
+The Freudenthal weight system (weight_multiplicities) stays public; the
+tests evaluate characters from it as weight sums in Z[x]/Phi_N, as an
+independent oracle for the determinant.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
-from .exact import cyclotomic, euler_phi
 from .torsion import TorsionClass
 
-CACHE_ENV_VAR = "AGCOH_CACHE_DIR"
-CACHE_FORMAT_VERSION = 1
-
-# Guard for weight_multiplicities: refuse representations with more weights
-# than this (the intended scale is |lambda| <= ~20, g <= 7).
+# Guard for weight_multiplicities: refuse representations whose dimension
+# dim V_lambda exceeds this (the intended scale is |lambda| <= ~20, g <= 7).
 DEFAULT_WEIGHT_BUDGET = 2_000_000
+
+# Guard for character_at_torsion: the longest h-series (lambda_1 + l(lambda)
+# terms) it computes per class.  Far above every weight of interest, while a
+# series this long still costs at most tens of milliseconds per class.
+H_SERIES_BOUND = 10_000
 
 
 class WeightBudgetError(RuntimeError):
-    """The requested weight system exceeds the configured resource bound."""
-
-
-class NonIntegralCharacterError(ArithmeticError):
-    """A torsion character came out non-rational: internal bug or bad class."""
+    """The requested computation exceeds the configured resource bound."""
 
 
 @dataclass(frozen=True)
@@ -142,33 +144,17 @@ def _orbit_size(mu: tuple[int, ...]) -> int:
 
 
 class WeightSystem:
-    """Weight multiplicities of one V_lambda, stored on dominant orbits and
-    expanded on demand.  Invariant under permutations and sign flips, total
-    mass equal to the Weyl dimension."""
+    """Weight multiplicities of one V_lambda, stored on dominant orbits.
+    Invariant under permutations and sign flips, total mass equal to the
+    Weyl dimension."""
 
     def __init__(self, hw: HighestWeight, dominant: dict[tuple[int, ...], int]):
         self.hw = hw
         self.dominant = dict(dominant)
-        self._full: dict[tuple[int, ...], int] | None = None
 
     @property
     def dimension(self) -> int:
         return sum(_orbit_size(mu) * m for mu, m in self.dominant.items())
-
-    def full(self) -> dict[tuple[int, ...], int]:
-        """Complete map weight vector -> multiplicity (the Weyl-orbit expansion)."""
-        if self._full is None:
-            full: dict[tuple[int, ...], int] = {}
-            for mu, mult in self.dominant.items():
-                for perm in set(itertools.permutations(mu)):
-                    nonzero = [i for i, v in enumerate(perm) if v]
-                    for signs in itertools.product((1, -1), repeat=len(nonzero)):
-                        vec = list(perm)
-                        for i, s in zip(nonzero, signs):
-                            vec[i] *= s
-                        full[tuple(vec)] = mult
-            self._full = full
-        return self._full
 
     def multiplicity(self, vec) -> int:
         return self.dominant.get(_dominant_rep(tuple(vec)), 0)
@@ -207,81 +193,9 @@ def _freudenthal(hw: HighestWeight) -> dict[tuple[int, ...], int]:
     return mult
 
 
-# -- disk cache --------------------------------------------------------------
-
-_cache_dir_override: Path | None = None
-
-
-def set_cache_dir(path: str | os.PathLike | None) -> None:
-    """Configure the weight-multiplicity disk cache location (None disables).
-    The environment variable AGCOH_CACHE_DIR is used when nothing is set."""
-    global _cache_dir_override
-    _cache_dir_override = Path(path) if path is not None else None
-    _cached_weight_multiplicities.cache_clear()
-
-
-def _cache_dir() -> Path | None:
-    if _cache_dir_override is not None:
-        return _cache_dir_override
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None
-
-
-def _cache_path(hw: HighestWeight) -> Path | None:
-    base = _cache_dir()
-    if base is None:
-        return None
-    name = f"wm_v{CACHE_FORMAT_VERSION}_g{hw.g}_" + "_".join(map(str, hw.lam)) + ".json"
-    return base / name
-
-
-def _cache_read(hw: HighestWeight) -> dict[tuple[int, ...], int] | None:
-    path = _cache_path(hw)
-    if path is None or not path.exists():
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("format_version") != CACHE_FORMAT_VERSION:
-        return None
-    if payload.get("genus") != hw.g or tuple(payload.get("lambda", ())) != hw.lam:
-        return None
-    return {tuple(mu): int(m) for mu, m in payload["dominant"]}
-
-
-def _cache_write(hw: HighestWeight, dominant: dict[tuple[int, ...], int]) -> None:
-    path = _cache_path(hw)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "genus": hw.g,
-        "lambda": list(hw.lam),
-        "dominant": sorted([list(mu), m] for mu, m in dominant.items()),
-    }
-    # atomic replace keeps concurrent readers consistent
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 @functools.lru_cache(maxsize=256)
 def _cached_weight_multiplicities(hw: HighestWeight) -> WeightSystem:
-    dominant = _cache_read(hw)
-    if dominant is None:
-        dominant = _freudenthal(hw)
-        _cache_write(hw, dominant)
-    ws = WeightSystem(hw, dominant)
+    ws = WeightSystem(hw, _freudenthal(hw))
     if ws.dimension != weyl_dimension(hw):
         raise AssertionError(
             f"weight system mass {ws.dimension} != Weyl dimension {weyl_dimension(hw)}")
@@ -301,41 +215,57 @@ def weight_multiplicities(hw: HighestWeight,
 
 # -- characters at torsion elements ------------------------------------------
 
-def character_at_exponents(ws: WeightSystem, exponents: list[int], order: int) -> int:
-    """Weight sum sum_mu mult(mu) x^{sum_k mu_k e_k} reduced in Z[x]/Phi_order,
-    asserted to be a rational integer.
+def _h_series(poly: tuple[int, ...], n: int) -> list[int]:
+    """The first n coefficients of 1/poly(z), for poly with constant term 1."""
+    h = [1] + [0] * (n - 1)
+    deg = len(poly) - 1
+    for k in range(1, n):
+        h[k] = -sum(poly[j] * h[k - j] for j in range(1, min(k, deg) + 1))
+    return h
 
-    `exponents` holds one integer e_k per chosen eigenvalue exp(2 pi i e_k / order),
-    in any order (Weyl invariance makes the pairing with coordinates irrelevant).
-    """
-    g = ws.hw.g
-    if len(exponents) != g:
-        raise ValueError(f"need {g} eigenvalue exponents, got {len(exponents)}")
-    counts = [0] * order
-    for mu, mult in ws.full().items():
-        e = sum(m * x for m, x in zip(mu, exponents)) % order
-        counts[e] += mult
-    phi = cyclotomic(order).coeffs
-    deg = len(phi) - 1
-    for i in range(order - 1, deg - 1, -1):
-        c = counts[i]
-        if c == 0:
-            continue
-        counts[i] = 0
-        for j in range(deg):
-            counts[i - deg + j] -= c * phi[j]
-    if any(counts[1:deg]):
-        raise NonIntegralCharacterError(
-            f"character value not rational; residual coordinates {counts[:deg]}")
-    return counts[0]
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (overwritten) by fraction-free
+    Bareiss elimination; every division is exact."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            lead = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pivot - lead * row[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
-    """Exact trace of a torsion class on V_lambda."""
+    """Exact trace of a torsion class on V_lambda, by the symplectic
+    Jacobi-Trudi determinant (see the module docstring).  Raises
+    WeightBudgetError when the h-series would exceed H_SERIES_BOUND terms."""
     if cls.degree != 2 * hw.g:
         raise ValueError(
             f"class degree {cls.degree} does not match group rank {2 * hw.g}")
-    ws = weight_multiplicities(hw)
-    order = cls.root_of_unity_order()
-    exponents = [k * order // d for k, d in cls.chosen_eigenvalue_exponents()]
-    return character_at_exponents(ws, exponents, order)
+    lam = [part for part in hw.lam if part]
+    if not lam:
+        return 1
+    length = lam[0] + len(lam)
+    if length > H_SERIES_BOUND:
+        raise WeightBudgetError(
+            f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
+    series = _h_series(cls.characteristic_polynomial(), length)
+
+    def h(k: int) -> int:
+        return series[k] if k >= 0 else 0
+
+    rows = [[h(part - i + 1)] + [h(part - i + j) + h(part - i - j + 2)
+                                 for j in range(2, len(lam) + 1)]
+            for i, part in enumerate(lam, start=1)]
+    return _bareiss_det(rows)

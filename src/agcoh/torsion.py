@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import euler_phi, negate_cyclotomic_index, zeta_negative
+from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
+                    zeta_negative)
 
 
 class MassTableError(ValueError):
@@ -96,6 +97,20 @@ class TorsionClass:
 
     def root_of_unity_order(self) -> int:
         return math.lcm(*(d for d, _ in self.pairs))
+
+    def characteristic_polynomial(self) -> tuple[int, ...]:
+        """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
+        constant term.  It is self-reciprocal with constant term 1, so it is
+        also det(1 - z c).  Computed once per instance."""
+        poly = self.__dict__.get("_charpoly")
+        if poly is None:
+            poly = (1,)
+            for d, m in self.pairs:
+                for _ in range(m):
+                    poly = poly_mul(poly, cyclotomic(d).coeffs)
+            # stored beside the fields, so equality, hashing and order ignore it
+            self.__dict__["_charpoly"] = poly
+        return poly
 
     def chosen_eigenvalue_exponents(self) -> list[tuple[int, int]]:
         """One exponent (k, d) per inverse pair of eigenvalues, representing

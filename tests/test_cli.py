@@ -6,6 +6,8 @@ import pytest
 
 from agcoh.cli import (EXIT_DATA, EXIT_REGISTRY, EXIT_USAGE, load_result_schema,
                        run)
+from agcoh.symplectic import DEFAULT_WEIGHT_BUDGET, HighestWeight, weyl_dimension
+from agcoh.torsion import central_mass_default
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -73,6 +75,11 @@ def test_exit_code_usage():
     assert code == EXIT_USAGE
     code, _, err = run(["stable", "--space", "universal", "--max-degree", "4"])
     assert code == EXIT_USAGE
+    # past the h-series bound of the elliptic path: refused before any work
+    code, _, err = run(["euler", "--g", "1", "--lambda", "20000",
+                        "--masses", str(DEMO_MASSES / "g1.tsv")])
+    assert code == EXIT_USAGE
+    assert "h-series bound" in json.loads(err)["error"]["message"]
 
 
 def test_exit_code_data():
@@ -152,10 +159,18 @@ def test_hodge_serialization():
     assert all(key.split(",")[0] == key.split(",")[1] for key in hodge)
 
 
-def test_cache_dir_flag(tmp_path):
-    doc = run_ok(["euler", "--g", "1", "--masses", str(DEMO_MASSES / "g1.tsv"),
-                  "--lambda", "4", "--cache-dir", str(tmp_path)])
-    assert doc["result"]["elliptic_term"] == "-1"
-    assert list(tmp_path.glob("wm_v1_*.json"))
-    from agcoh.symplectic import set_cache_dir
-    set_cache_dir(None)
+def test_euler_beyond_weight_budget(tmp_path):
+    # dim V_(8,4,2,0) exceeds the Freudenthal weight budget, which does not
+    # limit the elliptic term: its cost is the h-series length, here 11
+    header_only = tmp_path / "g4.tsv"
+    header_only.write_text("genus: 4\n")
+    code, out, err = run(["euler", "--g", "4", "--lambda", "8,4,2,0",
+                          "--masses", str(header_only), "--lenient"])
+    assert code == 0, err
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_result_schema())
+    hw = HighestWeight(4, (8, 4, 2, 0))
+    assert weyl_dimension(hw) > DEFAULT_WEIGHT_BUDGET
+    # only the central classes +-1 carry mass, and both act by +1 (even weight)
+    expected = 2 * central_mass_default(4) * weyl_dimension(hw)
+    assert doc["result"]["elliptic_term"] == str(expected) == "29887/340200"

@@ -1,13 +1,83 @@
+import itertools
 import random
 
 import pytest
 
-from agcoh.exact import euler_phi
-from agcoh.symplectic import (HighestWeight, NonIntegralCharacterError,
-                              WeightBudgetError, character_at_exponents,
-                              character_at_torsion, set_cache_dir,
-                              weight_multiplicities, weyl_dimension)
+from agcoh import symplectic
+from agcoh.exact import cyclotomic, euler_phi
+from agcoh.symplectic import (HighestWeight, WeightBudgetError,
+                              character_at_torsion, weight_multiplicities,
+                              weyl_dimension)
 from agcoh.torsion import TorsionClass, enumerate_torsion_classes
+
+
+# -- the weight-sum oracle -----------------------------------------------------
+#
+# An independent route to torsion characters: expand the Freudenthal weight
+# system over its Weyl orbits and evaluate the weight sum
+#     sum_mu mult(mu) prod_k zeta_k^{mu_k}
+# in the power basis Z[x]/Phi_N, with one eigenvalue zeta_k from each inverse
+# pair of the class.  The reduced value must be a rational integer.
+
+class NonIntegralCharacterError(ArithmeticError):
+    """The weight sum did not reduce to a rational integer."""
+
+
+def orbit_expansion(ws):
+    """Complete map weight vector -> multiplicity of a weight system."""
+    full = {}
+    for mu, mult in ws.dominant.items():
+        for perm in set(itertools.permutations(mu)):
+            nonzero = [i for i, v in enumerate(perm) if v]
+            for signs in itertools.product((1, -1), repeat=len(nonzero)):
+                vec = list(perm)
+                for i, s in zip(nonzero, signs):
+                    vec[i] *= s
+                full[tuple(vec)] = mult
+    return full
+
+
+def weight_sum_character(full, exponents, order):
+    """sum_mu mult(mu) x^{sum_k mu_k e_k} reduced in Z[x]/Phi_order, for one
+    exponent e_k per chosen eigenvalue exp(2 pi i e_k / order)."""
+    counts = [0] * order
+    for mu, mult in full.items():
+        counts[sum(m * x for m, x in zip(mu, exponents)) % order] += mult
+    phi = cyclotomic(order).coeffs
+    deg = len(phi) - 1
+    for i in range(order - 1, deg - 1, -1):
+        c = counts[i]
+        if c == 0:
+            continue
+        counts[i] = 0
+        for j in range(deg):
+            counts[i - deg + j] -= c * phi[j]
+    if any(counts[1:deg]):
+        raise NonIntegralCharacterError(
+            f"character value not rational; residual coordinates {counts[:deg]}")
+    return counts[0]
+
+
+def class_exponents(cls):
+    order = cls.root_of_unity_order()
+    return [k * order // d for k, d in cls.chosen_eigenvalue_exponents()], order
+
+
+def oracle_character(full, cls):
+    exponents, order = class_exponents(cls)
+    return weight_sum_character(full, exponents, order)
+
+
+def dominant_weights(g, max_size):
+    """Every dominant weight of rank g with |lambda| <= max_size."""
+    def extend(i, prev, left):
+        if i == g:
+            yield ()
+            return
+        for v in range(min(prev, left), -1, -1):
+            for rest in extend(i + 1, v, left - v):
+                yield (v,) + rest
+    return list(extend(0, max_size, max_size))
 
 
 def test_highest_weight_validation():
@@ -33,12 +103,12 @@ def test_weyl_dimension_examples():
 
 def test_weight_system_examples():
     ws = weight_multiplicities(HighestWeight(1, (2,)))
-    assert ws.full() == {(2,): 1, (0,): 1, (-2,): 1}
+    assert orbit_expansion(ws) == {(2,): 1, (0,): 1, (-2,): 1}
     ws = weight_multiplicities(HighestWeight(2, (1, 0)))
-    assert ws.full() == {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
+    assert orbit_expansion(ws) == {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
     ws = weight_multiplicities(HighestWeight(2, (1, 1)))
-    assert ws.full() == {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1,
-                         (0, 0): 1}
+    assert orbit_expansion(ws) == {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1,
+                                   (0, 0): 1}
 
 
 @pytest.mark.parametrize("g,lam", [
@@ -48,18 +118,18 @@ def test_weight_system_examples():
 def test_weight_mass_equals_weyl_dimension(g, lam):
     hw = HighestWeight(g, lam)
     ws = weight_multiplicities(hw)
-    assert sum(ws.full().values()) == weyl_dimension(hw) == ws.dimension
+    assert sum(orbit_expansion(ws).values()) == weyl_dimension(hw) == ws.dimension
 
 
 def test_weight_system_weyl_invariance():
     ws = weight_multiplicities(HighestWeight(3, (2, 1, 1)))
-    full = ws.full()
+    full = orbit_expansion(ws)
     rng = random.Random(7)
     for vec, mult in list(full.items())[:50]:
         perm = list(vec)
         rng.shuffle(perm)
         flipped = tuple(v * rng.choice((1, -1)) for v in perm)
-        assert full[flipped] == mult
+        assert full[flipped] == ws.multiplicity(flipped) == mult
 
 
 def test_character_at_central_elements():
@@ -85,15 +155,15 @@ def test_character_choice_independence():
     # permuting eigenvalue exponents and inverting pairs leaves the value alone
     rng = random.Random(3)
     hw = HighestWeight(2, (2, 2))
-    ws = weight_multiplicities(hw)
+    full = orbit_expansion(weight_multiplicities(hw))
     for cls in enumerate_torsion_classes(2):
-        order = cls.root_of_unity_order()
-        exps = [k * order // d for k, d in cls.chosen_eigenvalue_exponents()]
-        reference = character_at_exponents(ws, exps, order)
+        exps, order = class_exponents(cls)
+        reference = weight_sum_character(full, exps, order)
+        assert reference == character_at_torsion(hw, cls)
         for _ in range(4):
             variant = [e if rng.random() < 0.5 else (-e) % order for e in exps]
             rng.shuffle(variant)
-            assert character_at_exponents(ws, variant, order) == reference
+            assert weight_sum_character(full, variant, order) == reference
 
 
 def test_character_negation_factorization():
@@ -106,20 +176,22 @@ def test_character_negation_factorization():
 
 
 def test_character_values_are_integers_galois_stable():
-    # integrality of the reduced cyclotomic element is asserted internally;
-    # the assertion firing would raise NonIntegralCharacterError
+    # the oracle's weight sum reduces to a rational integer (it raises
+    # NonIntegralCharacterError otherwise) and the determinant is that integer
     hw = HighestWeight(3, (1, 1, 0))
+    full = orbit_expansion(weight_multiplicities(hw))
     for cls in enumerate_torsion_classes(3, mod_negation=True):
         value = character_at_torsion(hw, cls)
-        assert isinstance(value, int)
+        assert type(value) is int
+        assert value == oracle_character(full, cls)
 
 
 def test_non_integral_character_detection():
     # an order-5 pair in rank 1 has trace zeta_5 + zeta_5^{-1}, which is a
     # quadratic irrationality: the spectrum is not symplectic of rank 1
-    ws = weight_multiplicities(HighestWeight(1, (1,)))
+    full = orbit_expansion(weight_multiplicities(HighestWeight(1, (1,))))
     with pytest.raises(NonIntegralCharacterError):
-        character_at_exponents(ws, [1], 5)
+        weight_sum_character(full, [1], 5)
 
 
 def test_weight_budget_guard():
@@ -127,22 +199,35 @@ def test_weight_budget_guard():
         weight_multiplicities(HighestWeight(4, (9, 7, 5, 3)), weight_budget=10)
 
 
-def test_disk_cache_roundtrip(tmp_path):
-    try:
-        set_cache_dir(tmp_path)
-        hw = HighestWeight(2, (2, 1))
-        first = weight_multiplicities(hw).dominant
-        files = list(tmp_path.glob("wm_v1_*.json"))
-        assert len(files) == 1
-        set_cache_dir(tmp_path)  # clears the in-memory layer, forces file read
-        again = weight_multiplicities(hw).dominant
-        assert again == first
-        # stale or corrupt cache entries are ignored, not trusted
-        files[0].write_text("{not json")
-        set_cache_dir(tmp_path)
-        assert weight_multiplicities(hw).dominant == first
-    finally:
-        set_cache_dir(None)
+def test_h_series_bound_guard(monkeypatch):
+    # the elliptic path is bounded by its h-series length lambda_1 + l(lambda),
+    # not by dim V_lambda: check the guard at a small bound
+    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    cls = TorsionClass(((1, 4),))
+    assert character_at_torsion(HighestWeight(2, (4, 2)), cls) == \
+        weyl_dimension(HighestWeight(2, (4, 2)))
+    with pytest.raises(WeightBudgetError, match="h-series bound 6"):
+        character_at_torsion(HighestWeight(2, (5, 2)), cls)
+    with pytest.raises(WeightBudgetError, match="h-series bound 6"):
+        character_at_torsion(HighestWeight(2, (6, 0)), cls)
+
+
+def test_bareiss_det_row_pivoting():
+    assert symplectic._bareiss_det([[0, 1], [1, 0]]) == -1
+    assert symplectic._bareiss_det([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+    assert symplectic._bareiss_det([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+    assert symplectic._bareiss_det([[7]]) == 7
+
+
+@pytest.mark.parametrize("g,max_size", [(1, 8), (2, 8), (3, 8), (4, 4), (5, 3)])
+def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
+    classes = enumerate_torsion_classes(g)
+    for lam in dominant_weights(g, max_size):
+        hw = HighestWeight(g, lam)
+        full = orbit_expansion(weight_multiplicities(hw))
+        for cls in classes:
+            assert character_at_torsion(hw, cls) == oracle_character(full, cls), \
+                (lam, cls.encode())
 
 
 def test_eigenvalue_exponents_cover_pairs():

@@ -115,15 +115,21 @@ def test_elliptic_term_odd_weight_vanishes_randomized():
         assert to.elliptic_term(HighestWeight(g, lam), table) == 0
 
 
+def _dim_cusp_forms_sl2z(k):
+    """dim S_k(SL_2(Z)) for even k >= 4, by the valence formula."""
+    return k // 12 - (1 if k % 12 == 2 else 0)
+
+
 def test_genus_one_demo_masses_match_eichler_shimura():
     # independent oracles: e_c of the rank-1 space is 1, and with the
-    # 2k-symmetric-power system it is -(2 dim S_{2k+2} + 1)
+    # Sym^k system (k even) it is -(2 dim S_{k+2} + 1)
     table = to.load_mass_table(DEMO_MASSES / "g1.tsv", 1)
     assert table.total() == 1
-    assert to.elliptic_term(HighestWeight(1, (2,)), table) == -1    # S_4 = 0
-    assert to.elliptic_term(HighestWeight(1, (8,)), table) == -1    # S_10 = 0
-    assert to.elliptic_term(HighestWeight(1, (10,)), table) == -3   # S_12 = <Delta>
-    assert to.elliptic_term(HighestWeight(1, (14,)), table) == -3   # S_16 1-dim
+    assert _dim_cusp_forms_sl2z(12) == _dim_cusp_forms_sl2z(16) == 1
+    assert _dim_cusp_forms_sl2z(14) == 0 and _dim_cusp_forms_sl2z(24) == 2
+    for k in range(2, 61, 2):
+        assert to.elliptic_term(HighestWeight(1, (k,)), table) == \
+            -1 - 2 * _dim_cusp_forms_sl2z(k + 2), k
 
 
 def test_elliptic_term_genus_mismatch():
