@@ -430,12 +430,15 @@ def run(argv) -> tuple[int, str, str]:
         return _error(EXIT_REGISTRY, "registry", exc)
     except spin.SignPolicyError as exc:
         return _error(EXIT_DATA, "signs", exc)
-    except (ValueError, KeyError, WeightBudgetError) as exc:
+    except KeyError as exc:
+        # str(KeyError) quotes its message, so report the message itself
+        return _error(EXIT_USAGE, "usage", exc.args[0] if exc.args else exc)
+    except (ValueError, WeightBudgetError) as exc:
         return _error(EXIT_USAGE, "usage", exc)
 
 
-def _error(code: int, kind: str, exc: BaseException) -> tuple[int, str, str]:
-    err = {"error": {"type": kind, "message": str(exc)}}
+def _error(code: int, kind: str, message: object) -> tuple[int, str, str]:
+    err = {"error": {"type": kind, "message": str(message)}}
     return code, "", json.dumps(err, indent=2) + "\n"
 
 

@@ -1,9 +1,11 @@
 """Exact arithmetic substrate: rationals, Bernoulli numbers, zeta special
-values, cyclotomic polynomials, and sparse Laurent polynomials.
+values, cyclotomic polynomials, sparse Laurent polynomials, and fraction-free
+elimination.
 
-Rationals are `fractions.Fraction` throughout (always reduced, positive
-denominator).  Everything in this module is immutable after construction and
-all operations are pure, so values can be shared freely between threads.
+Values keep their exact type: `int` where integral, `fractions.Fraction`
+(always reduced, positive denominator) where genuinely rational.  Everything
+in this module is immutable after construction and all operations are pure,
+so values can be shared freely between threads.
 """
 from __future__ import annotations
 
@@ -158,20 +160,24 @@ def negate_cyclotomic_index(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Laurent polynomial with Fraction coefficients, sparse over exponent
-    tuples (possibly negative).  Zero coefficients are never stored.
+    """Laurent polynomial, sparse over exponent tuples (possibly negative).
+    Coefficients keep their exact type: `int` coefficients stay `int`, and
+    anything other than an `int` or a `Fraction` is converted by `Fraction`.
+    Zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "_coeffs")
 
-    def __init__(self, nvars: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int,
+                 coeffs: dict[tuple[int, ...], int | Fraction] | None = None):
         if nvars not in (1, 2):
             raise ValueError("LaurentPoly supports 1 or 2 variables")
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+        cleaned: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (coeffs or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
             if c != 0:
                 cleaned[tuple(int(e) for e in exps)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -184,23 +190,23 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, nvars: int = 1) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def term(cls, nvars: int, exps: tuple[int, ...], coeff=1) -> "LaurentPoly":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
     def t_power(cls, e: int, coeff=1) -> "LaurentPoly":
         """Single-variable monomial coeff * T^e."""
-        return cls(1, {(e,): Fraction(coeff)})
+        return cls(1, {(e,): coeff})
 
     # -- inspection ---------------------------------------------------------
     def items(self):
         return sorted(self._coeffs.items())
 
-    def coeff(self, *exps: int) -> Fraction:
-        return self._coeffs.get(tuple(exps), Fraction(0))
+    def coeff(self, *exps: int):
+        return self._coeffs.get(tuple(exps), 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -208,8 +214,8 @@ class LaurentPoly:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self._coeffs)
 
-    def evaluate_all_ones(self) -> Fraction:
-        return sum(self._coeffs.values(), Fraction(0))
+    def evaluate_all_ones(self):
+        return sum(self._coeffs.values())
 
     def is_symmetric(self) -> bool:
         """True when coefficients are invariant under negating all exponents."""
@@ -234,7 +240,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self._coeffs)
         for exps, c in other._coeffs.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out.get(exps, 0) + c
         return LaurentPoly(self.nvars, out)
 
     __radd__ = __add__
@@ -252,14 +258,13 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return LaurentPoly(self.nvars, {e: c * v for e, v in self._coeffs.items()})
+            return LaurentPoly(self.nvars, {e: other * v for e, v in self._coeffs.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -303,18 +308,28 @@ class LaurentPoly:
         """Specialize one variable of a two-variable polynomial to 1."""
         if self.nvars != 2:
             raise ValueError("set_var_to_one applies to two-variable polynomials")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         keep = 1 - var
         for exps, c in self._coeffs.items():
             key = (exps[keep],)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return LaurentPoly(1, out)
 
-    def coeff_list(self, lo: int, hi: int, var: int = 0) -> list[Fraction]:
+    def halve(self) -> "LaurentPoly":
+        """Exact half of a polynomial whose coefficients are even integers;
+        raises ValueError on an odd or non-integral coefficient."""
+        out = {}
+        for exps, c in self._coeffs.items():
+            if c % 2:
+                raise ValueError(f"cannot halve coefficient {c} exactly")
+            out[exps] = c // 2
+        return LaurentPoly(self.nvars, out)
+
+    def coeff_list(self, lo: int, hi: int) -> list:
         """Coefficients of T^lo .. T^hi for a one-variable polynomial."""
         if self.nvars != 1:
             raise ValueError("coeff_list applies to one-variable polynomials")
-        return [self._coeffs.get((e,), Fraction(0)) for e in range(lo, hi + 1)]
+        return [self._coeffs.get((e,), 0) for e in range(lo, hi + 1)]
 
     def __repr__(self):
         if not self._coeffs:
@@ -333,7 +348,7 @@ def nu_character(d: int) -> LaurentPoly:
     """
     if d < 1:
         raise ValueError("nu index must be positive")
-    return LaurentPoly(1, {(e,): Fraction(1) for e in range(d - 1, -d, -2)})
+    return LaurentPoly(1, {(e,): 1 for e in range(d - 1, -d, -2)})
 
 
 def double_factorial_odd(g: int) -> int:
@@ -350,15 +365,34 @@ def strict_partition_count(k: int, max_part: int) -> int:
     return counts[k]
 
 
-def _selftest_examples():  # pragma: no cover - convenience for doctests
-    assert bernoulli(0) == 1 and bernoulli(2) == Fraction(1, 6)
-    assert zeta_negative(1) == Fraction(-1, 12)
-    assert cyclotomic(4).coeffs == (1, 0, 1)
-    assert negate_cyclotomic_index(3) == 6
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+# ---------------------------------------------------------------------------
 
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest_examples()
-    print("exact: self-checks passed")
-    for n in (0, 2, 4, 12):
-        print(f"B_{n} =", bernoulli(n))
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) of an integer matrix (overwritten) by fraction-free
+    Bareiss elimination with row pivoting; a column without a pivot is
+    skipped.  Every division is exact, because each entry is a minor of the
+    input.  The determinant is 0 unless the matrix is square of full rank,
+    and the empty matrix has rank 0 and determinant 1."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    sign, prev, rank = 1, 1, 0
+    for col in range(ncols):
+        if rows[rank][col] == 0:
+            swap = next((i for i in range(rank + 1, nrows) if rows[i][col]), None)
+            if swap is None:
+                continue
+            rows[rank], rows[swap] = rows[swap], rows[rank]
+            sign = -sign
+        pivot, prow = rows[rank][col], rows[rank]
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            lead = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (ri[j] * pivot - lead * prow[j]) // prev
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, (sign * prev if rank == nrows == ncols else 0)

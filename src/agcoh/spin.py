@@ -20,13 +20,13 @@ emit-both mode.
 
 Exponents are stored doubled throughout (so half-integral weights stay
 exact); halving happens once when a character is read out, with an
-integrality assertion.
+integrality assertion.  Coefficients are integers: the half-spins are exact
+halves of integer polynomials (LaurentPoly.halve).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
@@ -181,8 +181,8 @@ def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
             "a tau eigenvalue vanishes; the half-spins cannot be labeled")
     minus_count = sum(1 for ty in taus if ty < 0)
     p, q = _line_products(lines)
-    even_half = (p + q) * Fraction(1, 2)
-    odd_half = (p - q) * Fraction(1, 2)
+    even_half = (p + q).halve()
+    odd_half = (p - q).halve()
     plus_half = even_half if minus_count % 2 == 0 else odd_half
     minus_half = odd_half if minus_count % 2 == 0 else even_half
     return TwoVarCharacter(plus_half if half == "plus" else minus_half)
@@ -214,8 +214,7 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
         base = LaurentPoly.t_power(2 * j - 1) + LaurentPoly.t_power(1 - 2 * j)
         prod_plus = prod_plus * (base + 2) ** m
         prod_minus = prod_minus * (2 - base) ** m
-    return ((prod_plus + prod_minus) * Fraction(1, 2),
-            (prod_plus - prod_minus) * Fraction(1, 2))
+    return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
 
 
 def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()

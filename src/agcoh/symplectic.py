@@ -29,8 +29,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .torsion import TorsionClass
+from .exact import bareiss
+
+if TYPE_CHECKING:
+    from .torsion import TorsionClass
 
 # Guard for weight_multiplicities: refuse representations whose dimension
 # dim V_lambda exceeds this (the intended scale is |lambda| <= ~20, g <= 7).
@@ -224,28 +228,6 @@ def _h_series(poly: tuple[int, ...], n: int) -> list[int]:
     return h
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (overwritten) by fraction-free
-    Bareiss elimination; every division is exact."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, row = m[k][k], m[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            lead = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - lead * row[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     """Exact trace of a torsion class on V_lambda, by the symplectic
     Jacobi-Trudi determinant (see the module docstring).  Raises
@@ -268,4 +250,4 @@ def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     rows = [[h(part - i + 1)] + [h(part - i + j) + h(part - i - j + 2)
                                  for j in range(2, len(lam) + 1)]
             for i, part in enumerate(lam, start=1)]
-    return _bareiss_det(rows)
+    return bareiss(rows)[1]

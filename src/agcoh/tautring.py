@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import LaurentPoly, double_factorial_odd, strict_partition_count
+from .exact import (LaurentPoly, bareiss, double_factorial_odd,
+                    strict_partition_count)
 
 ExponentVector = tuple[int, ...]
 
@@ -97,9 +98,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def support_subsets(self) -> list[tuple[int, ...]]:
-        return [mask_to_subset(m) for m in sorted(self._coeffs)]
-
     def _check(self, other: "RingElement") -> None:
         if self.g != other.g:
             raise GenusMismatchError(f"genus mismatch: {self.g} vs {other.g}")
@@ -160,13 +158,6 @@ def mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def subset_to_mask(subset) -> int:
-    mask = 0
-    for i in subset:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def one(g: int) -> RingElement:
     return RingElement(g, {0: Fraction(1)})
 
@@ -201,10 +192,6 @@ def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
 def monomial(g: int, exps: ExponentVector) -> RingElement:
     """Normal form of the single monomial u_1^{e_1} ... u_g^{e_g}."""
     return normal_form(g, {tuple(exps): Fraction(1)})
-
-
-def multiply(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
 
 
 def poincare_polynomial(g: int) -> LaurentPoly:
@@ -287,22 +274,10 @@ def _mask_exps(g: int, mask: int) -> ExponentVector:
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank over Q by Gaussian elimination (rows are consumed as a copy)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Exact rank over Q: each row is scaled to integers by the lcm of its
+    denominators, then eliminated fraction-free by exact.bareiss."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        scaled.append([c.numerator * (den // c.denominator) for c in row])
+    return bareiss(scaled)[0]

@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
                     zeta_negative)
+from .symplectic import character_at_torsion
 
 
 class MassTableError(ValueError):
@@ -95,9 +96,6 @@ class TorsionClass:
         other = self.negate()
         return self if self.encode() <= other.encode() else other
 
-    def root_of_unity_order(self) -> int:
-        return math.lcm(*(d for d, _ in self.pairs))
-
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
         constant term.  It is self-reciprocal with constant term 1, so it is
@@ -111,23 +109,6 @@ class TorsionClass:
             # stored beside the fields, so equality, hashing and order ignore it
             self.__dict__["_charpoly"] = poly
         return poly
-
-    def chosen_eigenvalue_exponents(self) -> list[tuple[int, int]]:
-        """One exponent (k, d) per inverse pair of eigenvalues, representing
-        exp(2*pi*i*k/d); the character of a self-dual weight system does not
-        depend on which member of each pair is chosen."""
-        chosen: list[tuple[int, int]] = []
-        for d, m in self.pairs:
-            if d == 1:
-                chosen.extend([(0, 1)] * (m // 2))
-            elif d == 2:
-                chosen.extend([(1, 2)] * (m // 2))
-            else:
-                reps = [k for k in range(1, (d + 1) // 2) if math.gcd(k, d) == 1]
-                if 2 * len(reps) != euler_phi(d):
-                    raise AssertionError(f"bad eigenvalue pairing for index {d}")
-                chosen.extend((k, d) for _ in range(m) for k in reps)
-        return chosen
 
     def __str__(self) -> str:
         return self.encode()
@@ -275,8 +256,6 @@ def load_mass_table(path, g: int, strict: bool = True) -> MassTable:
 def elliptic_term(hw, masses: MassTable, strict: bool = True) -> Fraction:
     """T_ell = sum over the full torsion class set of m_c tr(c | V_lambda);
     equals the compactly supported Euler characteristic e(A_g, V_lambda)."""
-    from .symplectic import character_at_torsion  # deferred: cyclic module pair
-
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
     if strict and masses.missing:

@@ -73,6 +73,9 @@ def test_exit_code_usage():
     assert code == EXIT_USAGE
     code, _, err = run(["tables", "--id", "unknown_table"])
     assert code == EXIT_USAGE
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert error["message"].startswith("unknown reference table 'unknown_table'")
     code, _, err = run(["stable", "--space", "universal", "--max-degree", "4"])
     assert code == EXIT_USAGE
     # past the h-series bound of the elliptic path: refused before any work

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcoh.exact import (CyclotomicPoly, LaurentPoly, bernoulli, cyclotomic,
-                         euler_phi, negate_cyclotomic_index, nu_character,
-                         poly_divmod, poly_mul, zeta_negative)
+from agcoh.exact import (CyclotomicPoly, LaurentPoly, bareiss, bernoulli,
+                         cyclotomic, euler_phi, negate_cyclotomic_index,
+                         nu_character, poly_divmod, poly_mul, zeta_negative)
 
 
 def bernoulli_by_recurrence(n: int) -> Fraction:
@@ -132,3 +132,39 @@ def test_nu_character():
     assert nu_character(4).coeff_list(-3, 3) == \
         [Fraction(x) for x in (1, 0, 1, 0, 1, 0, 1)]
     assert nu_character(5).evaluate_all_ones() == 5
+
+
+def test_laurent_integer_coefficients_and_halve():
+    t = LaurentPoly.t_power
+    p = (t(1) + t(-1)) ** 3 * 2 + 4
+    assert all(type(c) is int for _, c in p.items())
+    assert type(p.evaluate_all_ones()) is int
+    # other input still goes through Fraction
+    assert LaurentPoly(1, {(0,): "1/2", (1,): 0.25}) == \
+        t(0, Fraction(1, 2)) + t(1, Fraction(1, 4))
+    with pytest.raises(ValueError):
+        LaurentPoly(1, {(0,): "half"})
+    assert p.halve() == (t(1) + t(-1)) ** 3 + 2
+    with pytest.raises(ValueError, match="cannot halve"):
+        (p + t(5)).halve()
+    with pytest.raises(ValueError, match="cannot halve"):
+        (p + t(5, Fraction(2, 3))).halve()
+
+
+# -- fraction-free elimination ---------------------------------------------------
+
+def test_bareiss_det_row_pivoting():
+    assert bareiss([[0, 1], [1, 0]]) == (2, -1)
+    assert bareiss([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == (3, 20)
+    assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (2, 0)
+    assert bareiss([[7]]) == (1, 7)
+
+
+def test_bareiss_rank():
+    # rectangular, both ways, with a pivot-free column to skip
+    assert bareiss([[0, 1, 2], [0, 2, 5]]) == (2, 0)
+    assert bareiss([[0, 1], [0, 2], [0, 3]]) == (1, 0)
+    assert bareiss([[1, 2, 3, 4], [2, 4, 6, 8], [1, 2, 4, 4], [0, 0, 0, 1]]) == (3, 0)
+    assert bareiss([[0, 0], [0, 0]]) == (0, 0)
+    assert bareiss([[0]]) == (0, 0)
+    assert bareiss([]) == (0, 1)

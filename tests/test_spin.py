@@ -150,6 +150,20 @@ def test_oracle_equality_across_enumerated_factors():
     assert len(seen) > 20
 
 
+def test_characters_have_int_coefficients():
+    # half-spins are exact halves of integer polynomials, so no Fraction
+    # survives into the assembled characters or the closed forms
+    for g in range(1, 8):
+        for lam in dominant_weights(g, 7 - g):
+            for param, _ in ar.enumerate_parameters(HighestWeight(g, lam), REG):
+                for combo in all_sign_choices(param):
+                    char = sp.rho_psi(param, combo)
+                    assert all(type(c) is int for _, c in char.doubled.items())
+                for block, d in [param.principal] + list(param.factors):
+                    for poly in sp.closed_form_oracle(block, d):
+                        assert all(type(c) is int for _, c in poly.items())
+
+
 # -- assembled characters ---------------------------------------------------------
 
 def test_rho_psi_principal_only_is_graded_ring():

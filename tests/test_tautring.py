@@ -123,3 +123,51 @@ def test_quotient_by_top():
     proj = {m: c for m, c in tr.monomial(2, (2, 0)).items() if not m & 0b10}
     assert proj == {}  # u_1^2 = 2 u_2 dies when u_2 is set to zero
     assert tr.monomial(1, (2,)).is_zero()
+
+
+def gauss_jordan_rank(rows):
+    """Independent oracle: rank over Q by Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [c * inv for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+@st.composite
+def planted_matrices(draw):
+    """Random rational rows plus rational combinations of them, shuffled;
+    returns the matrix and the number of drawn (not planted) rows."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=5))
+    rows = list(base)
+    if base:
+        for _ in range(draw(st.integers(0, 4))):
+            weights = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+            rows.append([sum((w * r[j] for w, r in zip(weights, base)), Fraction(0))
+                         for j in range(ncols)])
+    return draw(st.permutations(rows)), len(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_matrices())
+def test_matrix_rank_matches_gauss_jordan(case):
+    rows, drawn = case
+    rank = tr.matrix_rank(rows)
+    assert rank == gauss_jordan_rank(rows)
+    assert rank <= drawn
