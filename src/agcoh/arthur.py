@@ -238,18 +238,23 @@ def ingest_cardinalities(stream, base: Registry | None = None) -> Registry:
     return (base or Registry.builtin()).with_records(records)
 
 
+def check_kind_d(kind: BlockKind, d: int) -> None:
+    """Raise ValueError unless d is a valid multiplier for the kind: positive,
+    even for symplectic blocks and odd for orthogonal ones."""
+    if d < 1:
+        raise ValueError("multiplier d must be positive")
+    if kind is BlockKind.SYMPLECTIC and d % 2:
+        raise ValueError("symplectic factors need even d")
+    if kind is not BlockKind.SYMPLECTIC and d % 2 == 0:
+        raise ValueError("orthogonal factors need odd d")
+
+
 def weight_block(kind: BlockKind, doubled_weights: Iterable[int], d: int) -> set[int]:
     """The set of positive integers covered by one pair (block, d): a run of
     d consecutive integers centered at each weight, plus the central run
     {1, ..., (d-1)/2} for the (necessarily principal) odd orthogonal kind."""
+    check_kind_d(kind, d)
     dw = tuple(doubled_weights)
-    if d < 1:
-        raise ValueError("multiplier d must be positive")
-    if kind is BlockKind.SYMPLECTIC:
-        if d % 2:
-            raise ValueError("symplectic factors need even d")
-    elif d % 2 == 0:
-        raise ValueError("orthogonal factors need odd d")
     out: set[int] = set()
     expected = len(dw) * d
     for dv in dw:
@@ -355,10 +360,13 @@ def _run_assignments(rest: tuple[int, ...], d0: int, registry: Registry
     """
     memo: dict[frozenset[int], list[tuple[tuple[int, ...], dict]]] = {}
 
-    def raise_unknown(doubled_center: int):
-        raise RegistryIncompleteError(
-            f"run centered at weight {doubled_center}/2 exceeds the registry "
-            "bound; ingest cardinalities to enumerate")
+    def viable(kind: BlockKind, doubled_center: int) -> bool:
+        st = registry.center_status(kind, doubled_center)
+        if st == "unknown":
+            raise RegistryIncompleteError(
+                f"run centered at weight {doubled_center}/2 exceeds the registry "
+                "bound; ingest cardinalities to enumerate")
+        return st == "viable"
 
     def recurse(remaining: frozenset[int]) -> list[tuple[tuple[int, ...], dict]]:
         if not remaining:
@@ -373,23 +381,12 @@ def _run_assignments(rest: tuple[int, ...], d0: int, registry: Registry
             doubled_center = 2 * top - run_len + 1
             options: list[tuple[str, tuple[BlockKind, int] | None]] = []
             if run_len % 2:
-                if run_len == d0:
-                    st = registry.center_status(BlockKind.ODD_ORTHOGONAL, doubled_center)
-                    if st == "unknown":
-                        raise_unknown(doubled_center)
-                    if st == "viable":
-                        options.append(("principal", None))
-                st = registry.center_status(BlockKind.EVEN_ORTHOGONAL, doubled_center)
-                if st == "unknown":
-                    raise_unknown(doubled_center)
-                if st == "viable":
+                if run_len == d0 and viable(BlockKind.ODD_ORTHOGONAL, doubled_center):
+                    options.append(("principal", None))
+                if viable(BlockKind.EVEN_ORTHOGONAL, doubled_center):
                     options.append(("pool", (BlockKind.EVEN_ORTHOGONAL, run_len)))
-            else:
-                st = registry.center_status(BlockKind.SYMPLECTIC, doubled_center)
-                if st == "unknown":
-                    raise_unknown(doubled_center)
-                if st == "viable":
-                    options.append(("pool", (BlockKind.SYMPLECTIC, run_len)))
+            elif viable(BlockKind.SYMPLECTIC, doubled_center):
+                options.append(("pool", (BlockKind.SYMPLECTIC, run_len)))
             if not options:
                 continue
             sub = recurse(remaining - frozenset(range(top - run_len + 1, top + 1)))

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import proportionality, spin, tables, tautring, torsion
 from .arthur import Registry, RegistryConflictError, RegistryIncompleteError, \
-    ingest_cardinalities
+    enumerate_parameters, ingest_cardinalities
 from .symplectic import HighestWeight, WeightBudgetError
 from .torsion import MassTableError
 
@@ -128,11 +128,10 @@ def _load_signs(args):
 def _cmd_taut(args):
     g = args.g
     poly = tautring.poincare_polynomial(g)
-    coeffs = [int(c) for c in poly.coeff_list(0, g * (g + 1))]
     return {
         "genus": g,
         "dimension": 2 ** g,
-        "poincare": coeffs,
+        "poincare": poly.coeff_list(0, g * (g + 1)),
     }, ["graded ring on the Chern classes of the tautological subbundle of "
         "the compact dual; graded dimensions count partitions into distinct "
         "parts bounded by the rank"], []
@@ -212,7 +211,6 @@ def _cmd_arthur(args):
     lam = _parse_lambda(args.lam, g)
     hw = HighestWeight(g, lam)
     registry = _load_registry(args)
-    from .arthur import enumerate_parameters
     params = enumerate_parameters(hw, registry)
     warnings = []
     if hw.weight % 2:

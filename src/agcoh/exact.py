@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -111,33 +110,21 @@ def poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, 
     return poly_trim(quo), poly_trim(rem)
 
 
-@dataclass(frozen=True)
-class CyclotomicPoly:
-    """The d-th cyclotomic polynomial, dense coefficients from the constant term."""
-
-    index: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 @functools.lru_cache(maxsize=None)
-def cyclotomic(d: int) -> CyclotomicPoly:
-    """Compute Phi_d by exact division of x^d - 1 by the Phi_e with e | d, e < d."""
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d as dense integer coefficients from the constant term, by exact
+    division of x^d - 1 by the Phi_e with e | d, e < d."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     poly = poly_trim([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
-            poly, rem = poly_divmod(poly, cyclotomic(e).coeffs)
+            poly, rem = poly_divmod(poly, cyclotomic(e))
             if rem:
                 raise AssertionError(f"x^{d} - 1 not divisible by Phi_{e}")
-    result = CyclotomicPoly(d, poly)
-    if result.degree != euler_phi(d) or result.coeffs[-1] != 1:
+    if len(poly) - 1 != euler_phi(d) or poly[-1] != 1:
         raise AssertionError(f"Phi_{d} failed the degree/monic sanity check")
-    return result
+    return poly
 
 
 def negate_cyclotomic_index(d: int) -> int:

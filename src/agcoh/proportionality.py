@@ -53,13 +53,12 @@ def _check_degree(g: int, exponents) -> tuple[int, ...]:
     return exponents
 
 
-def compact_dual_degree(g: int, exponents) -> Fraction:
+def compact_dual_degree(g: int, exponents) -> int:
     """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
     that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer."""
-    exponents = _check_degree(g, exponents)
-    value = tautring.monomial(g, exponents).coeff((1 << g) - 1)
-    if value.denominator != 1 or value < 0:
-        raise AssertionError(f"compact dual degree came out non-integral: {value}")
+    value = tautring.socle_coefficient(g, _check_degree(g, exponents))
+    if value < 0:
+        raise AssertionError(f"compact dual degree came out negative: {value}")
     return value
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
-                     enumerate_parameters)
+                     check_kind_d, enumerate_parameters)
 from .exact import LaurentPoly, nu_character
 from .symplectic import HighestWeight
 
@@ -77,21 +77,12 @@ class WeightLine:
         return (self.s + self.t) // 2
 
 
-def _check_kind_d(kind: BlockKind, d: int) -> None:
-    if d < 1:
-        raise ValueError("multiplier d must be positive")
-    if kind is BlockKind.SYMPLECTIC and d % 2:
-        raise ValueError("symplectic factors need even d")
-    if kind is not BlockKind.SYMPLECTIC and d % 2 == 0:
-        raise ValueError("orthogonal factors need odd d")
-
-
 def standard_weight_lines(block: BuildingBlock, d: int
                           ) -> tuple[tuple[WeightLine, ...], bool]:
     """Weight lines of the factor's standard representation (the block's
     standard tensored with the d-dimensional torus string) and a flag for
     the zero weight (present exactly when the standard dimension is odd)."""
-    _check_kind_d(block.kind, d)
+    check_kind_d(block.kind, d)
     lines: list[WeightLine] = []
     nu_exps = range(d - 1, -d, -2)
     for dv in block.doubled_weights:
@@ -192,7 +183,7 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     """The closed-form one-variable Laurent products for the factor's spin
     data at S = 1 (undoubled exponents): a single polynomial for odd
     standard pieces, an unordered pair for even ones."""
-    _check_kind_d(block.kind, d)
+    check_kind_d(block.kind, d)
     m = len(block.doubled_weights)
     one = LaurentPoly.one(1)
     if block.kind is BlockKind.ODD_ORTHOGONAL:

@@ -13,6 +13,11 @@ R_g is Gorenstein with socle u_1 u_2 ... u_g; the tautological ring of the
 moduli space itself is R_{g-1} (with lambda_i in place of u_i and
 lambda_g = 0), and the tautological ring of any smooth toroidal
 compactification is R_g.  Both facades are a relabeling of this one engine.
+
+The structure constants are integers.  The cached normal form of a monomial
+has int coefficients, and the socle coefficients, the pairing matrices and
+the quotient check read it directly.  Only RingElement, a rational linear
+combination of basis monomials, carries Fraction coefficients.
 """
 from __future__ import annotations
 
@@ -31,13 +36,10 @@ class GenusMismatchError(ValueError):
     pass
 
 
-def _monomial_degree(g: int, exps: ExponentVector) -> int:
-    return 2 * sum(i * e for i, e in zip(range(1, g + 1), exps))
-
-
 @functools.lru_cache(maxsize=None)
-def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, Fraction], ...]:
-    """Normal form of u_1^{e_1} ... u_g^{e_g} as ((bitmask, coeff), ...).
+def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int], ...]:
+    """Normal form of u_1^{e_1} ... u_g^{e_g} as ((bitmask, int coeff), ...),
+    sorted by bitmask.
 
     Rewrites are applied to the largest squared index first.  Termination:
     replacing u_k^2 by u_j u_{2k-j} strictly increases sum_i e_i * i^2 while
@@ -49,14 +51,14 @@ def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, Frac
         for i, e in enumerate(exps):
             if e:
                 mask |= 1 << i
-        return ((mask, Fraction(1)),)
+        return ((mask, 1),)
 
     k = squared[0]
     base = list(exps)
     base[k - 1] -= 2
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for j in range(k):
-        coeff = Fraction(2 * (-1) ** (j + k + 1))
+        coeff = 2 * (-1) ** (j + k + 1)
         child = list(base)
         if j > 0:
             child[j - 1] += 1
@@ -65,13 +67,26 @@ def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, Frac
             continue
         child[other - 1] += 1
         for mask, c in _normal_form_monomial(g, tuple(child)):
-            acc[mask] = acc.get(mask, Fraction(0)) + coeff * c
+            acc[mask] = acc.get(mask, 0) + coeff * c
     return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+
+
+def _check_exps(g: int, exps) -> ExponentVector:
+    exps = tuple(exps)
+    if len(exps) != g or any(e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for genus {g}")
+    return exps
+
+
+def _pair_exps(g: int, m1: int, m2: int) -> ExponentVector:
+    """Exponent vector of the product of the basis monomials m1 and m2."""
+    return tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(g))
 
 
 class RingElement:
     """Element of R_g: Fraction coefficients on square-free basis monomials,
-    keyed by subset bitmask.  Immutable."""
+    keyed by subset bitmask.  Products scale them by the integer structure
+    constants of the normal form.  Immutable."""
 
     __slots__ = ("g", "_coeffs")
 
@@ -130,8 +145,7 @@ class RingElement:
                     mask = m1 | m2
                     out[mask] = out.get(mask, Fraction(0)) + c
                 else:
-                    exps = tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(g))
-                    for mask, cc in _normal_form_monomial(g, exps):
+                    for mask, cc in _normal_form_monomial(g, _pair_exps(g, m1, m2)):
                         out[mask] = out.get(mask, Fraction(0)) + c * cc
         return RingElement(g, out)
 
@@ -159,18 +173,18 @@ def mask_to_subset(mask: int) -> tuple[int, ...]:
 
 
 def one(g: int) -> RingElement:
-    return RingElement(g, {0: Fraction(1)})
+    return RingElement(g, {0: 1})
 
 
 def u(g: int, i: int) -> RingElement:
     """The generator u_i in R_g."""
     if not 1 <= i <= g:
         raise ValueError(f"u_{i} does not exist in R_{g}")
-    return RingElement(g, {1 << (i - 1): Fraction(1)})
+    return RingElement(g, {1 << (i - 1): 1})
 
 
 def socle(g: int) -> RingElement:
-    return RingElement(g, {(1 << g) - 1: Fraction(1)})
+    return RingElement(g, {(1 << g) - 1: 1})
 
 
 def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
@@ -178,9 +192,7 @@ def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
     from exponent vectors (e_1, ..., e_g) to coefficients."""
     out: dict[int, Fraction] = {}
     for exps, coeff in expr.items():
-        exps = tuple(exps)
-        if len(exps) != g or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps} for genus {g}")
+        exps = _check_exps(g, exps)
         coeff = Fraction(coeff)
         if coeff == 0:
             continue
@@ -191,7 +203,13 @@ def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
 
 def monomial(g: int, exps: ExponentVector) -> RingElement:
     """Normal form of the single monomial u_1^{e_1} ... u_g^{e_g}."""
-    return normal_form(g, {tuple(exps): Fraction(1)})
+    return normal_form(g, {tuple(exps): 1})
+
+
+def socle_coefficient(g: int, exps: ExponentVector) -> int:
+    """Coefficient of the socle u_1 u_2 ... u_g in the normal form of
+    u_1^{e_1} ... u_g^{e_g}."""
+    return dict(_normal_form_monomial(g, _check_exps(g, exps))).get((1 << g) - 1, 0)
 
 
 def poincare_polynomial(g: int) -> LaurentPoly:
@@ -221,14 +239,14 @@ def socle_pairing(a: RingElement, b: RingElement) -> Fraction:
     return (a * b).coeff((1 << a.g) - 1)
 
 
-def top_power_coefficient(g: int) -> Fraction:
+def top_power_coefficient(g: int) -> int:
     """u_1^{g(g+1)/2} = N! / prod_{j=1}^{g}(2j-1)!! times the socle, N = g(g+1)/2.
 
     This is the intersection degree of the compact dual under the socle
     normalization, used as a cross-check of the proportionality constant.
     """
     n = g * (g + 1) // 2
-    return Fraction(math.factorial(n), double_factorial_odd(g))
+    return math.factorial(n) // double_factorial_odd(g)
 
 
 def quotient_by_top(g: int) -> dict[int, int]:
@@ -244,36 +262,26 @@ def quotient_by_top(g: int) -> dict[int, int]:
     h = g - 1
     top_bit = 1 << (g - 1)
     for m1 in range(1 << h):
-        e1_g = RingElement(g, {m1: Fraction(1)})
-        e1_h = RingElement(h, {m1: Fraction(1)})
         for m2 in range(m1, 1 << h):
-            prod_g = e1_g * RingElement(g, {m2: Fraction(1)})
-            projected = {m: c for m, c in prod_g.items() if not m & top_bit}
-            prod_h = e1_h * RingElement(h, {m2: Fraction(1)})
-            if projected != dict(prod_h.items()):
+            exps = _pair_exps(h, m1, m2)
+            projected = tuple((m, c) for m, c in _normal_form_monomial(g, exps + (0,))
+                              if not m & top_bit)
+            if projected != _normal_form_monomial(h, exps):
                 raise AssertionError(
                     f"R_{g}/(u_{g}) differs from R_{h} on basis product {m1:b} * {m2:b}")
     return {m: m for m in range(1 << h)}
 
 
-def pairing_matrix(g: int, degree: int) -> list[list[Fraction]]:
+def pairing_matrix(g: int, degree: int) -> list[list[int]]:
     """Matrix of the socle pairing between the basis of R_g^{degree} and the
     basis of the complementary degree g(g+1) - degree."""
-    top = g * (g + 1)
-    left = [m for m in range(1 << g)
-            if _monomial_degree(g, _mask_exps(g, m)) == degree]
-    right = [m for m in range(1 << g)
-             if _monomial_degree(g, _mask_exps(g, m)) == top - degree]
-    return [[socle_pairing(RingElement(g, {ml: Fraction(1)}),
-                           RingElement(g, {mr: Fraction(1)}))
-             for mr in right] for ml in left]
+    index_sum = [sum(mask_to_subset(m)) for m in range(1 << g)]
+    left = [m for m, s in enumerate(index_sum) if 2 * s == degree]
+    right = [m for m, s in enumerate(index_sum) if 2 * s == g * (g + 1) - degree]
+    return [[socle_coefficient(g, _pair_exps(g, ml, mr)) for mr in right] for ml in left]
 
 
-def _mask_exps(g: int, mask: int) -> ExponentVector:
-    return tuple(mask >> i & 1 for i in range(g))
-
-
-def matrix_rank(rows: list[list[Fraction]]) -> int:
+def matrix_rank(rows: list[list[int | Fraction]]) -> int:
     """Exact rank over Q: each row is scaled to integers by the lcm of its
     denominators, then eliminated fraction-free by exact.bareiss."""
     scaled = []

@@ -105,7 +105,7 @@ class TorsionClass:
             poly = (1,)
             for d, m in self.pairs:
                 for _ in range(m):
-                    poly = poly_mul(poly, cyclotomic(d).coeffs)
+                    poly = poly_mul(poly, cyclotomic(d))
             # stored beside the fields, so equality, hashing and order ignore it
             self.__dict__["_charpoly"] = poly
         return poly

@@ -29,6 +29,10 @@ def test_compact_dual_degree_examples():
     assert pr.compact_dual_degree(1, (1,)) == 1
     assert pr.compact_dual_degree(2, (3, 0)) == 2
     assert pr.compact_dual_degree(3, (6, 0, 0)) == 16
+    for g in range(1, 5):
+        n = g * (g + 1) // 2
+        assert type(pr.compact_dual_degree(g, (n,) + (0,) * (g - 1))) is int
+        assert type(tr.top_power_coefficient(g)) is int
     with pytest.raises(ValueError):
         pr.compact_dual_degree(2, (1, 0))
 

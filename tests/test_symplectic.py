@@ -44,7 +44,7 @@ def weight_sum_character(full, exponents, order):
     counts = [0] * order
     for mu, mult in full.items():
         counts[sum(m * x for m, x in zip(mu, exponents)) % order] += mult
-    phi = cyclotomic(order).coeffs
+    phi = cyclotomic(order)
     deg = len(phi) - 1
     for i in range(order - 1, deg - 1, -1):
         c = counts[i]

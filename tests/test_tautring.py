@@ -88,12 +88,36 @@ def test_normal_form_is_linear(g, data):
 
 
 def test_pairing_matrices_nonsingular():
+    # and equal, entry for entry, to the socle pairing of basis elements
     for g in range(1, 7):
         top = g * (g + 1)
+
+        def basis(degree):
+            return [tr.RingElement(g, {m: 1}) for m in range(1 << g)
+                    if 2 * sum(tr.mask_to_subset(m)) == degree]
+
         for deg in range(0, top + 1, 2):
             m = tr.pairing_matrix(g, deg)
             assert len(m) == len(m[0])
             assert tr.matrix_rank(m) == len(m)
+            assert m == [[tr.socle_pairing(a, b) for b in basis(top - deg)]
+                         for a in basis(deg)], (g, deg)
+            assert all(type(c) is int for row in m for c in row)
+
+
+def test_socle_coefficient():
+    for g in range(1, 6):
+        full = (1 << g) - 1
+        for exps in [(0,) * g, (1,) * g, (g * (g + 1) // 2,) + (0,) * (g - 1)]:
+            got = tr.socle_coefficient(g, exps)
+            assert type(got) is int
+            assert got == tr.monomial(g, exps).coeff(full)
+    assert tr.socle_coefficient(2, (1, 1)) == 1
+    assert tr.socle_coefficient(2, (3, 0)) == 2
+    with pytest.raises(ValueError):
+        tr.socle_coefficient(2, (1, 1, 0))
+    with pytest.raises(ValueError):
+        tr.socle_coefficient(2, (-1, 2))
 
 
 def test_duality_shape():

@@ -6,6 +6,7 @@ import pytest
 
 from agcoh import torsion as to
 from agcoh.exact import zeta_negative
+from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
@@ -130,6 +131,15 @@ def test_genus_one_demo_masses_match_eichler_shimura():
     for k in range(2, 61, 2):
         assert to.elliptic_term(HighestWeight(1, (k,)), table) == \
             -1 - 2 * _dim_cusp_forms_sl2z(k + 2), k
+    # third route: the IH Betti numbers of the minimal compactification put
+    # 2 dim S_{k+2} in degree 1 (k <= 10, the built-in registry bound), and
+    # the elliptic term is -1 minus that Betti number
+    assert ih_betti(HighestWeight(1, (0,)), signs="both").betti == (1, 0, 1)
+    for k in range(2, 11, 2):
+        hw = HighestWeight(1, (k,))
+        betti = ih_betti(hw, signs="both").betti
+        assert betti == (0, 2 * _dim_cusp_forms_sl2z(k + 2), 0), k
+        assert to.elliptic_term(hw, table) == -1 - betti[1], k
 
 
 def test_elliptic_term_genus_mismatch():
