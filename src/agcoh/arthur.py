@@ -198,13 +198,13 @@ class Registry:
                 kind = _KIND_ALIASES[str(rec["kind"]).lower()]
                 dw = tuple(int(x) for x in rec["doubled_weights"])
                 card = int(rec["cardinality"])
+                names = tuple(rec.get("names", ()))
+                fdeg = rec.get("field_degree")
+                fdeg = None if fdeg is None else int(fdeg)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RegistryConflictError(f"malformed registry record {rec!r}") from exc
-            names = tuple(rec.get("names", ()))
-            fdeg = rec.get("field_degree")
             try:
-                block = BuildingBlock(kind, dw, card, names,
-                                      None if fdeg is None else int(fdeg))
+                block = BuildingBlock(kind, dw, card, names, fdeg)
             except ValueError as exc:
                 raise RegistryConflictError(str(exc)) from exc
             key = (kind, block.doubled_weights)

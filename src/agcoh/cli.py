@@ -120,7 +120,11 @@ def _load_signs(args):
         raise DataFileError(f"bad sign file {path}: {exc}") from exc
     if not isinstance(mapping, dict):
         raise DataFileError("sign file must be a JSON object shape -> sign list")
-    return {str(k): tuple(v) for k, v in mapping.items()}
+    try:
+        return {str(k): tuple(v) for k, v in mapping.items()}
+    except TypeError as exc:
+        raise DataFileError(
+            f"bad sign file {path}: every value must be a sign list") from exc
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -12,11 +12,11 @@ with e > 0 and a single zero weight.  The factor's spin (odd standard
 dimension) or half-spin (even) character is the signed product over lines,
 half-spins being the even/odd minus-sign halves.  The plus half is the one
 whose largest eigenvalue on the block's infinitesimal-character vector is
-bigger; a separate user-facing sign then chooses which labeled half enters
-the product, because the general sign rule is not pinned down here: exactly
-the two assignments recoverable from the worked rank-6 and rank-7 examples
-ship as bundled defaults, and everything else needs an explicit sign file or
-emit-both mode.
+bigger.  A factor's halves always differ (by +-prod (m - 1/m) over its
+lines), so every factor needs a user-facing sign choosing its half, because
+the general sign rule is not pinned down here: exactly the two assignments
+recoverable from the worked rank-6 and rank-7 examples ship as bundled
+defaults, and everything else needs an explicit sign file or emit-both mode.
 
 Exponents are stored doubled throughout (so half-integral weights stay
 exact); halving happens once when a character is read out, with an
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
@@ -53,45 +53,37 @@ BUNDLED_SIGNS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class WeightLine:
-    """One inverse pair of weights of a factor's standard representation,
-    with doubled exponents: s = 2*(2w) for the circle factor, t = 2e for the
-    Lefschetz torus.  Canonical positivity: s > 0, or s = 0 and t >= 0."""
+    """One inverse pair of weights S^(+-2w) T^(+-e) of a factor's standard
+    representation, stored as (s, t) = (2w, e): these are the doubled
+    exponents of the half-line monomial entering the spin products.
+    Canonical positivity: s > 0, or s = 0 and t >= 0."""
 
     s: int
     t: int
 
     def __post_init__(self):
-        if self.s % 2 or self.t % 2:
-            raise ValueError("doubled line exponents must be even")
         if self.s < 0 or (self.s == 0 and self.t < 0):
             raise ValueError("line breaks canonical positivity")
 
     @property
-    def undoubled(self) -> tuple[int, int]:
-        return (self.s // 2, self.t // 2)
-
-    @property
     def tau_doubled(self) -> int:
         """Doubled eigenvalue of the block's infinitesimal-character vector
-        on this line: (s + t) / 2 = 2w + e."""
-        return (self.s + self.t) // 2
+        on this line: 2w + e."""
+        return self.s + self.t
 
 
-def standard_weight_lines(block: BuildingBlock, d: int
-                          ) -> tuple[tuple[WeightLine, ...], bool]:
+def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
     """Weight lines of the factor's standard representation (the block's
-    standard tensored with the d-dimensional torus string) and a flag for
-    the zero weight (present exactly when the standard dimension is odd)."""
+    standard tensored with the d-dimensional torus string).  The zero
+    weight, present exactly for odd orthogonal blocks, has no line."""
     check_kind_d(block.kind, d)
     lines: list[WeightLine] = []
     nu_exps = range(d - 1, -d, -2)
     for dv in block.doubled_weights:
-        lines.extend(WeightLine(2 * dv, 2 * e) for e in nu_exps)
-    has_zero = False
+        lines.extend(WeightLine(dv, e) for e in nu_exps)
     if block.kind is BlockKind.ODD_ORTHOGONAL:
-        lines.extend(WeightLine(0, 2 * e) for e in nu_exps if e > 0)
-        has_zero = True
-    return tuple(lines), has_zero
+        lines.extend(WeightLine(0, e) for e in nu_exps if e > 0)
+    return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -134,49 +126,46 @@ def _line_products(lines: Sequence[WeightLine]) -> tuple[LaurentPoly, LaurentPol
     plus = LaurentPoly.one(2)
     minus = LaurentPoly.one(2)
     for line in lines:
-        sigma, e = line.undoubled
-        up = LaurentPoly.term(2, (sigma, e))
-        down = LaurentPoly.term(2, (-sigma, -e))
+        up = LaurentPoly.term(2, (line.s, line.t))
+        down = LaurentPoly.term(2, (-line.s, -line.t))
         plus = plus * (up + down)
         minus = minus * (up - down)
     return plus, minus
 
 
-def halves_differ(block: BuildingBlock, d: int) -> bool:
-    """Whether the two labeled half-spins of the factor are distinct
-    two-variable characters (if not, the user-facing sign is irrelevant)."""
-    if block.kind is BlockKind.ODD_ORTHOGONAL:
-        return False
-    _, q = _line_products(standard_weight_lines(block, d)[0])
-    return not q.is_zero()
-
-
-def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
-    """Spin ('full', odd standard dimension) or labeled half-spin ('plus' /
-    'minus', even standard dimension) character of one factor, with doubled
+def _half_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(plus, minus) half-spin characters of an even standard piece, doubled
     exponents.  The plus label goes to the half whose largest eigenvalue on
-    the block's infinitesimal-character vector is greater."""
-    lines, has_zero = standard_weight_lines(block, d)
-    if half == "full":
-        if block.kind is not BlockKind.ODD_ORTHOGONAL:
-            raise ValueError("full spin only applies to odd standard pieces")
-        p, _ = _line_products(lines)
-        return TwoVarCharacter(p)
-    if half not in ("plus", "minus"):
-        raise ValueError(f"half must be 'full', 'plus' or 'minus', not {half!r}")
+    the block's infinitesimal-character vector is greater: the minus-sign
+    parity half matching the number of negative tau eigenvalues.  The two
+    differ by prod (m - 1/m), which has no zero factor for positive weights."""
+    lines = standard_weight_lines(block, d)
     if block.kind is BlockKind.ODD_ORTHOGONAL:
         raise ValueError("half-spins only apply to even standard pieces")
     taus = [line.tau_doubled for line in lines]
     if any(ty == 0 for ty in taus):
         raise AmbiguousHalfSpinError(
             "a tau eigenvalue vanishes; the half-spins cannot be labeled")
-    minus_count = sum(1 for ty in taus if ty < 0)
     p, q = _line_products(lines)
     even_half = (p + q).halve()
     odd_half = (p - q).halve()
-    plus_half = even_half if minus_count % 2 == 0 else odd_half
-    minus_half = odd_half if minus_count % 2 == 0 else even_half
-    return TwoVarCharacter(plus_half if half == "plus" else minus_half)
+    if sum(1 for ty in taus if ty < 0) % 2:
+        return odd_half, even_half
+    return even_half, odd_half
+
+
+def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
+    """Spin ('full', odd standard dimension) or labeled half-spin ('plus' /
+    'minus', even standard dimension) character of one factor, with doubled
+    exponents."""
+    if half == "full":
+        if block.kind is not BlockKind.ODD_ORTHOGONAL:
+            raise ValueError("full spin only applies to odd standard pieces")
+        return TwoVarCharacter(_line_products(standard_weight_lines(block, d))[0])
+    if half not in ("plus", "minus"):
+        raise ValueError(f"half must be 'full', 'plus' or 'minus', not {half!r}")
+    plus, minus = _half_spins(block, d)
+    return TwoVarCharacter(plus if half == "plus" else minus)
 
 
 def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
@@ -208,64 +197,67 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
 
 
+def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]
+                ) -> Iterator[TwoVarCharacter]:
+    """The parameter character for each sign vector (aligned with
+    param.factors, extra entries ignored): the principal spin character and
+    each factor's half-spin pair are built once, then multiplied per vector."""
+    block0, d0 = param.principal
+    principal = spin_character(block0, d0, "full").doubled
+    pairs = [_half_spins(block, d) for block, d in param.factors]
+    weight = sum(param.tau_set) - param.genus * (param.genus + 1) // 2
+    for signs in sign_vectors:
+        signs = tuple(signs)[:param.r]
+        result = principal
+        for (block, d), (plus, minus), sign in itertools.zip_longest(
+                param.factors, pairs, signs):
+            if sign is None:
+                raise SignPolicyError(
+                    f"factor {block.label}[{d}] of {param.canonical_shape()} has "
+                    "distinct half-spins; provide an explicit sign or use emit-both")
+            if sign not in ("+", "-"):
+                raise SignPolicyError(f"invalid sign {sign!r}")
+            result = result * (plus if sign == "+" else minus)
+        char = TwoVarCharacter(result, genus=param.genus,
+                               shape=param.canonical_shape(), signs=signs,
+                               weight=weight)
+        if char.dimension() != 2 ** (param.genus - param.r):
+            raise AssertionError("assembled character has the wrong dimension")
+        if not char.is_symmetric():
+            raise AssertionError("assembled character is not self-dual")
+        yield char
+
+
 def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()
             ) -> TwoVarCharacter:
     """Product of the principal spin character with the chosen half-spin of
     every factor; total dimension 2^(g - r).  `signs` aligns with
-    param.factors; an entry may be None when the factor's halves coincide."""
-    signs = tuple(signs)
-    if len(signs) < len(param.factors):
-        signs = signs + (None,) * (len(param.factors) - len(signs))
-    block0, d0 = param.principal
-    result = spin_character(block0, d0, "full").doubled
-    used: list[str] = []
-    for (block, d), sign in zip(param.factors, signs):
-        if sign is None:
-            if halves_differ(block, d):
-                raise SignPolicyError(
-                    f"factor {block.label}[{d}] of {param.canonical_shape()} has "
-                    "distinct half-spins; provide an explicit sign or use emit-both")
-            sign = "+"
-        if sign not in ("+", "-"):
-            raise SignPolicyError(f"invalid sign {sign!r}")
-        half = "plus" if sign == "+" else "minus"
-        result = result * spin_character(block, d, half).doubled
-        used.append(sign)
-    weight = sum(param.tau_set) - param.genus * (param.genus + 1) // 2
-    char = TwoVarCharacter(result, genus=param.genus,
-                           shape=param.canonical_shape(), signs=tuple(used),
-                           weight=weight)
-    if char.dimension() != 2 ** (param.genus - param.r):
-        raise AssertionError("assembled character has the wrong dimension")
-    if not char.is_symmetric():
-        raise AssertionError("assembled character is not self-dual")
-    return char
+    param.factors and needs '+' or '-' for every factor."""
+    return next(_characters(param, [signs]))
 
 
 def nu_decompose(char: LaurentPoly) -> list[int]:
-    """Decompose a one-variable character into irreducible torus strings by
-    greedy top-down peeling; returns the string dimensions d (descending,
-    with repetition).  The result is re-expanded as a correctness check."""
+    """Decompose a one-variable character into irreducible torus strings:
+    the d-string occurs c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.
+    Returns the string dimensions d (descending, with repetition), checked
+    by re-expansion."""
     if char.nvars != 1:
         raise ValueError("nu_decompose expects a one-variable character")
-    residual = char
-    out: list[int] = []
-    while not residual.is_zero():
-        lo, hi = residual.exponent_range()
-        top = residual.coeff(hi)
-        if top.denominator != 1 or top < 0 or hi < 0:
-            raise ValueError(f"not a genuine torus character (residual {residual})")
-        d = hi + 1
-        out.extend([d] * int(top))
-        residual = residual - int(top) * nu_character(d)
-        if any(c < 0 for _, c in residual.items()):
-            raise ValueError(f"negative residual while peeling {d}-string")
+    if not char.is_symmetric() or any(c.denominator != 1 for _, c in char.items()):
+        raise ValueError(f"not a genuine torus character: {char}")
+    counts: dict[int, int] = {}
+    for d in range(char.exponent_range()[1] + 1, 0, -1):
+        count = int(char.coeff(d - 1) - char.coeff(d + 1))
+        if count < 0:
+            raise ValueError(f"negative count of the {d}-string in {char}")
+        if count:
+            counts[d] = count
     check = LaurentPoly.zero(1)
-    for d in out:
-        check = check + nu_character(d)
+    for d, count in counts.items():
+        check = check + count * nu_character(d)
     if check != char:
         raise AssertionError("string decomposition failed to re-expand")
-    return sorted(out, reverse=True)
+    return [d for d, count in counts.items() for _ in range(count)]
 
 
 def primitive_degrees(genus: int, nus: Sequence[int]) -> list[int]:
@@ -331,29 +323,25 @@ class IHResult:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def _betti_from_char(char: TwoVarCharacter, genus: int) -> tuple[int, ...]:
+def _betti_from_char(t_char: LaurentPoly, genus: int) -> tuple[int, ...]:
+    """Graded dimensions, degrees 0 .. g(g+1), of a one-variable T-character."""
     n = genus * (genus + 1) // 2
-    t_char = char.specialize_s1()
-    coeffs = t_char.coeff_list(-n, n)
     out = []
-    for k in range(2 * n + 1):
-        c = coeffs[k]
+    for c in t_char.coeff_list(-n, n):
         if c.denominator != 1 or c < 0:
             raise AssertionError("non-integral graded dimension")
         out.append(int(c))
     return tuple(out)
 
 
-def _variant(param: ArthurParameter, signs: Sequence[str | None],
-             include_hodge: bool) -> ShapeVariant:
-    char = rho_psi(param, signs)
-    betti = _betti_from_char(char, param.genus)
-    nus = tuple(nu_decompose(char.specialize_s1()))
+def _variant(char: TwoVarCharacter, include_hodge: bool) -> ShapeVariant:
+    t_char = char.specialize_s1()
+    nus = tuple(nu_decompose(t_char))
     return ShapeVariant(
         signs=char.signs,
-        betti=betti,
+        betti=_betti_from_char(t_char, char.genus),
         nu=nus,
-        primitive=tuple(primitive_degrees(param.genus, nus)),
+        primitive=tuple(primitive_degrees(char.genus, nus)),
         s_trivial=char.is_s_trivial(),
         hodge=hodge_diamond(char) if include_hodge else None,
     )
@@ -370,7 +358,8 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
 
     `signs` is 'bundled' (known assignments only), 'both' (emit every sign
     choice), or a mapping from canonical shape strings to sign vectors
-    (explicit assignments win over bundled ones)."""
+    (explicit assignments win over bundled ones).  Every shape with at least
+    one factor needs a sign vector unless `signs` is 'both'."""
     warnings: list[str] = []
     if hw.weight % 2:
         warnings.append("odd weight: all cohomology of the local system vanishes")
@@ -381,25 +370,21 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
     ambiguous: list[str] = []
     for param, mult in enumerate_parameters(hw, registry):
         shape = param.canonical_shape()
-        needs = [halves_differ(b, d) for b, d in param.factors]
         if signs == "both":
-            choice_sets = [("+", "-") if need else (None,) for need in needs]
-            variants = tuple(_variant(param, combo, include_hodge)
-                             for combo in itertools.product(*choice_sets))
+            sign_vectors = itertools.product(("+", "-"), repeat=param.r)
+        elif isinstance(signs, Mapping) and shape in signs:
+            sign_vectors = [signs[shape]]
+        elif shape in BUNDLED_SIGNS:
+            sign_vectors = [BUNDLED_SIGNS[shape]]
+        elif param.r:
+            raise SignPolicyError(
+                f"shape {shape} needs half-spin signs that are neither "
+                "bundled nor supplied; pass an explicit sign file or "
+                "use emit-both mode")
         else:
-            assigned: Sequence[str | None] | None = None
-            if isinstance(signs, Mapping) and shape in signs:
-                assigned = tuple(signs[shape])
-            elif shape in BUNDLED_SIGNS:
-                assigned = BUNDLED_SIGNS[shape]
-            if assigned is None:
-                if any(needs):
-                    raise SignPolicyError(
-                        f"shape {shape} needs half-spin signs that are neither "
-                        "bundled nor supplied; pass an explicit sign file or "
-                        "use emit-both mode")
-                assigned = (None,) * len(needs)
-            variants = (_variant(param, assigned, include_hodge),)
+            sign_vectors = [()]
+        variants = tuple(_variant(char, include_hodge)
+                         for char in _characters(param, sign_vectors))
         reports.append(ShapeReport(shape=shape, multiplicity=mult, variants=variants))
         bettis = {v.betti for v in variants}
         if len(bettis) > 1:

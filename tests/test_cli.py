@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,6 +49,23 @@ def test_determinism_byte_identical():
         assert out1 == out2
 
 
+def test_ih_output_bytes_pinned():
+    # sha256 of the stdout documents, recorded before the spin assembly was
+    # restructured; refactors of the character engines must keep them
+    pinned = {
+        ("ih", "--g", "8", "--signs", "both", "--hodge"):
+            "7cf0500e6b271cc02fda12269b959bc211ebafaca3c8a3807723662846c84056",
+        ("ih", "--g", "6", "--hodge"):
+            "aa3a45639ac72542335f5ddfab33f6c8e873163fbcdb34cb9520429fb0a79ca0",
+        ("ih", "--g", "4", "--lambda", "6,2,2,0", "--signs", "both", "--hodge"):
+            "7595d9111a9bcbc8fdf9be1775efb66cf1e3a90cc89c62efb7e4ead53a4794e4",
+    }
+    for argv, digest in pinned.items():
+        code, out, err = run(list(argv))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_ih_expected_betti():
     doc = run_ok(["ih", "--g", "4", "--lambda", "0,0,0,0"])
     assert doc["result"]["betti"] == [1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0, 2,
@@ -85,12 +103,25 @@ def test_exit_code_usage():
     assert "h-series bound" in json.loads(err)["error"]["message"]
 
 
-def test_exit_code_data():
+def test_exit_code_data(tmp_path):
     code, _, err = run(["euler", "--g", "2"])
     assert code == EXIT_DATA
     assert json.loads(err)["error"]["type"] == "data"
     code, _, err = run(["euler", "--g", "1", "--masses", "/nonexistent.tsv"])
     assert code == EXIT_DATA
+    # malformed data files are structured data errors, not tracebacks
+    record = {"kind": "s", "doubled_weights": [25], "cardinality": 1}
+    malformed = [
+        (["arthur", "--g", "1"], "--registry", [dict(record, names=5)]),
+        (["arthur", "--g", "1"], "--registry", [dict(record, field_degree=[1])]),
+        (["ih", "--g", "3"], "--signs", {"[7]": 5}),
+    ]
+    for i, (argv, flag, content) in enumerate(malformed):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(argv + [flag, str(path)])
+        assert code == EXIT_DATA and out == "", argv
+        assert json.loads(err)["error"]["type"] == "data"
     # sign policy failures are data errors pointing at the sign file interface
     code, _, err = run(["ih", "--g", "8", "--lambda", "0,0,0,0,0,0,0,0"])
     assert code == EXIT_DATA

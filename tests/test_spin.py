@@ -34,34 +34,31 @@ def dominant_weights(g, max_l1):
 
 
 def all_sign_choices(param):
-    needs = [sp.halves_differ(b, d) for b, d in param.factors]
-    return itertools.product(*[("+", "-") if n else (None,) for n in needs])
+    return itertools.product(("+", "-"), repeat=param.r)
 
 
 # -- weight lines ---------------------------------------------------------------
 
 def test_standard_weight_lines_examples():
-    lines, has_zero = sp.standard_weight_lines(D11, 2)
-    assert [l.undoubled for l in lines] == [(11, 1), (11, -1)]
-    assert not has_zero
-    lines, has_zero = sp.standard_weight_lines(TRIV, 9)
-    assert [l.undoubled for l in lines] == [(0, 8), (0, 6), (0, 4), (0, 2)]
-    assert has_zero
-    lines, has_zero = sp.standard_weight_lines(SYM2, 1)
-    assert [l.undoubled for l in lines] == [(22, 0)]
-    assert has_zero
+    lines = sp.standard_weight_lines(D11, 2)
+    assert [(l.s, l.t) for l in lines] == [(11, 1), (11, -1)]
+    assert [l.tau_doubled for l in lines] == [12, 10]
+    lines = sp.standard_weight_lines(TRIV, 9)
+    assert [(l.s, l.t) for l in lines] == [(0, 8), (0, 6), (0, 4), (0, 2)]
+    lines = sp.standard_weight_lines(SYM2, 1)
+    assert [(l.s, l.t) for l in lines] == [(22, 0)]
 
 
 def test_line_count_matches_standard_dimension():
     for block, d in [(D11, 2), (D11, 6), (SYM2, 3), (TRIV, 13),
                      (REG.lookup(S, (21, 13)), 2)]:
-        lines, has_zero = sp.standard_weight_lines(block, d)
+        # odd orthogonal pieces carry the zero weight, which has no line
+        lines = sp.standard_weight_lines(block, d)
+        has_zero = block.kind is OO
         assert 2 * len(lines) + has_zero == block.standard_dimension * d
 
 
 def test_weight_line_validation():
-    with pytest.raises(ValueError):
-        sp.WeightLine(1, 2)      # odd doubled exponent
     with pytest.raises(ValueError):
         sp.WeightLine(-2, 0)     # breaks canonical positivity
     with pytest.raises(ValueError):
@@ -126,28 +123,33 @@ def test_closed_form_oracle_examples():
 
 def test_oracle_equality_across_enumerated_factors():
     # S=1 specializations of the weight-built spin characters equal the
-    # closed forms, factor by factor, over everything enumerable with g <= 7
-    seen = set()
+    # closed forms, factor by factor, over everything enumerable with g <= 7,
+    # and the two labeled half-spins of every even piece differ
+    pieces = {}
     for g in range(1, 8):
         for lam in dominant_weights(g, 11 - g):
             if sum(lam) % 2:
                 continue
             for param, _ in ar.enumerate_parameters(HighestWeight(g, lam), REG):
-                pieces = [param.principal] + list(param.factors)
-                for block, d in pieces:
-                    key = (block.kind, block.doubled_weights, d)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    oracle = sp.closed_form_oracle(block, d)
-                    if block.kind is OO:
-                        got = (sp.spin_character(block, d, "full").specialize_s1(),)
-                        assert got == oracle, key
-                    else:
-                        got = {sp.spin_character(block, d, h).specialize_s1()
-                               for h in ("plus", "minus")}
-                        assert got == set(oracle), key
-    assert len(seen) > 20
+                for block, d in [param.principal] + list(param.factors):
+                    pieces.setdefault((block.kind, block.doubled_weights, d),
+                                      (block, d))
+    assert len(pieces) > 20
+    # an ingested even orthogonal block: its halves coincide at S = 1 only
+    oe = REG.with_records([{"kind": "oe", "doubled_weights": [30, 24],
+                            "cardinality": 1}]).lookup(OE, (30, 24))
+    for d in (1, 3):
+        pieces[(OE, oe.doubled_weights, d)] = (oe, d)
+    for key, (block, d) in pieces.items():
+        oracle = sp.closed_form_oracle(block, d)
+        if block.kind is OO:
+            got = (sp.spin_character(block, d, "full").specialize_s1(),)
+            assert got == oracle, key
+        else:
+            plus = sp.spin_character(block, d, "plus")
+            minus = sp.spin_character(block, d, "minus")
+            assert plus.doubled != minus.doubled, key
+            assert {plus.specialize_s1(), minus.specialize_s1()} == set(oracle), key
 
 
 def test_characters_have_int_coefficients():
@@ -209,9 +211,12 @@ def test_rho_psi_missing_sign():
     hw = HighestWeight(8, (0,) * 8)
     param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
                  if p.canonical_shape() == "D11[6]+[5]")
-    with pytest.raises(sp.SignPolicyError):
-        sp.rho_psi(param)
+    for signs in ((), (None,), ("x",)):
+        with pytest.raises(sp.SignPolicyError):
+            sp.rho_psi(param, signs)
     assert sp.rho_psi(param, ("+",)).dimension() == 2 ** 7
+    # entries beyond the factors are ignored
+    assert sp.rho_psi(param, ("-", "+")).signs == ("-",)
 
 
 # -- structural invariants over everything enumerable -----------------------------
@@ -230,7 +235,7 @@ def test_structural_invariants_all_parameters():
                     t_char = char.specialize_s1()
                     exps = [e for (e,), _ in t_char.items()]
                     assert len({e % 2 for e in exps}) <= 1
-                    betti = sp._betti_from_char(char, g)
+                    betti = sp._betti_from_char(t_char, g)
                     assert betti == betti[::-1]
                     for parity in (0, 1):
                         seq = betti[parity::2]
@@ -265,7 +270,11 @@ def test_nu_decompose_examples():
     with pytest.raises(ValueError):
         sp.nu_decompose(LaurentPoly.t_power(1))          # asymmetric
     with pytest.raises(ValueError):
-        sp.nu_decompose(nu_character(3) - nu_character(1))
+        sp.nu_decompose(nu_character(3) - nu_character(1))   # negative count
+    assert sp.nu_decompose(nu_character(4) + nu_character(1)) == [4, 1]
+    assert sp.nu_decompose(3 * nu_character(2)) == [2, 2, 2]
+    with pytest.raises(ValueError):
+        sp.nu_decompose(LaurentPoly(1, {(0,): Fraction(1, 2)}))  # non-integral
 
 
 # -- ih_betti ----------------------------------------------------------------------
