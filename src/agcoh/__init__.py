@@ -18,40 +18,47 @@ Submodules:
                    Betti numbers and Hodge diamonds of the minimal
                    compactification
   tables           published reference tables and stable Poincare series
+  errors           the exceptions the command maps to exit codes
   cli              the `agcoh` command-line front end
+
+`import agcoh` is lazy: it loads no engine.  Each name in `__all__` imports
+its submodule on first access (PEP 562), so `agcoh.ih_betti` costs the
+`spin` engine and what it needs, and nothing else.
 """
-from .exact import (LaurentPoly, Rational, bernoulli, cyclotomic,
-                    negate_cyclotomic_index, nu_character, zeta_negative)
-from .tautring import (RingElement, normal_form, poincare_polynomial,
-                       quotient_by_top, socle_pairing)
-from .proportionality import (PiScaledRational, compact_dual_degree,
-                              lambda1_power, lambda_intersection,
-                              modular_form_asymptotics, siegel_volume)
-from .symplectic import (HighestWeight, WeightSystem, character_at_torsion,
-                         weight_multiplicities, weyl_dimension)
-from .torsion import (MassTable, TorsionClass, elliptic_term,
-                      enumerate_torsion_classes, parse_mass_table)
-from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
-                     enumerate_parameters, ingest_cardinalities, weight_block)
-from .spin import (IHResult, TwoVarCharacter, closed_form_oracle, hodge_diamond,
-                   ih_betti, nu_decompose, rho_psi, spin_character,
-                   standard_weight_lines)
-from .tables import reference_table, stable_ih_series, stable_series
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArthurParameter", "BlockKind", "BuildingBlock", "HighestWeight",
-    "IHResult", "LaurentPoly", "MassTable", "PiScaledRational", "Rational",
-    "Registry", "RingElement", "TorsionClass", "TwoVarCharacter",
-    "WeightSystem", "bernoulli", "character_at_torsion", "closed_form_oracle",
-    "compact_dual_degree", "cyclotomic", "elliptic_term",
-    "enumerate_parameters", "enumerate_torsion_classes", "hodge_diamond",
-    "ih_betti", "ingest_cardinalities", "lambda1_power", "lambda_intersection",
-    "modular_form_asymptotics", "negate_cyclotomic_index", "normal_form",
-    "nu_character", "nu_decompose", "parse_mass_table", "poincare_polynomial",
-    "quotient_by_top", "reference_table", "rho_psi", "siegel_volume",
-    "socle_pairing", "spin_character", "stable_ih_series", "stable_series",
-    "standard_weight_lines", "weight_block", "weight_multiplicities",
-    "weyl_dimension", "zeta_negative",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "exact": ("LaurentPoly", "Rational", "bernoulli", "cyclotomic",
+              "negate_cyclotomic_index", "nu_character", "zeta_negative"),
+    "tautring": ("RingElement", "normal_form", "poincare_polynomial",
+                 "quotient_by_top", "socle_pairing"),
+    "proportionality": ("PiScaledRational", "compact_dual_degree",
+                        "lambda1_power", "lambda_intersection",
+                        "modular_form_asymptotics", "siegel_volume"),
+    "symplectic": ("HighestWeight", "WeightSystem", "character_at_torsion",
+                   "weight_multiplicities", "weyl_dimension"),
+    "torsion": ("MassTable", "TorsionClass", "elliptic_term",
+                "enumerate_torsion_classes", "parse_mass_table"),
+    "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
+               "enumerate_parameters", "ingest_cardinalities", "weight_block"),
+    "spin": ("IHResult", "TwoVarCharacter", "closed_form_oracle",
+             "hodge_diamond", "ih_betti", "nu_decompose", "rho_psi",
+             "spin_character", "standard_weight_lines"),
+    "tables": ("reference_table", "stable_ih_series", "stable_series"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -35,15 +35,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .errors import RegistryConflictError, RegistryIncompleteError
 from .symplectic import HighestWeight
-
-
-class RegistryConflictError(ValueError):
-    """An ingested record contradicts the built-in or previous data."""
-
-
-class RegistryIncompleteError(LookupError):
-    """A needed block lies beyond the registry's exhaustiveness bound."""
 
 
 class BlockKind(enum.Enum):

@@ -19,15 +19,17 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import proportionality, spin, tables, tautring, torsion
-from .arthur import Registry, RegistryConflictError, RegistryIncompleteError, \
-    enumerate_parameters, ingest_cardinalities
-from .symplectic import HighestWeight, WeightBudgetError
-from .torsion import MassTableError
+# Only the exceptions are imported here: each subcommand imports the engines
+# it runs, so a call pays for nothing else.
+from .errors import (MassTableError, RegistryConflictError,
+                     RegistryIncompleteError, SignPolicyError,
+                     WeightBudgetError)
+
+if TYPE_CHECKING:
+    from .arthur import Registry
 
 SCHEMA_VERSION = 1
 
@@ -47,11 +49,17 @@ class DataFileError(ValueError):
     pass
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
+def _fr(x) -> str:
+    """A rational as "n" or "n/d", exactly.  Decimal renders integers of any
+    length, where str(int) stops at the interpreter's digit limit."""
+    from decimal import Decimal
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
 def _parse_lambda(text: str | None, g: int) -> tuple[int, ...]:
+    if g < 1:
+        raise UsageError("genus must be positive")
     if text is None:
         return (0,) * g
     try:
@@ -84,6 +92,7 @@ def _mass_path(args) -> Path:
 
 
 def _load_registry(args) -> Registry:
+    from .arthur import Registry, ingest_cardinalities
     path = getattr(args, "registry", None)
     if path is None:
         base = _data_dir()
@@ -130,6 +139,7 @@ def _load_signs(args):
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_taut(args):
+    from . import tautring
     g = args.g
     poly = tautring.poincare_polynomial(g)
     return {
@@ -142,6 +152,7 @@ def _cmd_taut(args):
 
 
 def _cmd_intersect(args):
+    from . import proportionality
     g = args.g
     result = {"genus": g, "lambda1_power": _fr(proportionality.lambda1_power(g))}
     if args.exponents:
@@ -161,6 +172,7 @@ def _cmd_intersect(args):
 
 
 def _cmd_modforms(args):
+    from . import proportionality
     g = args.g
     coeff, expo = proportionality.modular_form_asymptotics(g)
     vol = proportionality.siegel_volume(g)
@@ -174,6 +186,7 @@ def _cmd_modforms(args):
 
 
 def _cmd_torsion(args):
+    from . import torsion
     classes = torsion.enumerate_torsion_classes(args.g, mod_negation=args.mod_negation)
     return {
         "genus": args.g,
@@ -185,6 +198,8 @@ def _cmd_torsion(args):
 
 
 def _cmd_euler(args):
+    from . import torsion
+    from .symplectic import HighestWeight
     g = args.g
     lam = _parse_lambda(args.lam, g)
     hw = HighestWeight(g, lam)
@@ -211,6 +226,8 @@ def _cmd_euler(args):
 
 
 def _cmd_arthur(args):
+    from .arthur import enumerate_parameters
+    from .symplectic import HighestWeight
     g = args.g
     lam = _parse_lambda(args.lam, g)
     hw = HighestWeight(g, lam)
@@ -234,6 +251,8 @@ def _cmd_arthur(args):
 
 
 def _cmd_ih(args):
+    from . import spin
+    from .symplectic import HighestWeight
     g = args.g
     lam = _parse_lambda(args.lam, g)
     hw = HighestWeight(g, lam)
@@ -271,6 +290,7 @@ def _cmd_ih(args):
 
 
 def _cmd_tables(args):
+    from . import tables
     table = tables.reference_table(args.id)
     return {
         "id": table.identifier,
@@ -281,6 +301,7 @@ def _cmd_tables(args):
 
 
 def _cmd_stable(args):
+    from . import tables
     space = args.space
     n = None
     if space.startswith("universal"):
@@ -399,6 +420,7 @@ def _render_latex(doc: dict) -> str:
 
 def load_result_schema() -> dict:
     """The JSON schema every result document validates against."""
+    from importlib import resources
     text = resources.files("agcoh").joinpath(
         "schemas/command_result.schema.json").read_text(encoding="utf-8")
     return json.loads(text)
@@ -430,7 +452,7 @@ def run(argv) -> tuple[int, str, str]:
         return _error(EXIT_DATA, "data", exc)
     except RegistryIncompleteError as exc:
         return _error(EXIT_REGISTRY, "registry", exc)
-    except spin.SignPolicyError as exc:
+    except SignPolicyError as exc:
         return _error(EXIT_DATA, "signs", exc)
     except KeyError as exc:
         # str(KeyError) quotes its message, so report the message itself

@@ -31,16 +31,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
+from .errors import AmbiguousHalfSpinError, SignPolicyError
 from .exact import LaurentPoly, nu_character
 from .symplectic import HighestWeight
-
-
-class AmbiguousHalfSpinError(ValueError):
-    """The two half-spins cannot be labeled: a tau eigenvalue vanishes."""
-
-
-class SignPolicyError(ValueError):
-    """A half-spin sign is needed but not provided by the active policy."""
 
 
 #: Sign assignments recoverable from the worked examples; everything else

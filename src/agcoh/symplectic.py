@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .errors import WeightBudgetError
 from .exact import bareiss
 
 if TYPE_CHECKING:
@@ -44,10 +45,6 @@ DEFAULT_WEIGHT_BUDGET = 2_000_000
 # terms) it computes per class.  Far above every weight of interest, while a
 # series this long still costs at most tens of milliseconds per class.
 H_SERIES_BOUND = 10_000
-
-
-class WeightBudgetError(RuntimeError):
-    """The requested computation exceeds the configured resource bound."""
 
 
 @dataclass(frozen=True)

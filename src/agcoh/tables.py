@@ -11,8 +11,9 @@ the stable limit itself.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,30 @@ def reference_table(identifier: str) -> ReferenceTable:
 
 # -- stable series ------------------------------------------------------------
 
-def _series_from_generators(degrees: Sequence[int], max_degree: int) -> list[int]:
-    """Graded dimensions of the free graded-commutative algebra on
-    even-degree generators (a polynomial algebra), by partition counting."""
+def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[int]:
+    """Graded dimensions of the free graded-commutative algebra with
+    counts[d] generators in each even degree d (a polynomial algebra), by
+    partition counting.
+
+    k generators of degree d multiply the series by
+    (1 - t^d)^(-k) = sum_j C(k - 1 + j, j) t^(dj).  The degree with the most
+    generators starts the series from these binomials; every other
+    generator multiplies it by 1/(1 - t^d) in one pass.  So the N(N+1)/2
+    degree-2 generators of universal:N cost one pass, not one each."""
+    if any(d <= 0 for d in counts):
+        raise ValueError("generator degrees must be positive")
+    groups = sorted(counts.items(), key=lambda item: -item[1])
     coeffs = [1] + [0] * max_degree
-    for d in degrees:
-        if d <= 0:
-            raise ValueError("generator degrees must be positive")
-        for n in range(d, max_degree + 1):
-            coeffs[n] += coeffs[n - d]
+    if groups:
+        d, k = groups.pop(0)
+        binomial = 1
+        for j in range(1, max_degree // d + 1):
+            binomial = binomial * (k - 1 + j) // j
+            coeffs[d * j] = binomial
+    for d, k in groups:
+        for _ in range(k):
+            for n in range(d, max_degree + 1):
+                coeffs[n] += coeffs[n - d]
     return coeffs
 
 
@@ -143,23 +159,19 @@ def stable_series(space: str, max_degree: int, n: int | None = None
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     space = space.lower()
-    if space == "ag":
-        gens = _lambda_degrees(max_degree)
-        note = "valid in degrees below the rank"
-    elif space == "sat":
-        gens = _lambda_degrees(max_degree) + list(range(6, max_degree + 1, 4))
-        note = "valid in degrees below the rank"
+    gens = Counter(_lambda_degrees(max_degree))
+    if space == "sat":
+        gens.update(range(6, max_degree + 1, 4))
     elif space == "universal":
         if n is None or n < 0:
             raise ValueError("space 'universal' needs a fibre power n >= 0")
-        gens = _lambda_degrees(max_degree) + [2] * (n + n * (n - 1) // 2)
-        note = "valid in degrees below the rank"
-    else:
+        gens[2] += n + n * (n - 1) // 2
+    elif space != "ag":
         raise ValueError(f"unknown stable space {space!r}")
     return {
         "space": space if space != "universal" else f"universal({n})",
         "coefficients": _series_from_generators(gens, max_degree),
-        "validity": note,
+        "validity": "valid in degrees below the rank",
     }
 
 

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import MassTableError
 from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
                     zeta_negative)
 from .symplectic import character_at_torsion
-
-
-class MassTableError(ValueError):
-    """Malformed or inconsistent mass-table data."""
 
 
 _ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")

@@ -1,5 +1,7 @@
 import hashlib
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +9,7 @@ import pytest
 
 from agcoh.cli import (EXIT_DATA, EXIT_REGISTRY, EXIT_USAGE, load_result_schema,
                        run)
+from agcoh.proportionality import lambda1_power
 from agcoh.symplectic import DEFAULT_WEIGHT_BUDGET, HighestWeight, weyl_dimension
 from agcoh.torsion import central_mass_default
 
@@ -101,6 +104,13 @@ def test_exit_code_usage():
                         "--masses", str(DEMO_MASSES / "g1.tsv")])
     assert code == EXIT_USAGE
     assert "h-series bound" in json.loads(err)["error"]["message"]
+    # a nonpositive genus is refused before any weight is built
+    for command in ("euler", "arthur", "ih"):
+        for g in ("0", "-1"):
+            code, out, err = run([command, "--g", g])
+            assert code == EXIT_USAGE and out == "", (command, g)
+            error = json.loads(err)["error"]
+            assert error == {"type": "usage", "message": "genus must be positive"}
 
 
 def test_exit_code_data(tmp_path):
@@ -208,3 +218,15 @@ def test_euler_beyond_weight_budget(tmp_path):
     # only the central classes +-1 carry mass, and both act by +1 (even weight)
     expected = 2 * central_mass_default(4) * weyl_dimension(hw)
     assert doc["result"]["elliptic_term"] == str(expected) == "29887/340200"
+
+
+def test_exact_values_past_int_digit_limit():
+    # the numerator has more digits than str(int) converts by default
+    doc = run_ok(["intersect", "--g", "57"])
+    jsonschema.validate(doc, load_result_schema())
+    num, _, den = doc["result"]["lambda1_power"].partition("/")
+    assert len(num) > 4300
+    value = Fraction(int(Decimal(num)), int(Decimal(den)))
+    assert value == lambda1_power(57)
+    doc = run_ok(["modforms", "--g", "70"])
+    jsonschema.validate(doc, load_result_schema())

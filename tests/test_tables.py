@@ -93,3 +93,23 @@ def test_consistency_triangle_small_rank():
             assert betti[k] == int(poincare[k])
             if k < g:
                 assert betti[k] == stable[k]
+
+
+def _series_by_generator(degrees, max_degree):
+    """Oracle: multiply by 1/(1 - t^d) once per generator."""
+    coeffs = [1] + [0] * max_degree
+    for d in degrees:
+        for n in range(d, max_degree + 1):
+            coeffs[n] += coeffs[n - d]
+    return coeffs
+
+
+def test_stable_series_matches_per_generator_oracle():
+    for max_degree in (0, 1, 2, 3, 7, 18, 31, 60):
+        lam = list(range(2, max_degree + 1, 4))
+        cases = [("ag", None, lam), ("sat", None, lam + list(range(6, max_degree + 1, 4)))]
+        cases += [("universal", n, lam + [2] * (n + n * (n - 1) // 2))
+                  for n in (0, 1, 2, 5, 40)]
+        for space, n, degrees in cases:
+            got = tb.stable_series(space, max_degree, n=n)["coefficients"]
+            assert got == _series_by_generator(degrees, max_degree), (space, n, max_degree)
