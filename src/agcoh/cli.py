@@ -8,7 +8,8 @@ Every invocation prints a schema-versioned JSON document on stdout:
 with deterministic key order, so identical inputs give byte-identical
 output.  TSV and LaTeX renderings are lossy projections of the same result.
 Errors are structured JSON on stderr with exit code 2 (input validation),
-3 (missing or inconsistent data files) or 4 (registry incompleteness).
+3 (missing or inconsistent data files), 4 (registry incompleteness) or 5
+(an internal invariant failed: a bug, never the user's input).
 
 Data files can live in a directory named by AGCOH_DATA_DIR (masses/g{N}.tsv,
 registry.json, signs.json); explicit flags override the environment.
@@ -16,6 +17,7 @@ registry.json, signs.json); explicit flags override the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_REGISTRY = 4
+EXIT_INTERNAL = 5
 
 DATA_DIR_ENV = "AGCOH_DATA_DIR"
 
@@ -418,6 +421,23 @@ def _render_latex(doc: dict) -> str:
     return ("\\begin{tabular}{ll}\n" + "\n".join(rows) + "\n\\end{tabular}\n")
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-str digit limit (Python 3.11+; absent on
+    some 3.10 releases) while a computed document renders, so that exact
+    integers of any length print; parsing user input keeps the limit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def load_result_schema() -> dict:
     """The JSON schema every result document validates against."""
     from importlib import resources
@@ -441,11 +461,12 @@ def run(argv) -> tuple[int, str, str]:
             "result": result,
             "warnings": warnings,
         }
-        if args.format == "tsv":
-            return EXIT_OK, _render_tsv(doc), ""
-        if args.format == "latex":
-            return EXIT_OK, _render_latex(doc), ""
-        return EXIT_OK, json.dumps(doc, indent=2) + "\n", ""
+        with _unlimited_int_digits():
+            if args.format == "tsv":
+                return EXIT_OK, _render_tsv(doc), ""
+            if args.format == "latex":
+                return EXIT_OK, _render_latex(doc), ""
+            return EXIT_OK, json.dumps(doc, indent=2) + "\n", ""
     except UsageError as exc:
         return _error(EXIT_USAGE, "usage", exc)
     except (DataFileError, MassTableError) as exc:
@@ -459,6 +480,9 @@ def run(argv) -> tuple[int, str, str]:
         return _error(EXIT_USAGE, "usage", exc.args[0] if exc.args else exc)
     except (ValueError, WeightBudgetError) as exc:
         return _error(EXIT_USAGE, "usage", exc)
+    except AssertionError as exc:
+        return _error(EXIT_INTERNAL, "internal",
+                      f"internal invariant failed: {exc}")
 
 
 def _error(code: int, kind: str, message: object) -> tuple[int, str, str]:

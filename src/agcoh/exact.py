@@ -170,6 +170,16 @@ class LaurentPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_coeffs", cleaned)
 
+    @classmethod
+    def _trusted(cls, nvars: int, coeffs: dict) -> "LaurentPoly":
+        """Result of arithmetic on validated polynomials: the keys are already
+        integer tuples of the right arity and the coefficients `int` or
+        `Fraction`, so only the zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_coeffs", {e: c for e, c in coeffs.items() if c})
+        return poly
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, nvars: int = 1) -> "LaurentPoly":
@@ -228,12 +238,12 @@ class LaurentPoly:
         out = dict(self._coeffs)
         for exps, c in other._coeffs.items():
             out[exps] = out.get(exps, 0) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,14 +255,23 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly(self.nvars, {e: other * v for e, v in self._coeffs.items()})
+            return LaurentPoly._trusted(
+                self.nvars, {e: other * v for e, v in self._coeffs.items()})
         self._check(other)
         out: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        get = out.get
+        terms = list(other._coeffs.items())
+        if self.nvars == 1:
+            for (a,), c1 in self._coeffs.items():
+                for (b,), c2 in terms:
+                    key = (a + b,)
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            for (a, s), c1 in self._coeffs.items():
+                for (b, t), c2 in terms:
+                    key = (a + b, s + t)
+                    out[key] = get(key, 0) + c1 * c2
+        return LaurentPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -289,7 +308,7 @@ class LaurentPoly:
                     raise ValueError(f"exponent {e} not divisible for scaling by {num}/{den}")
                 key.append(v // den)
             out[tuple(key)] = c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def set_var_to_one(self, var: int) -> "LaurentPoly":
         """Specialize one variable of a two-variable polynomial to 1."""
@@ -300,7 +319,7 @@ class LaurentPoly:
         for exps, c in self._coeffs.items():
             key = (exps[keep],)
             out[key] = out.get(key, 0) + c
-        return LaurentPoly(1, out)
+        return LaurentPoly._trusted(1, out)
 
     def halve(self) -> "LaurentPoly":
         """Exact half of a polynomial whose coefficients are even integers;
@@ -310,7 +329,7 @@ class LaurentPoly:
             if c % 2:
                 raise ValueError(f"cannot halve coefficient {c} exactly")
             out[exps] = c // 2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def coeff_list(self, lo: int, hi: int) -> list:
         """Coefficients of T^lo .. T^hi for a one-variable polynomial."""

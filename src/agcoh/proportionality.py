@@ -13,6 +13,7 @@ Everything is exact: pi stays symbolic via PiScaledRational.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,8 +63,9 @@ def compact_dual_degree(g: int, exponents) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def proportionality_constant(g: int) -> Fraction:
-    """(-1)^{g(g+1)/2} 2^{-g} prod_{j=1}^{g} zeta(1-2j)."""
+    """(-1)^{g(g+1)/2} 2^{-g} prod_{j=1}^{g} zeta(1-2j), once per genus."""
     sign = -1 if (g * (g + 1) // 2) % 2 else 1
     return Fraction(sign, 2 ** g) * math.prod(
         (zeta_negative(j) for j in range(1, g + 1)), start=Fraction(1))

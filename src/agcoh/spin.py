@@ -21,7 +21,10 @@ defaults, and everything else needs an explicit sign file or emit-both mode.
 Exponents are stored doubled throughout (so half-integral weights stay
 exact); halving happens once when a character is read out, with an
 integrality assertion.  Coefficients are integers: the half-spins are exact
-halves of integer polynomials (LaurentPoly.halve).
+halves of integer polynomials (LaurentPoly.halve).  A factor's spin data
+depends only on its (kind, doubled weights, d), so it is built once per
+process and shared by every parameter and every call; parameters differ only
+in the per-sign-vector products.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
 from .errors import AmbiguousHalfSpinError, SignPolicyError
-from .exact import LaurentPoly, nu_character
+from .exact import LaurentPoly
 from .symplectic import HighestWeight
 
 
@@ -126,25 +129,41 @@ def _line_products(lines: Sequence[WeightLine]) -> tuple[LaurentPoly, LaurentPol
     return plus, minus
 
 
-def _half_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(plus, minus) half-spin characters of an even standard piece, doubled
-    exponents.  The plus label goes to the half whose largest eigenvalue on
-    the block's infinitesimal-character vector is greater: the minus-sign
-    parity half matching the number of negative tau eigenvalues.  The two
-    differ by prod (m - 1/m), which has no zero factor for positive weights."""
+#: Spin data per factor (kind, doubled weights, d).  The kind is part of the
+#: key because BuildingBlock equality compares the weights only.  Entries are
+#: immutable, so threads racing on a miss at worst build one twice.
+_FACTOR_SPINS: dict[tuple[BlockKind, tuple[int, ...], int], tuple[LaurentPoly, ...]] = {}
+
+
+def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
+    """Spin data of one factor in doubled exponents, built once per process
+    per (kind, doubled weights, d): (full,) for an odd standard piece, the
+    labeled (plus, minus) half-spin pair for an even one.  The plus label
+    goes to the half whose largest eigenvalue on the block's
+    infinitesimal-character vector is greater: the minus-sign parity half
+    matching the number of negative tau eigenvalues.  The halves differ by
+    prod (m - 1/m), which has no zero factor for positive weights."""
+    key = (block.kind, block.doubled_weights, d)
+    spins = _FACTOR_SPINS.get(key)
+    if spins is not None:
+        return spins
     lines = standard_weight_lines(block, d)
     if block.kind is BlockKind.ODD_ORTHOGONAL:
-        raise ValueError("half-spins only apply to even standard pieces")
-    taus = [line.tau_doubled for line in lines]
-    if any(ty == 0 for ty in taus):
-        raise AmbiguousHalfSpinError(
-            "a tau eigenvalue vanishes; the half-spins cannot be labeled")
-    p, q = _line_products(lines)
-    even_half = (p + q).halve()
-    odd_half = (p - q).halve()
-    if sum(1 for ty in taus if ty < 0) % 2:
-        return odd_half, even_half
-    return even_half, odd_half
+        spins = (_line_products(lines)[0],)
+    else:
+        taus = [line.tau_doubled for line in lines]
+        if any(ty == 0 for ty in taus):
+            raise AmbiguousHalfSpinError(
+                "a tau eigenvalue vanishes; the half-spins cannot be labeled")
+        p, q = _line_products(lines)
+        even_half = (p + q).halve()
+        odd_half = (p - q).halve()
+        if sum(1 for ty in taus if ty < 0) % 2:
+            spins = (odd_half, even_half)
+        else:
+            spins = (even_half, odd_half)
+    _FACTOR_SPINS[key] = spins
+    return spins
 
 
 def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
@@ -154,10 +173,12 @@ def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
     if half == "full":
         if block.kind is not BlockKind.ODD_ORTHOGONAL:
             raise ValueError("full spin only applies to odd standard pieces")
-        return TwoVarCharacter(_line_products(standard_weight_lines(block, d))[0])
+        return TwoVarCharacter(_factor_spins(block, d)[0])
     if half not in ("plus", "minus"):
         raise ValueError(f"half must be 'full', 'plus' or 'minus', not {half!r}")
-    plus, minus = _half_spins(block, d)
+    if block.kind is BlockKind.ODD_ORTHOGONAL:
+        raise ValueError("half-spins only apply to even standard pieces")
+    plus, minus = _factor_spins(block, d)
     return TwoVarCharacter(plus if half == "plus" else minus)
 
 
@@ -194,10 +215,11 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
                 ) -> Iterator[TwoVarCharacter]:
     """The parameter character for each sign vector (aligned with
     param.factors, extra entries ignored): the principal spin character and
-    each factor's half-spin pair are built once, then multiplied per vector."""
+    each factor's half-spin pair come from the per-process factor cache
+    (built once per (kind, weights, d)), then are multiplied per vector."""
     block0, d0 = param.principal
     principal = spin_character(block0, d0, "full").doubled
-    pairs = [_half_spins(block, d) for block, d in param.factors]
+    pairs = [_factor_spins(block, d) for block, d in param.factors]
     weight = sum(param.tau_set) - param.genus * (param.genus + 1) // 2
     for signs in sign_vectors:
         signs = tuple(signs)[:param.r]
@@ -236,19 +258,22 @@ def nu_decompose(char: LaurentPoly) -> list[int]:
     by re-expansion."""
     if char.nvars != 1:
         raise ValueError("nu_decompose expects a one-variable character")
-    if not char.is_symmetric() or any(c.denominator != 1 for _, c in char.items()):
+    coeffs = dict(char.items())
+    if not char.is_symmetric() or any(c.denominator != 1 for c in coeffs.values()):
         raise ValueError(f"not a genuine torus character: {char}")
     counts: dict[int, int] = {}
     for d in range(char.exponent_range()[1] + 1, 0, -1):
-        count = int(char.coeff(d - 1) - char.coeff(d + 1))
+        count = int(coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0))
         if count < 0:
             raise ValueError(f"negative count of the {d}-string in {char}")
         if count:
             counts[d] = count
-    check = LaurentPoly.zero(1)
+    # re-expand: the d-string is T^(d-1) + T^(d-3) + ... + T^(1-d)
+    check: dict[tuple[int], int] = {}
     for d, count in counts.items():
-        check = check + count * nu_character(d)
-    if check != char:
+        for e in range(d - 1, -d, -2):
+            check[(e,)] = check.get((e,), 0) + count
+    if check != coeffs:
         raise AssertionError("string decomposition failed to re-expand")
     return [d for d, count in counts.items() for _ in range(count)]
 

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agcoh.cli import (EXIT_DATA, EXIT_REGISTRY, EXIT_USAGE, load_result_schema,
-                       run)
+from agcoh import spin, tables
+from agcoh.cli import (EXIT_DATA, EXIT_INTERNAL, EXIT_REGISTRY, EXIT_USAGE,
+                       load_result_schema, run)
 from agcoh.proportionality import lambda1_power
 from agcoh.symplectic import DEFAULT_WEIGHT_BUDGET, HighestWeight, weyl_dimension
 from agcoh.torsion import central_mass_default
@@ -230,3 +234,105 @@ def test_exact_values_past_int_digit_limit():
     assert value == lambda1_power(57)
     doc = run_ok(["modforms", "--g", "70"])
     jsonschema.validate(doc, load_result_schema())
+
+
+def test_internal_invariant_failure_is_structured(monkeypatch):
+    def broken(char):
+        raise AssertionError("string decomposition failed to re-expand")
+    monkeypatch.setattr(spin, "nu_decompose", broken)
+    code, out, err = run(["ih", "--g", "2"])
+    assert code == EXIT_INTERNAL and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "internal"
+    assert error["message"] == ("internal invariant failed: "
+                                "string decomposition failed to re-expand")
+
+
+def test_integers_past_digit_limit_render(monkeypatch):
+    # a stable series this large takes seconds to compute, so fake its result
+    big = 10 ** 5000
+    monkeypatch.setattr(tables, "stable_series", lambda space, max_degree, n=None: {
+        "space": f"universal({n})", "coefficients": [1, big], "validity": "none"})
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    argv = ["stable", "--space", "universal:3000", "--max-degree", "1"]
+    code, out, err = run(argv)
+    assert code == 0, err
+    # json.loads would parse the integer with int(), which has the limit
+    assert json.loads(out, parse_int=Decimal)["result"]["coefficients"] == [1, big]
+    digits = "1" + "0" * 5000
+    for fmt, expected in (("tsv", f"coefficients[1]\t{digits}\n"),
+                          ("latex", f"coefficients & 1, {digits} \\\\")):
+        code, out, err = run(argv + ["--format", fmt])
+        assert code == 0, err
+        assert expected in out, fmt
+    assert get_limit() == limit
+    # parsing user input keeps the limit
+    code, out, err = run(["stable", "--space", "ag", "--max-degree", "-" + "1" * 5000])
+    assert code == EXIT_USAGE and out == ""
+    if limit is not None:
+        assert "invalid int value" in json.loads(err)["error"]["message"]
+
+
+_JUNK = st.text(alphabet="0123456789,:-()xyz_ ", max_size=10)
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _argv(draw):
+    rank = draw(st.integers(-1, 4))
+    g = str(rank)
+    entries = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(_csv)
+    dominant = st.lists(st.integers(0, 6), min_size=max(rank, 1), max_size=max(rank, 1)
+                        ).map(lambda v: _csv(sorted(v, reverse=True)))
+    # mostly a dominant weight of the right length, so the engines run
+    lam = draw(st.one_of(dominant, dominant, dominant, entries, _JUNK))
+    command = draw(st.sampled_from(
+        ["taut", "intersect", "modforms", "torsion", "euler", "arthur", "ih",
+         "tables", "stable"]))
+    if command in ("taut", "modforms"):
+        return [command, "--g", g]
+    if command == "intersect":
+        exps = draw(st.one_of(st.just(None), entries, _JUNK))
+        return [command, "--g", g] + (["--exponents", exps] if exps is not None else [])
+    if command == "torsion":
+        return [command, "--g", g] + draw(st.sampled_from([[], ["--mod-negation"]]))
+    if command == "euler":
+        masses = draw(st.sampled_from([[], ["--masses", str(DEMO_MASSES / "g1.tsv")],
+                                       ["--masses", "/nonexistent.tsv"]]))
+        return [command, "--g", g, "--lambda", lam] + masses + \
+            draw(st.sampled_from([[], ["--lenient"]]))
+    if command == "arthur":
+        return [command, "--g", g, "--lambda", lam]
+    if command == "ih":
+        signs = draw(st.one_of(st.sampled_from(["default", "both"]), _JUNK))
+        return [command, "--g", g, "--lambda", lam, "--signs", signs] + \
+            draw(st.sampled_from([[], ["--hodge"]]))
+    if command == "tables":
+        return [command, "--id", draw(st.one_of(st.sampled_from(tables.table_ids()),
+                                                _JUNK))]
+    space = draw(st.one_of(st.sampled_from(["ag", "sat", "ih_sat"]),
+                           st.integers(0, 50).map(lambda n: f"universal:{n}"), _JUNK))
+    return [command, "--space", space, "--max-degree", str(draw(st.integers(-2, 30)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_every_outcome_follows_the_error_contract(argv):
+    # exit 0 with a schema-valid document, or a documented error code with
+    # nothing on stdout and one structured error on stderr; an exit 5 would
+    # be a bug, so it does not count as a documented outcome of any input
+    code, out, err = run(argv)
+    if code == 0:
+        assert err == ""
+        jsonschema.validate(json.loads(out), load_result_schema())
+        return
+    assert code in (EXIT_USAGE, EXIT_DATA, EXIT_REGISTRY), (argv, err)
+    assert out == ""
+    doc = json.loads(err)
+    assert list(doc) == ["error"] and sorted(doc["error"]) == ["message", "type"]
+    assert doc["error"]["type"] in ("usage", "data", "registry", "signs")
+    assert isinstance(doc["error"]["message"], str) and doc["error"]["message"]

@@ -150,6 +150,58 @@ def test_laurent_integer_coefficients_and_halve():
         (p + t(5, Fraction(2, 3))).halve()
 
 
+def _int_terms(nvars):
+    exps = st.tuples(*([st.integers(-3, 3)] * nvars))
+    return st.dictionaries(exps, st.integers(-4, 4), max_size=6)
+
+
+def _naive(pairs):
+    """Collect (exponents, coefficient) pairs into a dict without zeros."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(
+           lambda n: st.tuples(st.just(n), _int_terms(n), _int_terms(n))),
+       st.integers(-3, 3), st.integers(1, 3))
+def test_laurent_results_match_naive_dicts(polys, k, scale):
+    # results skip the constructor's checks, so pin them against plain dicts:
+    # no zero coefficient is stored and int inputs stay int
+    nvars, da, db = polys
+    a, b = LaurentPoly(nvars, da), LaurentPoly(nvars, db)
+    ta, tb = list(da.items()), list(db.items())
+    cases = [
+        (a + b, _naive(ta + tb)),
+        (a - b, _naive(ta + [(e, -c) for e, c in tb])),
+        (-a, _naive((e, -c) for e, c in ta)),
+        (a * b, _naive((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                       for e1, c1 in ta for e2, c2 in tb)),
+        (a * k, _naive((e, k * c) for e, c in ta)),
+        (k * a, _naive((e, k * c) for e, c in ta)),
+        ((a * 2).halve(), _naive(ta)),
+        (a.scale_exponents(scale), _naive((tuple(scale * x for x in e), c)
+                                          for e, c in ta)),
+    ]
+    if nvars == 2:
+        cases.append((a.set_var_to_one(0), _naive(((e[1],), c) for e, c in ta)))
+    for poly, expected in cases:
+        assert dict(poly.items()) == expected
+        assert all(type(c) is int and c != 0 for _, c in poly.items())
+
+
+def test_laurent_constructor_validates_caller_data():
+    with pytest.raises(ValueError, match="wrong arity"):
+        LaurentPoly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="wrong arity"):
+        LaurentPoly(1, {(1, 0): 1})
+    with pytest.raises(ValueError, match="1 or 2 variables"):
+        LaurentPoly(3, {})
+    assert LaurentPoly(1, {(1,): 2, (3,): 0}).items() == [((1,), 2)]
+
+
 # -- fraction-free elimination ---------------------------------------------------
 
 def test_bareiss_det_row_pivoting():

@@ -101,6 +101,36 @@ def test_spin_character_kind_guards():
         sp.spin_character(D11, 2, "sideways")
 
 
+def test_factor_spin_cache_keys_on_kind():
+    # equal as BuildingBlocks (weights only), but an odd orthogonal piece has
+    # one full spin character and an even orthogonal one a half-spin pair
+    oo = ar.BuildingBlock(OO, (10, 4), 0)
+    oe = ar.BuildingBlock(OE, (10, 4), 0)
+    assert oo == oe
+    for first, second in ((oo, oe), (oe, oo)):
+        sp._FACTOR_SPINS.clear()
+        sp._factor_spins(first, 1)
+        assert len(sp._factor_spins(second, 1)) == (1 if second is oo else 2)
+    full = sp.spin_character(oo, 1, "full").doubled
+    assert full == sp._line_products(sp.standard_weight_lines(oo, 1))[0]
+    assert full not in sp._factor_spins(oe, 1)
+
+
+def test_cached_half_spins_match_rebuilt():
+    for block, d in [(D11, 2), (D11, 4), (REG.lookup(S, (21, 13)), 2),
+                     (ar.BuildingBlock(OE, (10, 4), 0), 3)]:
+        cached = sp._factor_spins(block, d)
+        assert sp._factor_spins(block, d) is cached
+        lines = sp.standard_weight_lines(block, d)
+        p, q = sp._line_products(lines)
+        halves = ((p + q).halve(), (p - q).halve())
+        if sum(1 for line in lines if line.tau_doubled < 0) % 2:
+            halves = halves[::-1]
+        assert cached == halves, (block.label, d)
+        assert sp.spin_character(block, d, "plus").doubled == halves[0]
+        assert sp.spin_character(block, d, "minus").doubled == halves[1]
+
+
 def test_ambiguous_half_spin():
     # weight 1/2 with d = 2 produces the tau eigenvalue 0
     block = ar.BuildingBlock(S, (1,), 0)
