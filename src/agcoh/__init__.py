@@ -8,8 +8,8 @@ Submodules:
                    classes, with socle pairing and rank-reduction quotient
   proportionality  exact top intersection numbers of the Hodge classes and
                    modular-form dimension asymptotics
-  symplectic       irreducible symplectic representations: dimensions, weight
-                   multiplicities, exact characters at torsion elements
+  symplectic       irreducible symplectic representations: dimensions and
+                   exact characters at torsion elements
   torsion          torsion conjugacy classes, mass-table ingestion, and the
                    elliptic term of the trace formula
   arthur           level-one cuspidal building blocks and parameter
@@ -38,15 +38,13 @@ _EXPORTS = {
     "proportionality": ("PiScaledRational", "compact_dual_degree",
                         "lambda1_power", "lambda_intersection",
                         "modular_form_asymptotics", "siegel_volume"),
-    "symplectic": ("HighestWeight", "WeightSystem", "character_at_torsion",
-                   "weight_multiplicities", "weyl_dimension"),
+    "symplectic": ("HighestWeight", "character_at_torsion", "weyl_dimension"),
     "torsion": ("MassTable", "TorsionClass", "elliptic_term",
                 "enumerate_torsion_classes", "parse_mass_table"),
     "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
                "enumerate_parameters", "ingest_cardinalities", "weight_block"),
-    "spin": ("IHResult", "TwoVarCharacter", "closed_form_oracle",
-             "hodge_diamond", "ih_betti", "nu_decompose", "rho_psi",
-             "spin_character", "standard_weight_lines"),
+    "spin": ("IHResult", "TwoVarCharacter", "hodge_diamond", "ih_betti",
+             "nu_decompose", "rho_psi", "spin_character", "standard_weight_lines"),
     "tables": ("reference_table", "stable_ih_series", "stable_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

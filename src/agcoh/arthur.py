@@ -463,8 +463,3 @@ def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
                     raise AssertionError(f"shape {shape} enumerated twice")
                 found[shape] = (param, param.multiplicity)
     return [found[k] for k in sorted(found)]
-
-
-def parameter_count(hw: HighestWeight, registry: Registry | None = None) -> int:
-    """Total number of parameters (sum of shape multiplicities)."""
-    return sum(m for _, m in enumerate_parameters(hw, registry))

@@ -1,4 +1,4 @@
-"""The exceptions the `agcoh` command maps to exit codes.
+"""The five exceptions the `agcoh` command maps to exit codes.
 
 They live apart from the engines that raise them, so the command can name
 them without importing any engine; each engine module re-exports its own
@@ -20,10 +20,6 @@ class RegistryIncompleteError(LookupError):
 
 class SignPolicyError(ValueError):
     """A half-spin sign is needed but not provided by the active policy."""
-
-
-class AmbiguousHalfSpinError(ValueError):
-    """The two half-spins cannot be labeled: a tau eigenvalue vanishes."""
 
 
 class WeightBudgetError(RuntimeError):

@@ -12,11 +12,14 @@ with e > 0 and a single zero weight.  The factor's spin (odd standard
 dimension) or half-spin (even) character is the signed product over lines,
 half-spins being the even/odd minus-sign halves.  The plus half is the one
 whose largest eigenvalue on the block's infinitesimal-character vector is
-bigger.  A factor's halves always differ (by +-prod (m - 1/m) over its
-lines), so every factor needs a user-facing sign choosing its half, because
-the general sign rule is not pinned down here: exactly the two assignments
-recoverable from the worked rank-6 and rank-7 examples ship as bundled
-defaults, and everything else needs an explicit sign file or emit-both mode.
+bigger.  A line's eigenvalue tau = 2w + e is positive on every line of a
+valid factor (its weight runs stay in the positive integers), so the plus
+half is always the even half.  A factor's halves always differ (by
++-prod (m - 1/m) over its lines), so every factor needs a user-facing sign
+choosing its half, because the general sign rule is not pinned down here:
+exactly the two assignments recoverable from the worked rank-6 and rank-7
+examples ship as bundled defaults, and everything else needs an explicit
+sign file or emit-both mode.
 
 Exponents are stored doubled throughout (so half-integral weights stay
 exact); halving happens once when a character is read out, with an
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
-from .errors import AmbiguousHalfSpinError, SignPolicyError
+from .errors import SignPolicyError
 from .exact import LaurentPoly
 from .symplectic import HighestWeight
 
@@ -60,12 +63,6 @@ class WeightLine:
     def __post_init__(self):
         if self.s < 0 or (self.s == 0 and self.t < 0):
             raise ValueError("line breaks canonical positivity")
-
-    @property
-    def tau_doubled(self) -> int:
-        """Doubled eigenvalue of the block's infinitesimal-character vector
-        on this line: 2w + e."""
-        return self.s + self.t
 
 
 def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
@@ -138,11 +135,9 @@ _FACTOR_SPINS: dict[tuple[BlockKind, tuple[int, ...], int], tuple[LaurentPoly, .
 def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     """Spin data of one factor in doubled exponents, built once per process
     per (kind, doubled weights, d): (full,) for an odd standard piece, the
-    labeled (plus, minus) half-spin pair for an even one.  The plus label
-    goes to the half whose largest eigenvalue on the block's
-    infinitesimal-character vector is greater: the minus-sign parity half
-    matching the number of negative tau eigenvalues.  The halves differ by
-    prod (m - 1/m), which has no zero factor for positive weights."""
+    labeled (plus, minus) half-spin pair for an even one, whose plus half is
+    the even minus-sign half.  A half-spin factor needs every weight run to
+    stay positive (2 w_min > d - 1), as for the factors of a parameter."""
     key = (block.kind, block.doubled_weights, d)
     spins = _FACTOR_SPINS.get(key)
     if spins is not None:
@@ -151,17 +146,12 @@ def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     if block.kind is BlockKind.ODD_ORTHOGONAL:
         spins = (_line_products(lines)[0],)
     else:
-        taus = [line.tau_doubled for line in lines]
-        if any(ty == 0 for ty in taus):
-            raise AmbiguousHalfSpinError(
-                "a tau eigenvalue vanishes; the half-spins cannot be labeled")
+        low = block.doubled_weights[-1]
+        if low <= d - 1:
+            raise ValueError(
+                f"weight run for 2w={low}, d={d} leaves the positive integers")
         p, q = _line_products(lines)
-        even_half = (p + q).halve()
-        odd_half = (p - q).halve()
-        if sum(1 for ty in taus if ty < 0) % 2:
-            spins = (odd_half, even_half)
-        else:
-            spins = (even_half, odd_half)
+        spins = ((p + q).halve(), (p - q).halve())
     _FACTOR_SPINS[key] = spins
     return spins
 
@@ -180,35 +170,6 @@ def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
         raise ValueError("half-spins only apply to even standard pieces")
     plus, minus = _factor_spins(block, d)
     return TwoVarCharacter(plus if half == "plus" else minus)
-
-
-def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
-    """The closed-form one-variable Laurent products for the factor's spin
-    data at S = 1 (undoubled exponents): a single polynomial for odd
-    standard pieces, an unordered pair for even ones."""
-    check_kind_d(block.kind, d)
-    m = len(block.doubled_weights)
-    one = LaurentPoly.one(1)
-    if block.kind is BlockKind.ODD_ORTHOGONAL:
-        dp = (d - 1) // 2
-        poly = LaurentPoly.term(1, (0,), 2 ** m)
-        for j in range(1, dp + 1):
-            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m + 1)
-        return (poly,)
-    if block.kind is BlockKind.EVEN_ORTHOGONAL:
-        dp = (d - 1) // 2
-        poly = LaurentPoly.term(1, (0,), 2 ** (m - 1))
-        for j in range(1, dp + 1):
-            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m)
-        return (poly, poly)
-    dp = d // 2
-    prod_plus = one
-    prod_minus = one
-    for j in range(1, dp + 1):
-        base = LaurentPoly.t_power(2 * j - 1) + LaurentPoly.t_power(1 - 2 * j)
-        prod_plus = prod_plus * (base + 2) ** m
-        prod_minus = prod_minus * (2 - base) ** m
-    return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
 
 
 def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]

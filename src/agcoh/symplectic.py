@@ -1,6 +1,5 @@
 """Irreducible representations V_lambda of the rank-g symplectic group:
-Weyl dimensions, weight multiplicities by the Freudenthal recursion, and
-exact character values at torsion elements.
+Weyl dimensions and exact character values at torsion elements.
 
 Torsion elements are singular (the Weyl denominator vanishes there), so
 characters come from the symplectic Jacobi-Trudi identity of Koike-Terada
@@ -19,15 +18,12 @@ determinant is taken by fraction-free Bareiss elimination with row
 pivoting, because zero pivots do occur at torsion points, so the trace is
 an integer by construction and no weight system is built.
 
-The Freudenthal weight system (weight_multiplicities) stays public; the
-tests evaluate characters from it as weight sums in Z[x]/Phi_N, as an
-independent oracle for the determinant.
+The tests check the determinant against an independent oracle: the
+Freudenthal weight system of V_lambda, evaluated as a weight sum in
+Z[x]/Phi_N.
 """
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,10 +32,6 @@ from .exact import bareiss
 
 if TYPE_CHECKING:
     from .torsion import TorsionClass
-
-# Guard for weight_multiplicities: refuse representations whose dimension
-# dim V_lambda exceeds this (the intended scale is |lambda| <= ~20, g <= 7).
-DEFAULT_WEIGHT_BUDGET = 2_000_000
 
 # Guard for character_at_torsion: the longest h-series (lambda_1 + l(lambda)
 # terms) it computes per class.  Far above every weight of interest, while a
@@ -92,126 +84,6 @@ def weyl_dimension(hw: HighestWeight) -> int:
     if num % den:
         raise AssertionError("Weyl dimension is not integral")
     return num // den
-
-
-def _dominant_candidates(hw: HighestWeight) -> list[tuple[int, ...]]:
-    """Dominant mu <= lambda: nonincreasing, nonnegative, prefix sums bounded
-    by those of lambda, and sum(lambda - mu) even."""
-    g, lam = hw.g, hw.lam
-    prefix = list(itertools.accumulate(lam))
-    total_parity = sum(lam) % 2
-    out: list[tuple[int, ...]] = []
-
-    def extend(i: int, prev: int, acc: list[int], acc_sum: int) -> None:
-        if i == g:
-            if acc_sum % 2 == total_parity:
-                out.append(tuple(acc))
-            return
-        for v in range(min(prev, lam[0]), -1, -1):
-            if acc_sum + v > prefix[i]:
-                continue
-            acc.append(v)
-            extend(i + 1, v, acc, acc_sum + v)
-            acc.pop()
-
-    extend(0, lam[0] if lam else 0, [], 0)
-    return out
-
-
-def _positive_roots(g: int) -> list[tuple[int, ...]]:
-    roots = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            for sign in (1, -1):
-                r = [0] * g
-                r[i], r[j] = 1, sign
-                roots.append(tuple(r))
-        r = [0] * g
-        r[i] = 2
-        roots.append(tuple(r))
-    return roots
-
-
-def _dominant_rep(vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((abs(v) for v in vec), reverse=True))
-
-
-def _orbit_size(mu: tuple[int, ...]) -> int:
-    g = len(mu)
-    perms = math.factorial(g)
-    for _, grp in itertools.groupby(mu):
-        perms //= math.factorial(len(list(grp)))
-    return perms * 2 ** sum(1 for v in mu if v)
-
-
-class WeightSystem:
-    """Weight multiplicities of one V_lambda, stored on dominant orbits.
-    Invariant under permutations and sign flips, total mass equal to the
-    Weyl dimension."""
-
-    def __init__(self, hw: HighestWeight, dominant: dict[tuple[int, ...], int]):
-        self.hw = hw
-        self.dominant = dict(dominant)
-
-    @property
-    def dimension(self) -> int:
-        return sum(_orbit_size(mu) * m for mu, m in self.dominant.items())
-
-    def multiplicity(self, vec) -> int:
-        return self.dominant.get(_dominant_rep(tuple(vec)), 0)
-
-
-def _freudenthal(hw: HighestWeight) -> dict[tuple[int, ...], int]:
-    g, lam = hw.g, hw.lam
-    rho = tuple(range(g, 0, -1))
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = sum(v * v for v in lam_rho)
-    roots = _positive_roots(g)
-    cands = _dominant_candidates(hw)
-    cands.sort(key=lambda mu: sum((a + b) ** 2 for a, b in zip(mu, rho)), reverse=True)
-    mult: dict[tuple[int, ...], int] = {}
-    for mu in cands:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        acc = 0
-        for alpha in roots:
-            plus = next(i for i, a in enumerate(alpha) if a > 0)
-            k = 1
-            while mu[plus] + k * alpha[plus] <= lam[0]:
-                nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                m = mult.get(_dominant_rep(nu), 0)
-                if m:
-                    acc += 2 * m * sum(a * b for a, b in zip(nu, alpha))
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = norm_top - sum(v * v for v in mu_rho)
-        if denom <= 0 or acc % denom:
-            raise AssertionError(f"Freudenthal recursion failed at {mu}")
-        m = acc // denom
-        if m:
-            mult[mu] = m
-    return mult
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_weight_multiplicities(hw: HighestWeight) -> WeightSystem:
-    ws = WeightSystem(hw, _freudenthal(hw))
-    if ws.dimension != weyl_dimension(hw):
-        raise AssertionError(
-            f"weight system mass {ws.dimension} != Weyl dimension {weyl_dimension(hw)}")
-    return ws
-
-
-def weight_multiplicities(hw: HighestWeight,
-                          weight_budget: int = DEFAULT_WEIGHT_BUDGET) -> WeightSystem:
-    """Full weight system of V_lambda with multiplicities summing to the Weyl
-    dimension.  Raises WeightBudgetError when dim V_lambda exceeds the budget."""
-    dim = weyl_dimension(hw)
-    if dim > weight_budget:
-        raise WeightBudgetError(
-            f"dim V_lambda = {dim} exceeds the weight budget {weight_budget}")
-    return _cached_weight_multiplicities(hw)
 
 
 # -- characters at torsion elements ------------------------------------------

@@ -1,0 +1,217 @@
+"""Second algorithms kept as test oracles.  Each computes a quantity that
+the package computes another way, and the tests compare the two:
+
+* torsion characters: the Freudenthal weight system of V_lambda, expanded
+  over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
+  the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
+* spin data: closed-form one-variable Laurent products at S = 1, against
+  the weight-line products of `spin.spin_character`.
+"""
+import itertools
+import math
+
+from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
+from agcoh.exact import LaurentPoly, cyclotomic, euler_phi
+from agcoh.symplectic import HighestWeight, weyl_dimension
+
+
+# -- the Freudenthal weight system -----------------------------------------------
+
+def _dominant_candidates(hw: HighestWeight) -> list[tuple[int, ...]]:
+    """Dominant mu <= lambda: nonincreasing, nonnegative, prefix sums bounded
+    by those of lambda, and sum(lambda - mu) even."""
+    g, lam = hw.g, hw.lam
+    prefix = list(itertools.accumulate(lam))
+    total_parity = sum(lam) % 2
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int, prev: int, acc: list[int], acc_sum: int) -> None:
+        if i == g:
+            if acc_sum % 2 == total_parity:
+                out.append(tuple(acc))
+            return
+        for v in range(min(prev, lam[0]), -1, -1):
+            if acc_sum + v > prefix[i]:
+                continue
+            acc.append(v)
+            extend(i + 1, v, acc, acc_sum + v)
+            acc.pop()
+
+    extend(0, lam[0] if lam else 0, [], 0)
+    return out
+
+
+def _positive_roots(g: int) -> list[tuple[int, ...]]:
+    roots = []
+    for i in range(g):
+        for j in range(i + 1, g):
+            for sign in (1, -1):
+                r = [0] * g
+                r[i], r[j] = 1, sign
+                roots.append(tuple(r))
+        r = [0] * g
+        r[i] = 2
+        roots.append(tuple(r))
+    return roots
+
+
+def dominant_rep(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant weight in the Weyl orbit of vec."""
+    return tuple(sorted((abs(v) for v in vec), reverse=True))
+
+
+def orbit_size(mu: tuple[int, ...]) -> int:
+    """The number of weights in the Weyl orbit of the dominant weight mu."""
+    g = len(mu)
+    perms = math.factorial(g)
+    for _, grp in itertools.groupby(mu):
+        perms //= math.factorial(len(list(grp)))
+    return perms * 2 ** sum(1 for v in mu if v)
+
+
+def freudenthal(hw: HighestWeight) -> dict[tuple[int, ...], int]:
+    """Multiplicities of the dominant weights of V_lambda by the Freudenthal
+    recursion, checked against the Weyl dimension."""
+    g, lam = hw.g, hw.lam
+    rho = tuple(range(g, 0, -1))
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    norm_top = sum(v * v for v in lam_rho)
+    roots = _positive_roots(g)
+    cands = _dominant_candidates(hw)
+    cands.sort(key=lambda mu: sum((a + b) ** 2 for a, b in zip(mu, rho)), reverse=True)
+    mult: dict[tuple[int, ...], int] = {}
+    for mu in cands:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        acc = 0
+        for alpha in roots:
+            plus = next(i for i, a in enumerate(alpha) if a > 0)
+            k = 1
+            while mu[plus] + k * alpha[plus] <= lam[0]:
+                nu = tuple(a + k * b for a, b in zip(mu, alpha))
+                m = mult.get(dominant_rep(nu), 0)
+                if m:
+                    acc += 2 * m * sum(a * b for a, b in zip(nu, alpha))
+                k += 1
+        mu_rho = tuple(a + b for a, b in zip(mu, rho))
+        denom = norm_top - sum(v * v for v in mu_rho)
+        if denom <= 0 or acc % denom:
+            raise AssertionError(f"Freudenthal recursion failed at {mu}")
+        m = acc // denom
+        if m:
+            mult[mu] = m
+    mass = sum(orbit_size(mu) * m for mu, m in mult.items())
+    if mass != weyl_dimension(hw):
+        raise AssertionError(
+            f"weight system mass {mass} != Weyl dimension {weyl_dimension(hw)}")
+    return mult
+
+
+# -- the weight-sum character --------------------------------------------------
+#
+# Expand the weight system over its Weyl orbits and evaluate the weight sum
+#     sum_mu mult(mu) prod_k zeta_k^{mu_k}
+# in the power basis Z[x]/Phi_N, with one eigenvalue zeta_k from each inverse
+# pair of the class.  The reduced value must be a rational integer.
+
+class NonIntegralCharacterError(ArithmeticError):
+    """The weight sum did not reduce to a rational integer."""
+
+
+def orbit_expansion(dominant):
+    """Complete map weight vector -> multiplicity of a weight system given
+    by its dominant multiplicities."""
+    full = {}
+    for mu, mult in dominant.items():
+        for perm in set(itertools.permutations(mu)):
+            nonzero = [i for i, v in enumerate(perm) if v]
+            for signs in itertools.product((1, -1), repeat=len(nonzero)):
+                vec = list(perm)
+                for i, s in zip(nonzero, signs):
+                    vec[i] *= s
+                full[tuple(vec)] = mult
+    return full
+
+
+def weight_sum_character(full, exponents, order):
+    """sum_mu mult(mu) x^{sum_k mu_k e_k} reduced in Z[x]/Phi_order, for one
+    exponent e_k per chosen eigenvalue exp(2 pi i e_k / order)."""
+    counts = [0] * order
+    for mu, mult in full.items():
+        counts[sum(m * x for m, x in zip(mu, exponents)) % order] += mult
+    phi = cyclotomic(order)
+    deg = len(phi) - 1
+    for i in range(order - 1, deg - 1, -1):
+        c = counts[i]
+        if c == 0:
+            continue
+        counts[i] = 0
+        for j in range(deg):
+            counts[i - deg + j] -= c * phi[j]
+    if any(counts[1:deg]):
+        raise NonIntegralCharacterError(
+            f"character value not rational; residual coordinates {counts[:deg]}")
+    return counts[0]
+
+
+def root_of_unity_order(cls):
+    return math.lcm(*(d for d, _ in cls.pairs))
+
+
+def chosen_eigenvalue_exponents(cls):
+    """One exponent (k, d) per inverse pair of eigenvalues, representing
+    exp(2*pi*i*k/d); the character of a self-dual weight system does not
+    depend on which member of each pair is chosen."""
+    chosen = []
+    for d, m in cls.pairs:
+        if d == 1:
+            chosen.extend([(0, 1)] * (m // 2))
+        elif d == 2:
+            chosen.extend([(1, 2)] * (m // 2))
+        else:
+            reps = [k for k in range(1, (d + 1) // 2) if math.gcd(k, d) == 1]
+            assert 2 * len(reps) == euler_phi(d), f"bad eigenvalue pairing for index {d}"
+            chosen.extend((k, d) for _ in range(m) for k in reps)
+    return chosen
+
+
+def class_exponents(cls):
+    order = root_of_unity_order(cls)
+    return [k * order // d for k, d in chosen_eigenvalue_exponents(cls)], order
+
+
+def oracle_character(full, cls):
+    exponents, order = class_exponents(cls)
+    return weight_sum_character(full, exponents, order)
+
+
+# -- closed-form spin products ---------------------------------------------------
+
+def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
+    """The closed-form one-variable Laurent products for the factor's spin
+    data at S = 1 (undoubled exponents): a single polynomial for odd
+    standard pieces, an unordered pair for even ones."""
+    check_kind_d(block.kind, d)
+    m = len(block.doubled_weights)
+    one = LaurentPoly.one(1)
+    if block.kind is BlockKind.ODD_ORTHOGONAL:
+        dp = (d - 1) // 2
+        poly = LaurentPoly.term(1, (0,), 2 ** m)
+        for j in range(1, dp + 1):
+            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m + 1)
+        return (poly,)
+    if block.kind is BlockKind.EVEN_ORTHOGONAL:
+        dp = (d - 1) // 2
+        poly = LaurentPoly.term(1, (0,), 2 ** (m - 1))
+        for j in range(1, dp + 1):
+            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m)
+        return (poly, poly)
+    dp = d // 2
+    prod_plus = one
+    prod_minus = one
+    for j in range(1, dp + 1):
+        base = LaurentPoly.t_power(2 * j - 1) + LaurentPoly.t_power(1 - 2 * j)
+        prod_plus = prod_plus * (base + 2) ** m
+        prod_minus = prod_minus * (2 - base) ** m
+    return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())

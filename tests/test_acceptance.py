@@ -30,6 +30,7 @@ from agcoh import tautring as tr
 from agcoh import torsion as to
 from agcoh.exact import strict_partition_count
 from agcoh.symplectic import HighestWeight
+from oracles import closed_form_oracle
 from test_arthur import TABLE_SHAPES, dominant_weights
 
 REG = ar.Registry.builtin()
@@ -214,7 +215,7 @@ def test_c06_oracle_equivalence():
                     if key in seen:
                         continue
                     seen.add(key)
-                    oracle = sp.closed_form_oracle(block, d)
+                    oracle = closed_form_oracle(block, d)
                     if block.kind is ar.BlockKind.ODD_ORTHOGONAL:
                         got = (sp.spin_character(block, d, "full").specialize_s1(),)
                         assert got == oracle, key

@@ -7,6 +7,7 @@ from agcoh import arthur as ar
 from agcoh import spin as sp
 from agcoh.exact import LaurentPoly, nu_character
 from agcoh.symplectic import HighestWeight
+from oracles import closed_form_oracle
 
 REG = ar.Registry.builtin()
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \
@@ -42,7 +43,6 @@ def all_sign_choices(param):
 def test_standard_weight_lines_examples():
     lines = sp.standard_weight_lines(D11, 2)
     assert [(l.s, l.t) for l in lines] == [(11, 1), (11, -1)]
-    assert [l.tau_doubled for l in lines] == [12, 10]
     lines = sp.standard_weight_lines(TRIV, 9)
     assert [(l.s, l.t) for l in lines] == [(0, 8), (0, 6), (0, 4), (0, 2)]
     lines = sp.standard_weight_lines(SYM2, 1)
@@ -123,31 +123,55 @@ def test_cached_half_spins_match_rebuilt():
         assert sp._factor_spins(block, d) is cached
         lines = sp.standard_weight_lines(block, d)
         p, q = sp._line_products(lines)
-        halves = ((p + q).halve(), (p - q).halve())
-        if sum(1 for line in lines if line.tau_doubled < 0) % 2:
-            halves = halves[::-1]
-        assert cached == halves, (block.label, d)
-        assert sp.spin_character(block, d, "plus").doubled == halves[0]
-        assert sp.spin_character(block, d, "minus").doubled == halves[1]
+        plus, minus = cached
+        assert plus == (p + q).halve(), (block.label, d)
+        assert minus == (p - q).halve(), (block.label, d)
+        assert sp.spin_character(block, d, "plus").doubled == plus
+        assert sp.spin_character(block, d, "minus").doubled == minus
 
 
 def test_ambiguous_half_spin():
-    # weight 1/2 with d = 2 produces the tau eigenvalue 0
+    # weight 1/2 with d = 2 gives the run {1, 0}, which leaves the positive
+    # integers (the tau eigenvalue 0)
     block = ar.BuildingBlock(S, (1,), 0)
-    with pytest.raises(sp.AmbiguousHalfSpinError):
+    with pytest.raises(ValueError, match="leaves the positive integers"):
         sp.spin_character(block, 2, "plus")
 
 
+@pytest.mark.parametrize("kind, doubled_weights", [
+    (S, (1,)), (S, (3,)), (S, (5,)), (S, (11,)),
+    # an even orthogonal block needs two weights; the top one is far enough
+    # up that its runs stay positive and apart from the bottom one's
+    (OE, (40, 2)), (OE, (40, 4)), (OE, (40, 6)), (OE, (40, 10))])
+def test_half_spins_refuse_exactly_nonpositive_runs(kind, doubled_weights):
+    block = ar.BuildingBlock(kind, doubled_weights, 0)
+    for d in range(1, 15):
+        if (kind is S) != (d % 2 == 0):
+            continue
+        try:
+            ar.weight_block(kind, doubled_weights, d)
+            leaves = False
+        except ValueError as exc:
+            assert "leaves the positive integers" in str(exc), (doubled_weights, d)
+            leaves = True
+        if leaves:
+            with pytest.raises(ValueError, match="leaves the positive integers"):
+                sp.spin_character(block, d, "plus")
+        else:
+            plus = sp.spin_character(block, d, "plus")
+            assert plus.doubled != sp.spin_character(block, d, "minus").doubled
+
+
 def test_closed_form_oracle_examples():
-    (poly,) = sp.closed_form_oracle(TRIV, 9)
+    (poly,) = closed_form_oracle(TRIV, 9)
     expected = LaurentPoly.one(1)
     for j in range(1, 5):
         expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
     assert poly == expected
-    pair = sp.closed_form_oracle(D11, 2)
+    pair = closed_form_oracle(D11, 2)
     assert {pair[0], pair[1]} == {LaurentPoly.term(1, (0,), 2), nu_character(2)}
     oe = ar.BuildingBlock(OE, (10, 4), 0)
-    pair = sp.closed_form_oracle(oe, 1)
+    pair = closed_form_oracle(oe, 1)
     assert pair[0] == pair[1] == LaurentPoly.term(1, (0,), 2)
 
 
@@ -171,7 +195,7 @@ def test_oracle_equality_across_enumerated_factors():
     for d in (1, 3):
         pieces[(OE, oe.doubled_weights, d)] = (oe, d)
     for key, (block, d) in pieces.items():
-        oracle = sp.closed_form_oracle(block, d)
+        oracle = closed_form_oracle(block, d)
         if block.kind is OO:
             got = (sp.spin_character(block, d, "full").specialize_s1(),)
             assert got == oracle, key
@@ -192,7 +216,7 @@ def test_characters_have_int_coefficients():
                     char = sp.rho_psi(param, combo)
                     assert all(type(c) is int for _, c in char.doubled.items())
                 for block, d in [param.principal] + list(param.factors):
-                    for poly in sp.closed_form_oracle(block, d):
+                    for poly in closed_form_oracle(block, d):
                         assert all(type(c) is int for _, c in poly.items())
 
 

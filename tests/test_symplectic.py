@@ -1,93 +1,15 @@
-import itertools
-import math
 import random
 
 import pytest
 
 from agcoh import symplectic
-from agcoh.exact import cyclotomic, euler_phi
+from agcoh.exact import euler_phi
 from agcoh.symplectic import (HighestWeight, WeightBudgetError,
-                              character_at_torsion, weight_multiplicities,
-                              weyl_dimension)
+                              character_at_torsion, weyl_dimension)
 from agcoh.torsion import TorsionClass, enumerate_torsion_classes
-
-
-# -- the weight-sum oracle -----------------------------------------------------
-#
-# An independent route to torsion characters: expand the Freudenthal weight
-# system over its Weyl orbits and evaluate the weight sum
-#     sum_mu mult(mu) prod_k zeta_k^{mu_k}
-# in the power basis Z[x]/Phi_N, with one eigenvalue zeta_k from each inverse
-# pair of the class.  The reduced value must be a rational integer.
-
-class NonIntegralCharacterError(ArithmeticError):
-    """The weight sum did not reduce to a rational integer."""
-
-
-def orbit_expansion(ws):
-    """Complete map weight vector -> multiplicity of a weight system."""
-    full = {}
-    for mu, mult in ws.dominant.items():
-        for perm in set(itertools.permutations(mu)):
-            nonzero = [i for i, v in enumerate(perm) if v]
-            for signs in itertools.product((1, -1), repeat=len(nonzero)):
-                vec = list(perm)
-                for i, s in zip(nonzero, signs):
-                    vec[i] *= s
-                full[tuple(vec)] = mult
-    return full
-
-
-def weight_sum_character(full, exponents, order):
-    """sum_mu mult(mu) x^{sum_k mu_k e_k} reduced in Z[x]/Phi_order, for one
-    exponent e_k per chosen eigenvalue exp(2 pi i e_k / order)."""
-    counts = [0] * order
-    for mu, mult in full.items():
-        counts[sum(m * x for m, x in zip(mu, exponents)) % order] += mult
-    phi = cyclotomic(order)
-    deg = len(phi) - 1
-    for i in range(order - 1, deg - 1, -1):
-        c = counts[i]
-        if c == 0:
-            continue
-        counts[i] = 0
-        for j in range(deg):
-            counts[i - deg + j] -= c * phi[j]
-    if any(counts[1:deg]):
-        raise NonIntegralCharacterError(
-            f"character value not rational; residual coordinates {counts[:deg]}")
-    return counts[0]
-
-
-def root_of_unity_order(cls):
-    return math.lcm(*(d for d, _ in cls.pairs))
-
-
-def chosen_eigenvalue_exponents(cls):
-    """One exponent (k, d) per inverse pair of eigenvalues, representing
-    exp(2*pi*i*k/d); the character of a self-dual weight system does not
-    depend on which member of each pair is chosen."""
-    chosen = []
-    for d, m in cls.pairs:
-        if d == 1:
-            chosen.extend([(0, 1)] * (m // 2))
-        elif d == 2:
-            chosen.extend([(1, 2)] * (m // 2))
-        else:
-            reps = [k for k in range(1, (d + 1) // 2) if math.gcd(k, d) == 1]
-            assert 2 * len(reps) == euler_phi(d), f"bad eigenvalue pairing for index {d}"
-            chosen.extend((k, d) for _ in range(m) for k in reps)
-    return chosen
-
-
-def class_exponents(cls):
-    order = root_of_unity_order(cls)
-    return [k * order // d for k, d in chosen_eigenvalue_exponents(cls)], order
-
-
-def oracle_character(full, cls):
-    exponents, order = class_exponents(cls)
-    return weight_sum_character(full, exponents, order)
+from oracles import (NonIntegralCharacterError, chosen_eigenvalue_exponents,
+                     class_exponents, dominant_rep, freudenthal, oracle_character,
+                     orbit_expansion, orbit_size, weight_sum_character)
 
 
 def dominant_weights(g, max_size):
@@ -124,11 +46,11 @@ def test_weyl_dimension_examples():
 
 
 def test_weight_system_examples():
-    ws = weight_multiplicities(HighestWeight(1, (2,)))
+    ws = freudenthal(HighestWeight(1, (2,)))
     assert orbit_expansion(ws) == {(2,): 1, (0,): 1, (-2,): 1}
-    ws = weight_multiplicities(HighestWeight(2, (1, 0)))
+    ws = freudenthal(HighestWeight(2, (1, 0)))
     assert orbit_expansion(ws) == {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
-    ws = weight_multiplicities(HighestWeight(2, (1, 1)))
+    ws = freudenthal(HighestWeight(2, (1, 1)))
     assert orbit_expansion(ws) == {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1,
                                    (0, 0): 1}
 
@@ -139,19 +61,20 @@ def test_weight_system_examples():
 ])
 def test_weight_mass_equals_weyl_dimension(g, lam):
     hw = HighestWeight(g, lam)
-    ws = weight_multiplicities(hw)
-    assert sum(orbit_expansion(ws).values()) == weyl_dimension(hw) == ws.dimension
+    ws = freudenthal(hw)
+    assert sum(orbit_expansion(ws).values()) == weyl_dimension(hw) == \
+        sum(orbit_size(mu) * m for mu, m in ws.items())
 
 
 def test_weight_system_weyl_invariance():
-    ws = weight_multiplicities(HighestWeight(3, (2, 1, 1)))
+    ws = freudenthal(HighestWeight(3, (2, 1, 1)))
     full = orbit_expansion(ws)
     rng = random.Random(7)
     for vec, mult in list(full.items())[:50]:
         perm = list(vec)
         rng.shuffle(perm)
         flipped = tuple(v * rng.choice((1, -1)) for v in perm)
-        assert full[flipped] == ws.multiplicity(flipped) == mult
+        assert full[flipped] == ws[dominant_rep(flipped)] == mult
 
 
 def test_character_at_central_elements():
@@ -177,7 +100,7 @@ def test_character_choice_independence():
     # permuting eigenvalue exponents and inverting pairs leaves the value alone
     rng = random.Random(3)
     hw = HighestWeight(2, (2, 2))
-    full = orbit_expansion(weight_multiplicities(hw))
+    full = orbit_expansion(freudenthal(hw))
     for cls in enumerate_torsion_classes(2):
         exps, order = class_exponents(cls)
         reference = weight_sum_character(full, exps, order)
@@ -201,7 +124,7 @@ def test_character_values_are_integers_galois_stable():
     # the oracle's weight sum reduces to a rational integer (it raises
     # NonIntegralCharacterError otherwise) and the determinant is that integer
     hw = HighestWeight(3, (1, 1, 0))
-    full = orbit_expansion(weight_multiplicities(hw))
+    full = orbit_expansion(freudenthal(hw))
     for cls in enumerate_torsion_classes(3, mod_negation=True):
         value = character_at_torsion(hw, cls)
         assert type(value) is int
@@ -211,14 +134,9 @@ def test_character_values_are_integers_galois_stable():
 def test_non_integral_character_detection():
     # an order-5 pair in rank 1 has trace zeta_5 + zeta_5^{-1}, which is a
     # quadratic irrationality: the spectrum is not symplectic of rank 1
-    full = orbit_expansion(weight_multiplicities(HighestWeight(1, (1,))))
+    full = orbit_expansion(freudenthal(HighestWeight(1, (1,))))
     with pytest.raises(NonIntegralCharacterError):
         weight_sum_character(full, [1], 5)
-
-
-def test_weight_budget_guard():
-    with pytest.raises(WeightBudgetError):
-        weight_multiplicities(HighestWeight(4, (9, 7, 5, 3)), weight_budget=10)
 
 
 def test_h_series_bound_guard(monkeypatch):
@@ -239,7 +157,7 @@ def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
     classes = enumerate_torsion_classes(g)
     for lam in dominant_weights(g, max_size):
         hw = HighestWeight(g, lam)
-        full = orbit_expansion(weight_multiplicities(hw))
+        full = orbit_expansion(freudenthal(hw))
         for cls in classes:
             assert character_at_torsion(hw, cls) == oracle_character(full, cls), \
                 (lam, cls.encode())
