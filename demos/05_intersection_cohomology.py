@@ -35,7 +35,7 @@ print("\n== rank 7: the worked two-variable decomposition ==")
 param = next(p for p, _ in ar.enumerate_parameters(HighestWeight(7, (0,) * 7), reg)
              if p.canonical_shape() == "D11[4]+[7]")
 char = sp.rho_psi(param, ("+",))
-print("shape:", char.shape, " dimension:", char.dimension())
+print("shape:", param.canonical_shape(), " dimension:", char.dimension())
 print("q - p values present:", sorted({a for (a, b) in char.undoubled().support()}))
 print("strings at S=1:", sp.nu_decompose(char.specialize_s1()))
 

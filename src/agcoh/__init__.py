@@ -2,8 +2,8 @@
 abelian varieties and its compactifications.
 
 Submodules:
-  exact            rationals, Bernoulli/zeta values, cyclotomic and Laurent
-                   polynomial arithmetic
+  exact            Bernoulli/zeta values, cyclotomic and integer Laurent
+                   polynomial arithmetic, fraction-free elimination
   tautring         the 2^g-dimensional graded ring on the tautological Chern
                    classes, with socle pairing and rank-reduction quotient
   proportionality  exact top intersection numbers of the Hodge classes and
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "exact": ("LaurentPoly", "Rational", "bernoulli", "cyclotomic",
-              "negate_cyclotomic_index", "nu_character", "zeta_negative"),
+    "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index",
+              "nu_character", "zeta_negative"),
     "tautring": ("RingElement", "normal_form", "poincare_polynomial",
                  "quotient_by_top", "socle_pairing"),
     "proportionality": ("PiScaledRational", "compact_dual_degree",

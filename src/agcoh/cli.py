@@ -32,6 +32,7 @@ from .errors import (MassTableError, RegistryConflictError,
 
 if TYPE_CHECKING:
     from .arthur import Registry
+    from .symplectic import HighestWeight
 
 SCHEMA_VERSION = 1
 
@@ -60,20 +61,22 @@ def _fr(x) -> str:
     return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
-def _parse_lambda(text: str | None, g: int) -> tuple[int, ...]:
-    if g < 1:
+def _highest_weight(args) -> HighestWeight:
+    """The weight --lambda (all zeros when absent) of rank --g; HighestWeight
+    checks the entry count and dominance."""
+    from .symplectic import HighestWeight
+    if args.g < 1:
         raise UsageError("genus must be positive")
-    if text is None:
-        return (0,) * g
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        lam = (0,) * args.g if args.lam is None else \
+            tuple(int(x) for x in args.lam.split(","))
     except ValueError:
-        raise UsageError(f"--lambda must be comma-separated integers, got {text!r}")
-    if len(parts) != g:
-        raise UsageError(f"--lambda needs exactly {g} entries, got {len(parts)}")
-    if any(a < b for a, b in zip(parts, parts[1:])) or parts[-1] < 0:
-        raise UsageError("--lambda entries must be nonincreasing and nonnegative")
-    return parts
+        raise UsageError(
+            f"--lambda must be comma-separated integers, got {args.lam!r}")
+    try:
+        return HighestWeight(args.g, lam)
+    except ValueError as exc:
+        raise UsageError(f"--lambda: {exc}") from None
 
 
 def _data_dir() -> Path | None:
@@ -202,10 +205,8 @@ def _cmd_torsion(args):
 
 def _cmd_euler(args):
     from . import torsion
-    from .symplectic import HighestWeight
     g = args.g
-    lam = _parse_lambda(args.lam, g)
-    hw = HighestWeight(g, lam)
+    hw = _highest_weight(args)
     path = _mass_path(args)
     try:
         table = torsion.load_mass_table(path, g, strict=not args.lenient)
@@ -219,7 +220,7 @@ def _cmd_euler(args):
     value = torsion.elliptic_term(hw, table, strict=not args.lenient)
     return {
         "genus": g,
-        "lambda": list(lam),
+        "lambda": list(hw.lam),
         "mass_file": str(path),
         "classes": len(table.masses),
         "elliptic_term": _fr(value),
@@ -230,10 +231,8 @@ def _cmd_euler(args):
 
 def _cmd_arthur(args):
     from .arthur import enumerate_parameters
-    from .symplectic import HighestWeight
     g = args.g
-    lam = _parse_lambda(args.lam, g)
-    hw = HighestWeight(g, lam)
+    hw = _highest_weight(args)
     registry = _load_registry(args)
     params = enumerate_parameters(hw, registry)
     warnings = []
@@ -241,7 +240,7 @@ def _cmd_arthur(args):
         warnings.append("odd weight: the parameter set is empty")
     return {
         "genus": g,
-        "lambda": list(lam),
+        "lambda": list(hw.lam),
         "count": sum(m for _, m in params),
         "shapes": [{
             "shape": p.canonical_shape(),
@@ -255,10 +254,8 @@ def _cmd_arthur(args):
 
 def _cmd_ih(args):
     from . import spin
-    from .symplectic import HighestWeight
     g = args.g
-    lam = _parse_lambda(args.lam, g)
-    hw = HighestWeight(g, lam)
+    hw = _highest_weight(args)
     registry = _load_registry(args)
     signs = _load_signs(args)
     result = spin.ih_betti(hw, registry, signs=signs, include_hodge=args.hodge)
@@ -284,7 +281,7 @@ def _cmd_ih(args):
         per_shape.append(shape_entry)
     return {
         "genus": g,
-        "lambda": list(lam),
+        "lambda": list(hw.lam),
         "betti": list(result.betti) if result.betti is not None else None,
         "per_shape": per_shape,
     }, ["intersection cohomology of the minimal compactification via "

@@ -2,10 +2,11 @@
 values, cyclotomic polynomials, sparse Laurent polynomials, and fraction-free
 elimination.
 
-Values keep their exact type: `int` where integral, `fractions.Fraction`
-(always reduced, positive denominator) where genuinely rational.  Everything
-in this module is immutable after construction and all operations are pure,
-so values can be shared freely between threads.
+Values keep their exact type: `int` where integral, Laurent coefficients
+included, and `fractions.Fraction` (always reduced, positive denominator)
+for the Bernoulli and zeta values.  Everything in this module is immutable
+after construction and all operations are pure, so values can be shared
+freely between threads.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ import functools
 import math
 import threading
 from fractions import Fraction
-
-Rational = Fraction
 
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
 _bernoulli_lock = threading.Lock()
@@ -147,24 +146,25 @@ def negate_cyclotomic_index(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Laurent polynomial, sparse over exponent tuples (possibly negative).
-    Coefficients keep their exact type: `int` coefficients stay `int`, and
-    anything other than an `int` or a `Fraction` is converted by `Fraction`.
-    Zero coefficients are never stored.
+    """Laurent polynomial, sparse over exponent tuples (possibly negative),
+    with `int` coefficients: a character's coefficients are dimensions.  The
+    constructor refuses any other coefficient type, and scalar arithmetic
+    takes `int` only.  Zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "_coeffs")
 
     def __init__(self, nvars: int,
-                 coeffs: dict[tuple[int, ...], int | Fraction] | None = None):
+                 coeffs: dict[tuple[int, ...], int] | None = None):
         if nvars not in (1, 2):
             raise ValueError("LaurentPoly supports 1 or 2 variables")
-        cleaned: dict[tuple[int, ...], int | Fraction] = {}
+        cleaned: dict[tuple[int, ...], int] = {}
         for exps, c in (coeffs or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+            if not isinstance(c, int):
+                raise TypeError(
+                    f"coefficient {c!r} is a {type(c).__name__}, not an int")
             if c != 0:
                 cleaned[tuple(int(e) for e in exps)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -173,8 +173,8 @@ class LaurentPoly:
     @classmethod
     def _trusted(cls, nvars: int, coeffs: dict) -> "LaurentPoly":
         """Result of arithmetic on validated polynomials: the keys are already
-        integer tuples of the right arity and the coefficients `int` or
-        `Fraction`, so only the zero coefficients are dropped."""
+        integer tuples of the right arity and the coefficients `int`, so only
+        the zero coefficients are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "_coeffs", {e: c for e, c in coeffs.items() if c})
@@ -232,8 +232,10 @@ class LaurentPoly:
             raise ValueError("variable-count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.term(self.nvars, (0,) * self.nvars, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self._coeffs)
         for exps, c in other._coeffs.items():
@@ -246,19 +248,21 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.term(self.nvars, (0,) * self.nvars, other)
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly._trusted(
                 self.nvars, {e: other * v for e, v in self._coeffs.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
         terms = list(other._coeffs.items())
         if self.nvars == 1:
@@ -288,7 +292,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.term(self.nvars, (0,) * self.nvars, other)
         return isinstance(other, LaurentPoly) and self.nvars == other.nvars \
             and self._coeffs == other._coeffs
@@ -314,7 +318,7 @@ class LaurentPoly:
         """Specialize one variable of a two-variable polynomial to 1."""
         if self.nvars != 2:
             raise ValueError("set_var_to_one applies to two-variable polynomials")
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         keep = 1 - var
         for exps, c in self._coeffs.items():
             key = (exps[keep],)
@@ -322,8 +326,8 @@ class LaurentPoly:
         return LaurentPoly._trusted(1, out)
 
     def halve(self) -> "LaurentPoly":
-        """Exact half of a polynomial whose coefficients are even integers;
-        raises ValueError on an odd or non-integral coefficient."""
+        """Exact half of a polynomial whose coefficients are even; raises
+        ValueError on an odd coefficient."""
         out = {}
         for exps, c in self._coeffs.items():
             if c % 2:

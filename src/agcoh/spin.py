@@ -23,8 +23,9 @@ sign file or emit-both mode.
 
 Exponents are stored doubled throughout (so half-integral weights stay
 exact); halving happens once when a character is read out, with an
-integrality assertion.  Coefficients are integers: the half-spins are exact
-halves of integer polynomials (LaurentPoly.halve).  A factor's spin data
+integrality assertion.  Coefficients are integers by type (LaurentPoly holds
+`int` only, and the half-spins are exact halves, LaurentPoly.halve), so the
+read-outs check signs and shapes, never integrality.  A factor's spin data
 depends only on its (kind, doubled weights, d), so it is built once per
 process and shared by every parameter and every call; parameters differ only
 in the per-sign-vector products.
@@ -82,12 +83,11 @@ def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...
 @dataclass(frozen=True)
 class TwoVarCharacter:
     """Character in (S, T) with internally doubled exponents; symmetric
-    under inverting either variable; genus, local-system weight and shape
+    under inverting either variable; genus, local-system weight and sign
     metadata travel with assembled parameter characters."""
 
     doubled: LaurentPoly
     genus: int | None = None
-    shape: str | None = None
     signs: tuple[str, ...] | None = None
     weight: int = 0
 
@@ -96,10 +96,7 @@ class TwoVarCharacter:
         return self.doubled.scale_exponents(1, 2)
 
     def dimension(self) -> int:
-        value = self.doubled.evaluate_all_ones()
-        if value.denominator != 1:
-            raise AssertionError("character dimension is not integral")
-        return int(value)
+        return self.doubled.evaluate_all_ones()
 
     def specialize_s1(self) -> LaurentPoly:
         """One-variable T-character (undoubled exponents)."""
@@ -194,8 +191,7 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
             if sign not in ("+", "-"):
                 raise SignPolicyError(f"invalid sign {sign!r}")
             result = result * (plus if sign == "+" else minus)
-        char = TwoVarCharacter(result, genus=param.genus,
-                               shape=param.canonical_shape(), signs=signs,
+        char = TwoVarCharacter(result, genus=param.genus, signs=signs,
                                weight=weight)
         if char.dimension() != 2 ** (param.genus - param.r):
             raise AssertionError("assembled character has the wrong dimension")
@@ -216,15 +212,16 @@ def nu_decompose(char: LaurentPoly) -> list[int]:
     """Decompose a one-variable character into irreducible torus strings:
     the d-string occurs c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.
     Returns the string dimensions d (descending, with repetition), checked
-    by re-expansion."""
+    by re-expansion.  An asymmetric character or a negative count is not a
+    genuine torus character (ValueError)."""
     if char.nvars != 1:
         raise ValueError("nu_decompose expects a one-variable character")
-    coeffs = dict(char.items())
-    if not char.is_symmetric() or any(c.denominator != 1 for c in coeffs.values()):
+    if not char.is_symmetric():
         raise ValueError(f"not a genuine torus character: {char}")
+    coeffs = dict(char.items())
     counts: dict[int, int] = {}
     for d in range(char.exponent_range()[1] + 1, 0, -1):
-        count = int(coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0))
+        count = coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0)
         if count < 0:
             raise ValueError(f"negative count of the {d}-string in {char}")
         if count:
@@ -251,21 +248,22 @@ def hodge_diamond(char: TwoVarCharacter) -> dict[tuple[int, int], int]:
     q - p = a and p + q = b + g(g+1)/2 + w, where w is the coefficient
     weight (the Hodge structure on degree-k classes with nontrivial
     coefficients is pure of weight k + w, so the bidegrees shift by w).
-    Parity or positivity failures mean the sign assignment was invalid."""
+    A negative coefficient, or a parity or positivity failure, means the
+    sign assignment was invalid (ValueError)."""
     if char.genus is None:
         raise ValueError("hodge_diamond needs genus metadata")
     n = char.genus * (char.genus + 1) // 2 + char.weight
     out: dict[tuple[int, int], int] = {}
     for (a, b), coeff in char.undoubled().items():
-        if coeff.denominator != 1 or coeff < 0:
-            raise ValueError("character has a non-integral coefficient")
+        if coeff < 0:
+            raise ValueError("character has a negative coefficient")
         if (a + b + n) % 2 or abs(a) > b + n:
             raise ValueError(
                 f"monomial S^{a} T^{b} violates Hodge parity/positivity "
                 "(invalid sign assignment)")
         p = (b + n - a) // 2
         q = (b + n + a) // 2
-        out[(p, q)] = out.get((p, q), 0) + int(coeff)
+        out[(p, q)] = out.get((p, q), 0) + coeff
     return out
 
 
@@ -305,12 +303,10 @@ class IHResult:
 def _betti_from_char(t_char: LaurentPoly, genus: int) -> tuple[int, ...]:
     """Graded dimensions, degrees 0 .. g(g+1), of a one-variable T-character."""
     n = genus * (genus + 1) // 2
-    out = []
-    for c in t_char.coeff_list(-n, n):
-        if c.denominator != 1 or c < 0:
-            raise AssertionError("non-integral graded dimension")
-        out.append(int(c))
-    return tuple(out)
+    out = tuple(t_char.coeff_list(-n, n))
+    if any(c < 0 for c in out):
+        raise AssertionError("negative graded dimension")
+    return out
 
 
 def _variant(char: TwoVarCharacter, include_hodge: bool) -> ShapeVariant:

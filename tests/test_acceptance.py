@@ -195,8 +195,7 @@ def test_c05_ih_computations():
                  if p.canonical_shape() == "D11[4]+[7]")
     char = sp.rho_psi(param, ("+",))
     lift = lambda poly: LaurentPoly(2, {(0, e): c for (e,), c in poly.items()})
-    sym2_std = LaurentPoly(2, {(22, 0): Fraction(1), (0, 0): Fraction(1),
-                               (-22, 0): Fraction(1)})
+    sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     expected = (lift(nu_character(7)) + 1) * (sym2_std + lift(nu_character(5)))
     assert char.undoubled() == expected
 

@@ -91,11 +91,12 @@ def test_tables_euler_row():
 
 
 def test_exit_code_usage():
-    code, out, err = run(["ih", "--g", "2", "--lambda", "1,2"])
-    assert code == EXIT_USAGE and out == ""
-    assert json.loads(err)["error"]["type"] == "usage"
-    code, _, err = run(["ih", "--g", "2", "--lambda", "1"])
-    assert code == EXIT_USAGE
+    # a bad --lambda is a usage error that names the flag
+    for lam in ("1,2", "1", "1,-1", "x,0"):
+        code, out, err = run(["ih", "--g", "2", "--lambda", lam])
+        assert code == EXIT_USAGE and out == "", lam
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and "--lambda" in error["message"], lam
     code, _, err = run(["tables", "--id", "unknown_table"])
     assert code == EXIT_USAGE
     error = json.loads(err)["error"]

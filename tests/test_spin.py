@@ -77,18 +77,17 @@ def test_spin_character_small_examples():
         assert char == expected
     plus = sp.spin_character(D11, 2, "plus").undoubled()
     minus = sp.spin_character(D11, 2, "minus").undoubled()
-    assert plus == LaurentPoly(2, {(11, 0): Fraction(1), (-11, 0): Fraction(1)})
+    assert plus == LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == t_lift(nu_character(2))
 
 
 def test_spin_character_plus_labeling_delta11_4():
     # the plus half carries the symmetric square of the standard piece
     plus = sp.spin_character(D11, 4, "plus").undoubled()
-    sym2_std = LaurentPoly(2, {(22, 0): Fraction(1), (0, 0): Fraction(1),
-                               (-22, 0): Fraction(1)})
+    sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     assert plus == sym2_std + t_lift(nu_character(5))
     minus = sp.spin_character(D11, 4, "minus").undoubled()
-    std = LaurentPoly(2, {(11, 0): Fraction(1), (-11, 0): Fraction(1)})
+    std = LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == std * t_lift(nu_character(4))
 
 
@@ -252,8 +251,7 @@ def test_rho_psi_g7_example():
     param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
                  if p.canonical_shape() == "D11[4]+[7]")
     char = sp.rho_psi(param, ("+",))
-    sym2_std = LaurentPoly(2, {(22, 0): Fraction(1), (0, 0): Fraction(1),
-                               (-22, 0): Fraction(1)})
+    sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     expected = (t_lift(nu_character(7)) + 1) * (sym2_std + t_lift(nu_character(5)))
     assert char.undoubled() == expected
     diamond = sp.hodge_diamond(char)
@@ -327,8 +325,8 @@ def test_nu_decompose_examples():
         sp.nu_decompose(nu_character(3) - nu_character(1))   # negative count
     assert sp.nu_decompose(nu_character(4) + nu_character(1)) == [4, 1]
     assert sp.nu_decompose(3 * nu_character(2)) == [2, 2, 2]
-    with pytest.raises(ValueError):
-        sp.nu_decompose(LaurentPoly(1, {(0,): Fraction(1, 2)}))  # non-integral
+    with pytest.raises(TypeError):   # a non-integral character cannot be built
+        LaurentPoly(1, {(0,): Fraction(1, 2)})
 
 
 # -- ih_betti ----------------------------------------------------------------------
