@@ -35,9 +35,9 @@ print("\n== rank 7: the worked two-variable decomposition ==")
 param = next(p for p, _ in ar.enumerate_parameters(HighestWeight(7, (0,) * 7), reg)
              if p.canonical_shape() == "D11[4]+[7]")
 char = sp.rho_psi(param, ("+",))
-print("shape:", param.canonical_shape(), " dimension:", char.dimension())
-print("q - p values present:", sorted({a for (a, b) in char.undoubled().support()}))
-print("strings at S=1:", sp.nu_decompose(char.specialize_s1()))
+print("shape:", param.canonical_shape(), " dimension:", char.evaluate_all_ones())
+print("q - p values present:", sorted({a for (a, b) in char.support()}))
+print("strings at S=1:", sp.nu_decompose(char.set_var_to_one(0)))
 
 print("\n== rank 8 needs sign input: emit-both mode ==")
 both = sp.ih_betti(HighestWeight(8, (0,) * 8), reg, signs="both")
@@ -56,4 +56,4 @@ hw = HighestWeight(2, (4, 4))
 print(f"rank 2, weights (4,4): shape {param.canonical_shape()}")
 for sign in ("+", "-"):
     char = sp.rho_psi(param, (sign,))
-    print(f"  sign {sign}: Hodge diamond {sp.hodge_diamond(char)}")
+    print(f"  sign {sign}: Hodge diamond {sp.hodge_diamond(char, hw.g, hw.weight)}")

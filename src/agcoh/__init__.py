@@ -43,8 +43,8 @@ _EXPORTS = {
                 "enumerate_torsion_classes", "parse_mass_table"),
     "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
                "enumerate_parameters", "ingest_cardinalities", "weight_block"),
-    "spin": ("IHResult", "TwoVarCharacter", "hodge_diamond", "ih_betti",
-             "nu_decompose", "rho_psi", "spin_character", "standard_weight_lines"),
+    "spin": ("IHResult", "hodge_diamond", "ih_betti", "nu_decompose", "rho_psi",
+             "spin_character", "standard_weight_lines"),
     "tables": ("reference_table", "stable_ih_series", "stable_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -137,6 +137,14 @@ _BUILTIN_BLOCKS: tuple[BuildingBlock, ...] = (
 BUILTIN_BOUND_DOUBLED = 22  # exhaustive knowledge up to top weight w_1 = 11
 
 
+def _record_int(value):
+    """A registry record's integer field, taken as is: a JSON integer only,
+    never a bool, float or string (TypeError)."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 class Registry:
     """Known building blocks plus the bound up to which knowledge is
     exhaustive.  Immutable; extensions return a new registry."""
@@ -189,11 +197,11 @@ class Registry:
         for rec in records:
             try:
                 kind = _KIND_ALIASES[str(rec["kind"]).lower()]
-                dw = tuple(int(x) for x in rec["doubled_weights"])
-                card = int(rec["cardinality"])
+                dw = tuple(_record_int(x) for x in rec["doubled_weights"])
+                card = _record_int(rec["cardinality"])
                 names = tuple(rec.get("names", ()))
                 fdeg = rec.get("field_degree")
-                fdeg = None if fdeg is None else int(fdeg)
+                fdeg = None if fdeg is None else _record_int(fdeg)
             except (KeyError, TypeError, ValueError) as exc:
                 raise RegistryConflictError(f"malformed registry record {rec!r}") from exc
             try:

@@ -148,8 +148,8 @@ def negate_cyclotomic_index(d: int) -> int:
 class LaurentPoly:
     """Laurent polynomial, sparse over exponent tuples (possibly negative),
     with `int` coefficients: a character's coefficients are dimensions.  The
-    constructor refuses any other coefficient type, and scalar arithmetic
-    takes `int` only.  Zero coefficients are never stored.
+    constructor refuses any other coefficient type (`bool` included), and
+    scalar arithmetic takes `int` only.  Zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "_coeffs")
@@ -162,7 +162,7 @@ class LaurentPoly:
         for exps, c in (coeffs or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(
                     f"coefficient {c!r} is a {type(c).__name__}, not an int")
             if c != 0:

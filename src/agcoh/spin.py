@@ -21,14 +21,18 @@ exactly the two assignments recoverable from the worked rank-6 and rank-7
 examples ship as bundled defaults, and everything else needs an explicit
 sign file or emit-both mode.
 
-Exponents are stored doubled throughout (so half-integral weights stay
-exact); halving happens once when a character is read out, with an
-integrality assertion.  Coefficients are integers by type (LaurentPoly holds
-`int` only, and the half-spins are exact halves, LaurentPoly.halve), so the
-read-outs check signs and shapes, never integrality.  A factor's spin data
-depends only on its (kind, doubled weights, d), so it is built once per
-process and shared by every parameter and every call; parameters differ only
-in the per-sign-vector products.
+Weight lines keep the doubled exponents (2w, e), because a symplectic
+weight w is half-integral.  No character needs them: a symplectic factor
+has len(w) * d lines, an even number since d is even, each with odd 2w and
+odd e, so every monomial of the line products (a signed sum of one exponent
+pair per line) has even doubled exponents; an orthogonal factor's lines are
+even to begin with.  So the factor build halves the exponents once, and
+every character after it is a plain two-variable LaurentPoly in its true
+exponents, with integer coefficients by type (the half-spins are exact
+halves, LaurentPoly.halve).  A factor's spin data depends only on its
+(kind, doubled weights, d), so it is built once per process and shared by
+every parameter and every call; parameters differ only in the
+per-sign-vector products.
 """
 from __future__ import annotations
 
@@ -80,35 +84,6 @@ def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...
     return tuple(lines)
 
 
-@dataclass(frozen=True)
-class TwoVarCharacter:
-    """Character in (S, T) with internally doubled exponents; symmetric
-    under inverting either variable; genus, local-system weight and sign
-    metadata travel with assembled parameter characters."""
-
-    doubled: LaurentPoly
-    genus: int | None = None
-    signs: tuple[str, ...] | None = None
-    weight: int = 0
-
-    def undoubled(self) -> LaurentPoly:
-        """The honest character; asserts all doubled exponents are even."""
-        return self.doubled.scale_exponents(1, 2)
-
-    def dimension(self) -> int:
-        return self.doubled.evaluate_all_ones()
-
-    def specialize_s1(self) -> LaurentPoly:
-        """One-variable T-character (undoubled exponents)."""
-        return self.undoubled().set_var_to_one(0)
-
-    def is_s_trivial(self) -> bool:
-        return all(exps[0] == 0 for exps in self.doubled.support())
-
-    def is_symmetric(self) -> bool:
-        return self.doubled.is_symmetric()
-
-
 def _line_products(lines: Sequence[WeightLine]) -> tuple[LaurentPoly, LaurentPoly]:
     """(prod (m + 1/m), prod (m - 1/m)) over half-line monomials m; their
     half-sum/difference are the two minus-sign-parity halves, in doubled
@@ -130,55 +105,55 @@ _FACTOR_SPINS: dict[tuple[BlockKind, tuple[int, ...], int], tuple[LaurentPoly, .
 
 
 def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
-    """Spin data of one factor in doubled exponents, built once per process
-    per (kind, doubled weights, d): (full,) for an odd standard piece, the
-    labeled (plus, minus) half-spin pair for an even one, whose plus half is
-    the even minus-sign half.  A half-spin factor needs every weight run to
-    stay positive (2 w_min > d - 1), as for the factors of a parameter."""
+    """Spin data of one factor, built once per process per (kind, doubled
+    weights, d) and halved there to true exponents: (full,) for an odd
+    standard piece, the labeled (plus, minus) half-spin pair for an even
+    one, whose plus half is the even minus-sign half.  A half-spin factor
+    needs every weight run to stay positive (2 w_min > d - 1), as for the
+    factors of a parameter."""
     key = (block.kind, block.doubled_weights, d)
     spins = _FACTOR_SPINS.get(key)
     if spins is not None:
         return spins
     lines = standard_weight_lines(block, d)
     if block.kind is BlockKind.ODD_ORTHOGONAL:
-        spins = (_line_products(lines)[0],)
+        doubled = (_line_products(lines)[0],)
     else:
         low = block.doubled_weights[-1]
         if low <= d - 1:
             raise ValueError(
                 f"weight run for 2w={low}, d={d} leaves the positive integers")
         p, q = _line_products(lines)
-        spins = ((p + q).halve(), (p - q).halve())
+        doubled = ((p + q).halve(), (p - q).halve())
+    spins = tuple(char.scale_exponents(1, 2) for char in doubled)
     _FACTOR_SPINS[key] = spins
     return spins
 
 
-def spin_character(block: BuildingBlock, d: int, half: str) -> TwoVarCharacter:
+def spin_character(block: BuildingBlock, d: int, half: str) -> LaurentPoly:
     """Spin ('full', odd standard dimension) or labeled half-spin ('plus' /
-    'minus', even standard dimension) character of one factor, with doubled
-    exponents."""
+    'minus', even standard dimension) character of one factor."""
     if half == "full":
         if block.kind is not BlockKind.ODD_ORTHOGONAL:
             raise ValueError("full spin only applies to odd standard pieces")
-        return TwoVarCharacter(_factor_spins(block, d)[0])
+        return _factor_spins(block, d)[0]
     if half not in ("plus", "minus"):
         raise ValueError(f"half must be 'full', 'plus' or 'minus', not {half!r}")
     if block.kind is BlockKind.ODD_ORTHOGONAL:
         raise ValueError("half-spins only apply to even standard pieces")
     plus, minus = _factor_spins(block, d)
-    return TwoVarCharacter(plus if half == "plus" else minus)
+    return plus if half == "plus" else minus
 
 
 def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]
-                ) -> Iterator[TwoVarCharacter]:
-    """The parameter character for each sign vector (aligned with
-    param.factors, extra entries ignored): the principal spin character and
-    each factor's half-spin pair come from the per-process factor cache
-    (built once per (kind, weights, d)), then are multiplied per vector."""
+                ) -> Iterator[tuple[tuple[str, ...], LaurentPoly]]:
+    """(signs, character) for each sign vector (aligned with param.factors,
+    extra entries cut off): the principal spin character and each factor's
+    half-spin pair come from the per-process factor cache, then are
+    multiplied per vector."""
     block0, d0 = param.principal
-    principal = spin_character(block0, d0, "full").doubled
+    principal = spin_character(block0, d0, "full")
     pairs = [_factor_spins(block, d) for block, d in param.factors]
-    weight = sum(param.tau_set) - param.genus * (param.genus + 1) // 2
     for signs in sign_vectors:
         signs = tuple(signs)[:param.r]
         result = principal
@@ -191,21 +166,19 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
             if sign not in ("+", "-"):
                 raise SignPolicyError(f"invalid sign {sign!r}")
             result = result * (plus if sign == "+" else minus)
-        char = TwoVarCharacter(result, genus=param.genus, signs=signs,
-                               weight=weight)
-        if char.dimension() != 2 ** (param.genus - param.r):
+        if result.evaluate_all_ones() != 2 ** (param.genus - param.r):
             raise AssertionError("assembled character has the wrong dimension")
-        if not char.is_symmetric():
+        if not result.is_symmetric():
             raise AssertionError("assembled character is not self-dual")
-        yield char
+        yield signs, result
 
 
 def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()
-            ) -> TwoVarCharacter:
+            ) -> LaurentPoly:
     """Product of the principal spin character with the chosen half-spin of
     every factor; total dimension 2^(g - r).  `signs` aligns with
     param.factors and needs '+' or '-' for every factor."""
-    return next(_characters(param, [signs]))
+    return next(_characters(param, [signs]))[1]
 
 
 def nu_decompose(char: LaurentPoly) -> list[int]:
@@ -243,18 +216,17 @@ def primitive_degrees(genus: int, nus: Sequence[int]) -> list[int]:
     return sorted(n - d + 1 for d in nus)
 
 
-def hodge_diamond(char: TwoVarCharacter) -> dict[tuple[int, int], int]:
+def hodge_diamond(char: LaurentPoly, genus: int, weight: int = 0
+                  ) -> dict[tuple[int, int], int]:
     """Bigraded dimensions: a monomial S^a T^b contributes to (p, q) with
     q - p = a and p + q = b + g(g+1)/2 + w, where w is the coefficient
     weight (the Hodge structure on degree-k classes with nontrivial
     coefficients is pure of weight k + w, so the bidegrees shift by w).
     A negative coefficient, or a parity or positivity failure, means the
     sign assignment was invalid (ValueError)."""
-    if char.genus is None:
-        raise ValueError("hodge_diamond needs genus metadata")
-    n = char.genus * (char.genus + 1) // 2 + char.weight
+    n = genus * (genus + 1) // 2 + weight
     out: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in char.undoubled().items():
+    for (a, b), coeff in char.items():
         if coeff < 0:
             raise ValueError("character has a negative coefficient")
         if (a + b + n) % 2 or abs(a) > b + n:
@@ -309,16 +281,17 @@ def _betti_from_char(t_char: LaurentPoly, genus: int) -> tuple[int, ...]:
     return out
 
 
-def _variant(char: TwoVarCharacter, include_hodge: bool) -> ShapeVariant:
-    t_char = char.specialize_s1()
+def _variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,
+             include_hodge: bool) -> ShapeVariant:
+    t_char = char.set_var_to_one(0)
     nus = tuple(nu_decompose(t_char))
     return ShapeVariant(
-        signs=char.signs,
-        betti=_betti_from_char(t_char, char.genus),
+        signs=signs,
+        betti=_betti_from_char(t_char, genus),
         nu=nus,
-        primitive=tuple(primitive_degrees(char.genus, nus)),
-        s_trivial=char.is_s_trivial(),
-        hodge=hodge_diamond(char) if include_hodge else None,
+        primitive=tuple(primitive_degrees(genus, nus)),
+        s_trivial=char.exponent_range(0) == (0, 0),
+        hodge=hodge_diamond(char, genus, weight) if include_hodge else None,
     )
 
 
@@ -358,8 +331,8 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
                 "use emit-both mode")
         else:
             sign_vectors = [()]
-        variants = tuple(_variant(char, include_hodge)
-                         for char in _characters(param, sign_vectors))
+        variants = tuple(_variant(vec, char, genus, hw.weight, include_hodge)
+                         for vec, char in _characters(param, sign_vectors))
         reports.append(ShapeReport(shape=shape, multiplicity=mult, variants=variants))
         bettis = {v.betti for v in variants}
         if len(bettis) > 1:

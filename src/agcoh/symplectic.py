@@ -48,7 +48,9 @@ class HighestWeight:
     lam: tuple[int, ...]
 
     def __post_init__(self):
-        lam = tuple(int(x) for x in self.lam)
+        lam = tuple(self.lam)
+        if any(type(x) is not int for x in lam):
+            raise TypeError(f"weight entries must be integers, got {lam!r}")
         object.__setattr__(self, "lam", lam)
         if self.g < 1 or len(lam) != self.g:
             raise ValueError(f"need {self.g} weight entries, got {lam}")

@@ -4,8 +4,9 @@ the package computes another way, and the tests compare the two:
 * torsion characters: the Freudenthal weight system of V_lambda, expanded
   over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
   the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
-* spin data: closed-form one-variable Laurent products at S = 1, against
-  the weight-line products of `spin.spin_character`.
+* spin data: closed-form one-variable Laurent products, against the
+  weight-line characters of `spin.spin_character` specialized at S = 1
+  (`set_var_to_one(0)`); both in true exponents.
 """
 import itertools
 import math
@@ -190,7 +191,7 @@ def oracle_character(full, cls):
 
 def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     """The closed-form one-variable Laurent products for the factor's spin
-    data at S = 1 (undoubled exponents): a single polynomial for odd
+    data at S = 1, in true exponents: a single polynomial for odd
     standard pieces, an unordered pair for even ones."""
     check_kind_d(block.kind, d)
     m = len(block.doubled_weights)

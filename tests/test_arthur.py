@@ -105,6 +105,21 @@ def test_ingest_examples():
     assert same.lookup(S, (11,)).cardinality == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("doubled_weights", [23.9]), ("doubled_weights", ["25"]),
+    ("doubled_weights", [True]), ("doubled_weights", "25"),
+    ("cardinality", 1.7), ("cardinality", "1"), ("cardinality", True),
+    ("field_degree", 2.0), ("field_degree", "2"), ("field_degree", False)])
+def test_ingest_refuses_non_integer_fields(field, value):
+    # JSON integers only: nothing is truncated, parsed or read as 0/1
+    record = {"kind": "symplectic", "doubled_weights": [25], "cardinality": 1,
+              field: value}
+    with pytest.raises(ar.RegistryConflictError, match="malformed"):
+        ar.ingest_cardinalities(json.dumps([record]))
+    record[field] = [25] if field == "doubled_weights" else 1
+    assert ar.ingest_cardinalities(json.dumps([record])).lookup(S, (25,)).cardinality == 1
+
+
 # -- weight blocks ---------------------------------------------------------------
 
 def test_weight_block_examples():

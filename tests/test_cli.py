@@ -66,6 +66,11 @@ def test_ih_output_bytes_pinned():
             "aa3a45639ac72542335f5ddfab33f6c8e873163fbcdb34cb9520429fb0a79ca0",
         ("ih", "--g", "4", "--lambda", "6,2,2,0", "--signs", "both", "--hodge"):
             "7595d9111a9bcbc8fdf9be1775efb66cf1e3a90cc89c62efb7e4ead53a4794e4",
+        # recorded while spin characters still carried doubled exponents
+        ("ih", "--g", "11", "--signs", "both", "--hodge"):
+            "f3e3971aab71cd4f5f477c18454417b80a378ec48d06f68bec2eec407c5b8f1f",
+        ("ih", "--g", "2", "--lambda", "4,4", "--signs", "both", "--hodge"):
+            "93e0fd861e3d0afc6133142ac372bdfed5f8e846c0d8300c39cd066963e0af7c",
     }
     for argv, digest in pinned.items():
         code, out, err = run(list(argv))
@@ -129,6 +134,9 @@ def test_exit_code_data(tmp_path):
     malformed = [
         (["arthur", "--g", "1"], "--registry", [dict(record, names=5)]),
         (["arthur", "--g", "1"], "--registry", [dict(record, field_degree=[1])]),
+        # a float is not truncated into a block S(23) of cardinality 1
+        (["arthur", "--g", "1"], "--registry",
+         [{"kind": "s", "doubled_weights": [23.9], "cardinality": 1.7}]),
         (["ih", "--g", "3"], "--signs", {"[7]": 5}),
     ]
     for i, (argv, flag, content) in enumerate(malformed):

@@ -194,7 +194,7 @@ def test_laurent_constructor_validates_caller_data():
     assert LaurentPoly(1, {(1,): 2, (3,): 0}).items() == [((1,), 2)]
     # coefficients are ints by type: nothing is converted, not even an
     # integral Fraction
-    for c in ("1/2", "half", 0.25, 1.0, Fraction(1, 2), Fraction(2)):
+    for c in ("1/2", "half", 0.25, 1.0, Fraction(1, 2), Fraction(2), True, False):
         with pytest.raises(TypeError, match="not an int"):
             LaurentPoly(1, {(0,): c})
     # scalars are ints too, and any other operand is a TypeError

@@ -23,7 +23,7 @@ ERROR_HOMES = {
 
 
 def test_every_public_name_resolves_to_its_submodule():
-    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 43
+    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 42
     for name in agcoh.__all__:
         module = importlib.import_module(f"agcoh.{agcoh._MODULE_OF[name]}")
         assert getattr(agcoh, name) is getattr(module, name), name

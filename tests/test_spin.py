@@ -70,23 +70,23 @@ def test_weight_line_validation():
 def test_spin_character_small_examples():
     # trivial principal block with d = 2g+1: prod (T^j + T^-j)
     for g in (1, 2, 3, 4):
-        char = sp.spin_character(TRIV, 2 * g + 1, "full").specialize_s1()
+        char = sp.spin_character(TRIV, 2 * g + 1, "full").set_var_to_one(0)
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
         assert char == expected
-    plus = sp.spin_character(D11, 2, "plus").undoubled()
-    minus = sp.spin_character(D11, 2, "minus").undoubled()
+    plus = sp.spin_character(D11, 2, "plus")
+    minus = sp.spin_character(D11, 2, "minus")
     assert plus == LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == t_lift(nu_character(2))
 
 
 def test_spin_character_plus_labeling_delta11_4():
     # the plus half carries the symmetric square of the standard piece
-    plus = sp.spin_character(D11, 4, "plus").undoubled()
+    plus = sp.spin_character(D11, 4, "plus")
     sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     assert plus == sym2_std + t_lift(nu_character(5))
-    minus = sp.spin_character(D11, 4, "minus").undoubled()
+    minus = sp.spin_character(D11, 4, "minus")
     std = LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == std * t_lift(nu_character(4))
 
@@ -110,8 +110,9 @@ def test_factor_spin_cache_keys_on_kind():
         sp._FACTOR_SPINS.clear()
         sp._factor_spins(first, 1)
         assert len(sp._factor_spins(second, 1)) == (1 if second is oo else 2)
-    full = sp.spin_character(oo, 1, "full").doubled
-    assert full == sp._line_products(sp.standard_weight_lines(oo, 1))[0]
+    full = sp.spin_character(oo, 1, "full")
+    assert full.scale_exponents(2) == \
+        sp._line_products(sp.standard_weight_lines(oo, 1))[0]
     assert full not in sp._factor_spins(oe, 1)
 
 
@@ -123,10 +124,32 @@ def test_cached_half_spins_match_rebuilt():
         lines = sp.standard_weight_lines(block, d)
         p, q = sp._line_products(lines)
         plus, minus = cached
-        assert plus == (p + q).halve(), (block.label, d)
-        assert minus == (p - q).halve(), (block.label, d)
-        assert sp.spin_character(block, d, "plus").doubled == plus
-        assert sp.spin_character(block, d, "minus").doubled == minus
+        assert plus.scale_exponents(2) == (p + q).halve(), (block.label, d)
+        assert minus.scale_exponents(2) == (p - q).halve(), (block.label, d)
+        assert sp.spin_character(block, d, "plus") == plus
+        assert sp.spin_character(block, d, "minus") == minus
+
+
+@pytest.mark.parametrize("kind, doubled_weights, ds", [
+    (S, (13,), (2, 4, 6)), (S, (17, 9), (2, 4, 6)), (S, (23, 15, 7), (2, 4, 6)),
+    (OE, (10, 4), (1, 3)), (OE, (30, 24, 12, 6), (1, 3)),
+    (OO, (), (1, 3, 5, 7)), (OO, (22,), (1, 3, 5, 7)),
+    (OO, (30, 8), (1, 3, 5, 7)), (OO, (36, 20, 4), (1, 3, 5, 7))])
+def test_line_products_halve_to_true_exponents(kind, doubled_weights, ds):
+    # every monomial of a factor's line products has even doubled exponents,
+    # so its characters hold true exponents: doubling them back gives the
+    # (halved) doubled line products, blocks beyond the registry included
+    block = ar.BuildingBlock(kind, doubled_weights, 0)
+    for d in ds:
+        p, q = sp._line_products(sp.standard_weight_lines(block, d))
+        assert all(e % 2 == 0 for exps in p.support() for e in exps), d
+        if kind is OO:
+            got = {"full": p}
+        else:
+            got = {"plus": (p + q).halve(), "minus": (p - q).halve()}
+        for half, doubled in got.items():
+            char = sp.spin_character(block, d, half)
+            assert char.scale_exponents(2) == doubled, (doubled_weights, d, half)
 
 
 def test_ambiguous_half_spin():
@@ -158,7 +181,7 @@ def test_half_spins_refuse_exactly_nonpositive_runs(kind, doubled_weights):
                 sp.spin_character(block, d, "plus")
         else:
             plus = sp.spin_character(block, d, "plus")
-            assert plus.doubled != sp.spin_character(block, d, "minus").doubled
+            assert plus != sp.spin_character(block, d, "minus")
 
 
 def test_closed_form_oracle_examples():
@@ -196,13 +219,13 @@ def test_oracle_equality_across_enumerated_factors():
     for key, (block, d) in pieces.items():
         oracle = closed_form_oracle(block, d)
         if block.kind is OO:
-            got = (sp.spin_character(block, d, "full").specialize_s1(),)
+            got = (sp.spin_character(block, d, "full").set_var_to_one(0),)
             assert got == oracle, key
         else:
             plus = sp.spin_character(block, d, "plus")
             minus = sp.spin_character(block, d, "minus")
-            assert plus.doubled != minus.doubled, key
-            assert {plus.specialize_s1(), minus.specialize_s1()} == set(oracle), key
+            assert plus != minus, key
+            assert {plus.set_var_to_one(0), minus.set_var_to_one(0)} == set(oracle), key
 
 
 def test_characters_have_int_coefficients():
@@ -213,7 +236,7 @@ def test_characters_have_int_coefficients():
             for param, _ in ar.enumerate_parameters(HighestWeight(g, lam), REG):
                 for combo in all_sign_choices(param):
                     char = sp.rho_psi(param, combo)
-                    assert all(type(c) is int for _, c in char.doubled.items())
+                    assert all(type(c) is int for _, c in char.items())
                 for block, d in [param.principal] + list(param.factors):
                     for poly in closed_form_oracle(block, d):
                         assert all(type(c) is int for _, c in poly.items())
@@ -229,8 +252,8 @@ def test_rho_psi_principal_only_is_graded_ring():
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
-        assert char.specialize_s1() == expected
-        assert char.is_s_trivial()
+        assert char.set_var_to_one(0) == expected
+        assert char.exponent_range(0) == (0, 0)
 
 
 def test_rho_psi_g6_example():
@@ -238,11 +261,11 @@ def test_rho_psi_g6_example():
     param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
                  if p.canonical_shape() == "D11[2]+[9]")
     char = sp.rho_psi(param, ("-",))
-    assert char.is_s_trivial()
-    nus = sp.nu_decompose(char.specialize_s1())
+    assert char.exponent_range(0) == (0, 0)
+    nus = sp.nu_decompose(char.set_var_to_one(0))
     assert nus == [12, 10, 6, 4]
     assert sp.primitive_degrees(6, nus) == [10, 12, 16, 18]
-    diamond = sp.hodge_diamond(char)
+    diamond = sp.hodge_diamond(char, 6)
     assert all(p == q for p, q in diamond)
 
 
@@ -253,8 +276,8 @@ def test_rho_psi_g7_example():
     char = sp.rho_psi(param, ("+",))
     sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     expected = (t_lift(nu_character(7)) + 1) * (sym2_std + t_lift(nu_character(5)))
-    assert char.undoubled() == expected
-    diamond = sp.hodge_diamond(char)
+    assert char == expected
+    diamond = sp.hodge_diamond(char, 7)
     assert {q - p for p, q in diamond} == {-22, 0, 22}
     assert all(diamond[(p, q)] == diamond[(q, p)] for p, q in diamond)
 
@@ -266,9 +289,11 @@ def test_rho_psi_missing_sign():
     for signs in ((), (None,), ("x",)):
         with pytest.raises(sp.SignPolicyError):
             sp.rho_psi(param, signs)
-    assert sp.rho_psi(param, ("+",)).dimension() == 2 ** 7
-    # entries beyond the factors are ignored
-    assert sp.rho_psi(param, ("-", "+")).signs == ("-",)
+    assert sp.rho_psi(param, ("+",)).evaluate_all_ones() == 2 ** 7
+    # entries beyond the factors are cut off
+    (signs, char), = sp._characters(param, [("-", "+")])
+    assert signs == ("-",)
+    assert char == sp.rho_psi(param, ("-",))
 
 
 # -- structural invariants over everything enumerable -----------------------------
@@ -282,9 +307,9 @@ def test_structural_invariants_all_parameters():
             for param, _ in ar.enumerate_parameters(HighestWeight(g, lam), REG):
                 for combo in all_sign_choices(param):
                     char = sp.rho_psi(param, combo)
-                    assert char.dimension() == 2 ** (g - param.r)
+                    assert char.evaluate_all_ones() == 2 ** (g - param.r)
                     assert char.is_symmetric()
-                    t_char = char.specialize_s1()
+                    t_char = char.set_var_to_one(0)
                     exps = [e for (e,), _ in t_char.items()]
                     assert len({e % 2 for e in exps}) <= 1
                     betti = sp._betti_from_char(t_char, g)
@@ -298,7 +323,7 @@ def test_structural_invariants_all_parameters():
                     if param.canonical_shape() != f"[{2 * g + 1}]":
                         mindeg = next(k for k, b in enumerate(betti) if b)
                         assert mindeg >= 2 * g - 2
-                    diamond = sp.hodge_diamond(char)
+                    diamond = sp.hodge_diamond(char, g, sum(lam))
                     assert all(diamond[(p, q)] == diamond[(q, p)]
                                for p, q in diamond)
 
@@ -361,9 +386,9 @@ def test_hodge_diamond_weight_shift():
     hw = HighestWeight(2, (4, 4))
     (param, _), = ar.enumerate_parameters(hw, REG)
     assert param.canonical_shape() == "D11[2]+[1]"
-    holo = sp.hodge_diamond(sp.rho_psi(param, ("+",)))
+    holo = sp.hodge_diamond(sp.rho_psi(param, ("+",)), 2, hw.weight)
     assert holo == {(11, 0): 1, (0, 11): 1}
-    other = sp.hodge_diamond(sp.rho_psi(param, ("-",)))
+    other = sp.hodge_diamond(sp.rho_psi(param, ("-",)), 2, hw.weight)
     assert other == {(5, 5): 1, (6, 6): 1}
 
 

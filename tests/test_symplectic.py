@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,10 @@ def test_highest_weight_validation():
         HighestWeight(2, (1,))
     with pytest.raises(ValueError):
         HighestWeight(2, (1, -1))
+    # entries are ints by type: nothing is truncated or parsed
+    for lam in ((2.7, 0.9), ("4",), (True,), (2, Fraction(2))):
+        with pytest.raises(TypeError, match="must be integers"):
+            HighestWeight(len(lam), lam)
 
 
 def test_weyl_dimension_examples():
