@@ -74,7 +74,9 @@ class BuildingBlock:
     field_degree: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        dw = tuple(int(x) for x in self.doubled_weights)
+        dw = tuple(self.doubled_weights)
+        if any(type(x) is not int for x in dw):
+            raise TypeError(f"doubled weights must be integers, got {dw!r}")
         object.__setattr__(self, "doubled_weights", dw)
         object.__setattr__(self, "names", tuple(self.names))
         if any(a <= b for a, b in zip(dw, dw[1:])) or (dw and dw[-1] <= 0):
@@ -145,6 +147,14 @@ def _record_int(value):
     return value
 
 
+def _record_names(value) -> tuple[str, ...]:
+    """A registry record's names: a JSON array of strings (TypeError
+    otherwise; a bare string is not split into its characters)."""
+    if not isinstance(value, list) or any(not isinstance(n, str) for n in value):
+        raise TypeError(f"names must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 class Registry:
     """Known building blocks plus the bound up to which knowledge is
     exhaustive.  Immutable; extensions return a new registry."""
@@ -199,7 +209,7 @@ class Registry:
                 kind = _KIND_ALIASES[str(rec["kind"]).lower()]
                 dw = tuple(_record_int(x) for x in rec["doubled_weights"])
                 card = _record_int(rec["cardinality"])
-                names = tuple(rec.get("names", ()))
+                names = _record_names(rec.get("names", []))
                 fdeg = rec.get("field_degree")
                 fdeg = None if fdeg is None else _record_int(fdeg)
             except (KeyError, TypeError, ValueError) as exc:

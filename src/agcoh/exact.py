@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -216,8 +217,11 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True when coefficients are invariant under negating all exponents."""
-        return all(self._coeffs.get(tuple(-e for e in exps)) == c
-                   for exps, c in self._coeffs.items())
+        coeffs = self._coeffs
+        for exps, c in coeffs.items():
+            if coeffs.get(tuple(map(operator.neg, exps))) != c:
+                return False
+        return True
 
     def exponent_range(self, var: int = 0) -> tuple[int, int]:
         """(min, max) exponent of the given variable; (0, 0) for the zero polynomial."""

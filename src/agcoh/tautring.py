@@ -17,12 +17,19 @@ compactification is R_g.  Both facades are a relabeling of this one engine.
 The structure constants are integers.  The cached normal form of a monomial
 has int coefficients, and the socle coefficients, the pairing matrices and
 the quotient check read it directly.  Only RingElement, a rational linear
-combination of basis monomials, carries Fraction coefficients.
+combination of basis monomials, carries Fraction coefficients; a product
+scales each operand to integer numerators by the lcm of its denominators,
+accumulates ints, and divides once per output coefficient.
+
+R_g/(u_g) = R_{g-1} is checked on generators: the projection that drops
+every basis monomial containing u_g is a ring map onto R_{g-1} once it
+respects each product u_i * u_S, and then its kernel is the ideal (u_g).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping
 
@@ -45,30 +52,30 @@ def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int]
     replacing u_k^2 by u_j u_{2k-j} strictly increases sum_i e_i * i^2 while
     sum_i e_i * i is constant, and the former is bounded by g * sum_i e_i * i.
     """
-    squared = [k for k in range(g, 0, -1) if exps[k - 1] >= 2]
-    if not squared:
+    k = g
+    while k and exps[k - 1] < 2:
+        k -= 1
+    if not k:
         mask = 0
         for i, e in enumerate(exps):
             if e:
                 mask |= 1 << i
         return ((mask, 1),)
 
-    k = squared[0]
     base = list(exps)
     base[k - 1] -= 2
     acc: dict[int, int] = {}
-    for j in range(k):
-        coeff = 2 * (-1) ** (j + k + 1)
-        child = list(base)
-        if j > 0:
+    first = max(0, 2 * k - g)  # u_{2k-j} = 0 for j < 2k - g
+    coeff = 2 if (first + k) % 2 else -2  # 2 * (-1)^(j+k+1) at j = first
+    for j in range(first, k):
+        child = base.copy()
+        if j:
             child[j - 1] += 1
-        other = 2 * k - j
-        if other > g:
-            continue
-        child[other - 1] += 1
+        child[2 * k - j - 1] += 1
         for mask, c in _normal_form_monomial(g, tuple(child)):
             acc[mask] = acc.get(mask, 0) + coeff * c
-    return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+        coeff = -coeff
+    return tuple(sorted([(m, c) for m, c in acc.items() if c]))
 
 
 def _check_exps(g: int, exps) -> ExponentVector:
@@ -78,15 +85,39 @@ def _check_exps(g: int, exps) -> ExponentVector:
     return exps
 
 
+@functools.lru_cache(maxsize=None)
+def _mask_exps(g: int, mask: int) -> ExponentVector:
+    """Exponent vector of the basis monomial with the given bitmask."""
+    return tuple(mask >> i & 1 for i in range(g))
+
+
 def _pair_exps(g: int, m1: int, m2: int) -> ExponentVector:
     """Exponent vector of the product of the basis monomials m1 and m2."""
-    return tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(g))
+    return tuple(map(operator.add, _mask_exps(g, m1), _mask_exps(g, m2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _masks_by_index_sum(g: int) -> tuple[tuple[int, ...], ...]:
+    """The basis bitmasks of R_g bucketed by index sum: entry s lists the
+    masks of the monomials of degree 2s, in increasing order."""
+    buckets: list[list[int]] = [[] for _ in range(g * (g + 1) // 2 + 1)]
+    for mask in range(1 << g):
+        buckets[sum(mask_to_subset(mask))].append(mask)
+    return tuple(map(tuple, buckets))
+
+
+def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """The coefficients as (mask, integer numerator) over one common
+    denominator, the lcm of theirs."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()], den
 
 
 class RingElement:
     """Element of R_g: Fraction coefficients on square-free basis monomials,
-    keyed by subset bitmask.  Products scale them by the integer structure
-    constants of the normal form.  Immutable."""
+    keyed by subset bitmask.  Products run on integer numerators over a
+    common denominator and scale them by the integer structure constants of
+    the normal form.  Immutable."""
 
     __slots__ = ("g", "_coeffs")
 
@@ -102,6 +133,14 @@ class RingElement:
                 cleaned[int(mask)] = c
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_coeffs", cleaned)
+
+    @classmethod
+    def _trusted(cls, g: int, coeffs: dict[int, Fraction]) -> "RingElement":
+        """An element from coefficients already in range, Fraction and nonzero."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
 
     # -- inspection ---------------------------------------------------------
     def coeff(self, mask: int) -> Fraction:
@@ -137,17 +176,20 @@ class RingElement:
             return RingElement(self.g, {m: c * v for m, v in self._coeffs.items()})
         self._check(other)
         g = self.g
-        out: dict[int, Fraction] = {}
-        for m1, c1 in self._coeffs.items():
-            for m2, c2 in other._coeffs.items():
+        left, d1 = _numerators(self._coeffs)
+        right, d2 = _numerators(other._coeffs)
+        acc: dict[int, int] = {}
+        for m1, c1 in left:
+            for m2, c2 in right:
                 c = c1 * c2
                 if m1 & m2 == 0:
                     mask = m1 | m2
-                    out[mask] = out.get(mask, Fraction(0)) + c
+                    acc[mask] = acc.get(mask, 0) + c
                 else:
                     for mask, cc in _normal_form_monomial(g, _pair_exps(g, m1, m2)):
-                        out[mask] = out.get(mask, Fraction(0)) + c * cc
-        return RingElement(g, out)
+                        acc[mask] = acc.get(mask, 0) + c * cc
+        den = d1 * d2
+        return RingElement._trusted(g, {m: Fraction(c, den) for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -209,7 +251,13 @@ def monomial(g: int, exps: ExponentVector) -> RingElement:
 def socle_coefficient(g: int, exps: ExponentVector) -> int:
     """Coefficient of the socle u_1 u_2 ... u_g in the normal form of
     u_1^{e_1} ... u_g^{e_g}."""
-    return dict(_normal_form_monomial(g, _check_exps(g, exps))).get((1 << g) - 1, 0)
+    return _socle_term(g, _normal_form_monomial(g, _check_exps(g, exps)))
+
+
+def _socle_term(g: int, form: tuple[tuple[int, int], ...]) -> int:
+    """The socle coefficient of a normal form: its last term, since the
+    socle has the largest bitmask."""
+    return form[-1][1] if form and form[-1][0] == (1 << g) - 1 else 0
 
 
 def poincare_polynomial(g: int) -> LaurentPoly:
@@ -252,33 +300,47 @@ def top_power_coefficient(g: int) -> int:
 def quotient_by_top(g: int) -> dict[int, int]:
     """Structural check of R_g/(u_g) = R_{g-1}.
 
-    Sets u_g = 0 in R_g (drops every basis monomial containing u_g) and
-    verifies that all products of the surviving basis agree with products in
-    R_{g-1}.  Returns the induced basis correspondence as a bitmask map
-    (identity on subsets of {1..g-1}).
+    Let pi drop every basis monomial of R_g that contains u_g.  The check is
+    pi(u_i * u_S) = pi(u_i) * pi(u_S), the right side computed in R_{g-1},
+    for every generator u_i and every basis monomial u_S of R_g.  Products
+    are linear and generated by the u_i, so by induction on the number of
+    generator factors pi is then a ring map R_g -> R_{g-1}; its kernel, the
+    span of the monomials containing u_g, is u_g * R_g = (u_g).  When i is
+    not in S both sides are the basis monomial u_{S+i} (or 0 if it contains
+    u_g), so only the g * 2^(g-1) products with i in S need a normal form.
+    Returns the induced basis correspondence as a bitmask map (identity on
+    subsets of {1..g-1}).
     """
     if g < 2:
         raise ValueError("quotient_by_top needs g >= 2")
     h = g - 1
-    top_bit = 1 << (g - 1)
-    for m1 in range(1 << h):
-        for m2 in range(m1, 1 << h):
-            exps = _pair_exps(h, m1, m2)
-            projected = tuple((m, c) for m, c in _normal_form_monomial(g, exps + (0,))
-                              if not m & top_bit)
-            if projected != _normal_form_monomial(h, exps):
+    top_bit = 1 << h
+    for mask in range(1 << g):
+        exps = _mask_exps(g, mask)
+        for i in range(g):
+            if not mask >> i & 1:
+                continue
+            squared = exps[:i] + (2,) + exps[i + 1:]
+            projected = tuple(item for item in _normal_form_monomial(g, squared)
+                              if not item[0] & top_bit)
+            expected = () if mask & top_bit else _normal_form_monomial(h, squared[:h])
+            if projected != expected:
                 raise AssertionError(
-                    f"R_{g}/(u_{g}) differs from R_{h} on basis product {m1:b} * {m2:b}")
+                    f"R_{g}/(u_{g}) differs from R_{h} on u_{i + 1} * {mask:b}")
     return {m: m for m in range(1 << h)}
 
 
 def pairing_matrix(g: int, degree: int) -> list[list[int]]:
     """Matrix of the socle pairing between the basis of R_g^{degree} and the
     basis of the complementary degree g(g+1) - degree."""
-    index_sum = [sum(mask_to_subset(m)) for m in range(1 << g)]
-    left = [m for m, s in enumerate(index_sum) if 2 * s == degree]
-    right = [m for m, s in enumerate(index_sum) if 2 * s == g * (g + 1) - degree]
-    return [[socle_coefficient(g, _pair_exps(g, ml, mr)) for mr in right] for ml in left]
+    if degree % 2 or not 0 <= degree <= g * (g + 1):
+        return []
+    by_index_sum = _masks_by_index_sum(g)
+    left = by_index_sum[degree // 2]
+    right = by_index_sum[g * (g + 1) // 2 - degree // 2]
+    # complementary degrees: a product without a repeated index is the socle
+    return [[1 if not ml & mr else _socle_term(g, _normal_form_monomial(g, _pair_exps(g, ml, mr)))
+             for mr in right] for ml in left]
 
 
 def matrix_rank(rows: list[list[int | Fraction]]) -> int:

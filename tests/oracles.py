@@ -6,10 +6,16 @@ the package computes another way, and the tests compare the two:
   the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin.spin_character` specialized at S = 1
-  (`set_var_to_one(0)`); both in true exponents.
+  (`set_var_to_one(0)`); both in true exponents;
+* the tautological ring: the straightforward rewrite recursion, a product
+  that accumulates Fraction coefficients, and the all-pairs check of
+  R_g/(u_g) = R_{g-1}, against the integer products and the generator-level
+  check of `tautring`.
 """
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
 from agcoh.exact import LaurentPoly, cyclotomic, euler_phi
@@ -216,3 +222,64 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
         prod_plus = prod_plus * (base + 2) ** m
         prod_minus = prod_minus * (2 - base) ** m
     return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
+
+
+# -- the tautological ring ---------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def normal_form_monomial(g: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Normal form of u_1^{e_1} ... u_g^{e_g} as sorted ((bitmask, coeff), ...):
+    rewrite the largest square u_k^2 -> 2 sum_{j<k} (-1)^{j+k+1} u_j u_{2k-j},
+    with u_0 = 1 and u_m = 0 for m > g."""
+    squared = [k for k in range(g, 0, -1) if exps[k - 1] >= 2]
+    if not squared:
+        return ((sum(1 << i for i, e in enumerate(exps) if e), 1),)
+    k = squared[0]
+    base = list(exps)
+    base[k - 1] -= 2
+    acc: dict[int, int] = {}
+    for j in range(k):
+        other = 2 * k - j
+        if other > g:
+            continue
+        child = list(base)
+        if j > 0:
+            child[j - 1] += 1
+        child[other - 1] += 1
+        for mask, c in normal_form_monomial(g, tuple(child)):
+            acc[mask] = acc.get(mask, 0) + 2 * (-1) ** (j + k + 1) * c
+    return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+
+
+def pair_exps(g: int, m1: int, m2: int) -> tuple[int, ...]:
+    return tuple((m1 >> i & 1) + (m2 >> i & 1) for i in range(g))
+
+
+def fraction_product(g: int, a: dict[int, Fraction],
+                     b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The product of two elements of R_g given as bitmask -> Fraction,
+    accumulated term by term in Fraction; zero coefficients dropped."""
+    out: dict[int, Fraction] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            for mask, c in normal_form_monomial(g, pair_exps(g, m1, m2)):
+                out[mask] = out.get(mask, Fraction(0)) + c1 * c2 * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def quotient_by_top_all_pairs(g: int) -> dict[int, int]:
+    """R_g/(u_g) = R_{g-1} checked on every pair of basis monomials of
+    R_{g-1}: dropping the monomials that contain u_g from their product in
+    R_g leaves their product in R_{g-1}.  Raises AssertionError otherwise;
+    returns the identity correspondence of bitmasks."""
+    h = g - 1
+    top_bit = 1 << h
+    for m1 in range(1 << h):
+        for m2 in range(m1, 1 << h):
+            exps = pair_exps(h, m1, m2)
+            projected = tuple((m, c) for m, c in normal_form_monomial(g, exps + (0,))
+                              if not m & top_bit)
+            if projected != normal_form_monomial(h, exps):
+                raise AssertionError(
+                    f"R_{g}/(u_{g}) differs from R_{h} on basis product {m1:b} * {m2:b}")
+    return {m: m for m in range(1 << h)}

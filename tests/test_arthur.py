@@ -54,6 +54,14 @@ def test_block_validation():
     assert ar.BuildingBlock(OO, (8,), 0).cardinality == 0
 
 
+@pytest.mark.parametrize("weights", [(23.9,), (23.0,), ("23",), (True,), (25, 23.0)])
+def test_block_refuses_non_integer_weights(weights):
+    # nothing is truncated: (23.9,) used to become S(23)
+    with pytest.raises(TypeError, match="integers"):
+        ar.BuildingBlock(S, weights, 1)
+    assert ar.BuildingBlock(S, (25, 23), 1).doubled_weights == (25, 23)
+
+
 def test_block_labels_and_dimensions():
     reg = ar.Registry.builtin()
     d11 = reg.lookup(S, (11,))
@@ -118,6 +126,20 @@ def test_ingest_refuses_non_integer_fields(field, value):
         ar.ingest_cardinalities(json.dumps([record]))
     record[field] = [25] if field == "doubled_weights" else 1
     assert ar.ingest_cardinalities(json.dumps([record])).lookup(S, (25,)).cardinality == 1
+
+
+@pytest.mark.parametrize("names", ["Delta25", [5], ["Delta25", None], {"Delta25": 1},
+                                   ("Delta25",)])
+def test_ingest_refuses_names_that_are_not_a_list_of_strings(names):
+    # a bare string used to be stored as its characters
+    record = {"kind": "symplectic", "doubled_weights": [25], "cardinality": 1, "names": names}
+    with pytest.raises(ar.RegistryConflictError, match="malformed"):
+        ar.ingest_cardinalities([record])
+    record["names"] = ["Delta25"]
+    block = ar.ingest_cardinalities([record]).lookup(S, (25,))
+    assert block.names == ("Delta25",) and block.label == "Delta25"
+    del record["names"]
+    assert ar.ingest_cardinalities([record]).lookup(S, (25,)).names == ()
 
 
 # -- weight blocks ---------------------------------------------------------------

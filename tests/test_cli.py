@@ -133,6 +133,8 @@ def test_exit_code_data(tmp_path):
     record = {"kind": "s", "doubled_weights": [25], "cardinality": 1}
     malformed = [
         (["arthur", "--g", "1"], "--registry", [dict(record, names=5)]),
+        # a bare string is not a list of names
+        (["arthur", "--g", "1"], "--registry", [dict(record, names="Delta25")]),
         (["arthur", "--g", "1"], "--registry", [dict(record, field_degree=[1])]),
         # a float is not truncated into a block S(23) of cardinality 1
         (["arthur", "--g", "1"], "--registry",
@@ -145,6 +147,8 @@ def test_exit_code_data(tmp_path):
         code, out, err = run(argv + [flag, str(path)])
         assert code == EXIT_DATA and out == "", argv
         assert json.loads(err)["error"]["type"] == "data"
+        if flag == "--registry":
+            assert "malformed registry record" in json.loads(err)["error"]["message"]
     # sign policy failures are data errors pointing at the sign file interface
     code, _, err = run(["ih", "--g", "8", "--lambda", "0,0,0,0,0,0,0,0"])
     assert code == EXIT_DATA

@@ -111,6 +111,18 @@ def test_laurent_ring_axioms_two_var(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(_lp), st.booleans())
+def test_is_symmetric_matches_negated_polynomial(p, symmetrize):
+    # symmetric exactly when p equals p with every exponent negated
+    if symmetrize:
+        p = p + LaurentPoly(p.nvars, {tuple(-e for e in exps): c for exps, c in p.items()})
+    negated = LaurentPoly(p.nvars, {tuple(-e for e in exps): c for exps, c in p.items()})
+    assert p.is_symmetric() is (p == negated)
+    if symmetrize:
+        assert p.is_symmetric()
+
+
 def test_laurent_basics():
     t = LaurentPoly.t_power
     p = (t(1) + t(-1)) * (t(2) + t(-2))

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from agcoh import tautring as tr
 from agcoh.exact import double_factorial_odd, strict_partition_count
 
@@ -147,6 +149,92 @@ def test_quotient_by_top():
     proj = {m: c for m, c in tr.monomial(2, (2, 0)).items() if not m & 0b10}
     assert proj == {}  # u_1^2 = 2 u_2 dies when u_2 is set to zero
     assert tr.monomial(1, (2,)).is_zero()
+
+
+def test_quotient_by_top_matches_all_pairs_oracle():
+    for g in range(2, 7):
+        assert tr.quotient_by_top(g) == oracles.quotient_by_top_all_pairs(g)
+
+
+@pytest.fixture
+def fresh_normal_forms():
+    # a tampered rewrite must not leave wrong entries in the cache
+    yield
+    tr._normal_form_monomial.cache_clear()
+
+
+@pytest.mark.parametrize("g, exps", [
+    (3, (2, 0, 0)),     # u_1 * u_1, which projects to R_2
+    (3, (0, 0, 2)),     # u_3 * u_3, zero in R_3
+    (4, (1, 2, 0, 1)),  # u_2 * u_1 u_2 u_4, in the kernel (u_4)
+    (4, (0, 1, 2, 0)),  # u_3 * u_2 u_3
+])
+def test_quotient_by_top_detects_a_wrong_generator_product(monkeypatch, fresh_normal_forms,
+                                                           g, exps):
+    # one generator product gains a constant term, which no projection drops
+    real = tr._normal_form_monomial
+    coeffs = dict(real(g, exps))
+    coeffs[0] = coeffs.get(0, 0) + 1
+    wrong = tuple(sorted(coeffs.items()))
+
+    def tampered(gg, ee):
+        return wrong if (gg, ee) == (g, exps) else real(gg, ee)
+
+    monkeypatch.setattr(tr, "_normal_form_monomial", tampered)
+    with pytest.raises(AssertionError, match=rf"R_{g}/\(u_{g}\) differs"):
+        tr.quotient_by_top(g)
+    monkeypatch.undo()
+    real.cache_clear()
+    assert tr.quotient_by_top(g) == {m: m for m in range(1 << (g - 1))}
+
+
+def test_normal_forms_match_oracle_on_basis_pairs():
+    # every product of two basis monomials, g <= 7, as normal forms and as
+    # RingElement products
+    for g in range(1, 8):
+        basis = [tr.RingElement(g, {m: 1}) for m in range(1 << g)]
+        for m1 in range(1 << g):
+            for m2 in range(m1, 1 << g):
+                exps = oracles.pair_exps(g, m1, m2)
+                want = oracles.normal_form_monomial(g, exps)
+                assert tr._normal_form_monomial(g, exps) == want, (g, m1, m2)
+                assert (basis[m1] * basis[m2]).items() == \
+                    [(m, Fraction(c)) for m, c in want], (g, m1, m2)
+
+
+def test_normal_forms_match_oracle_on_random_exponents():
+    # entries 0-4; most such monomials lie above the top degree and vanish,
+    # so draws continue until 100 per genus lie within it
+    rng = random.Random(11)
+    for g in range(1, 8):
+        within = 0
+        while within < 100:
+            exps = tuple(rng.randint(0, 4) for _ in range(g))
+            within += sum(i * e for i, e in enumerate(exps, start=1)) <= g * (g + 1) // 2
+            want = oracles.normal_form_monomial(g, exps)
+            assert tr._normal_form_monomial(g, exps) == want, (g, exps)
+            assert tr.monomial(g, exps).items() == [(m, Fraction(c)) for m, c in want]
+            full = (1 << g) - 1
+            assert tr.socle_coefficient(g, exps) == dict(want).get(full, 0)
+
+
+@st.composite
+def rational_elements(draw, g):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    return draw(st.dictionaries(st.integers(0, (1 << g) - 1), coeff, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_products_match_fraction_oracle(g, data):
+    a = data.draw(rational_elements(g))
+    b = data.draw(rational_elements(g))
+    got = tr.RingElement(g, a) * tr.RingElement(g, b)
+    want = oracles.fraction_product(g, a, b)
+    assert dict(got.items()) == want
+    assert repr(got.items()) == repr(sorted(want.items()))
+    assert all(type(c) is Fraction for _, c in got.items())
+    assert got == tr.RingElement(g, want)
 
 
 def gauss_jordan_rank(rows):
