@@ -140,8 +140,8 @@ BUILTIN_BOUND_DOUBLED = 22  # exhaustive knowledge up to top weight w_1 = 11
 
 
 def _record_int(value):
-    """A registry record's integer field, taken as is: a JSON integer only,
-    never a bool, float or string (TypeError)."""
+    """A registry integer (a record field or a looked-up weight), taken as
+    is: an int only, never a bool, float or string (TypeError)."""
     if type(value) is not int:
         raise TypeError(f"{value!r} is not an integer")
     return value
@@ -181,7 +181,7 @@ class Registry:
         return list(self._blocks.values())
 
     def lookup(self, kind: BlockKind, doubled_weights: Iterable[int]) -> BuildingBlock:
-        dw = tuple(sorted((int(x) for x in doubled_weights), reverse=True))
+        dw = tuple(sorted(map(_record_int, doubled_weights), reverse=True))
         key = (kind, dw)
         if key in self._blocks:
             return self._blocks[key]

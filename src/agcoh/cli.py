@@ -7,9 +7,10 @@ Every invocation prints a schema-versioned JSON document on stdout:
 
 with deterministic key order, so identical inputs give byte-identical
 output.  TSV and LaTeX renderings are lossy projections of the same result.
-Errors are structured JSON on stderr with exit code 2 (input validation),
-3 (missing or inconsistent data files), 4 (registry incompleteness) or 5
-(an internal invariant failed: a bug, never the user's input).
+Errors are structured JSON on stderr; the exception's type decides the exit
+code: 2 for input checked and refused (InputError, WeightBudgetError), 3 for
+data files (DataFileError, MassTableError, SignPolicyError), 4 for
+RegistryIncompleteError, 5 for any other exception (a bug, never the input).
 
 Data files can live in a directory named by AGCOH_DATA_DIR (masses/g{N}.tsv,
 registry.json, signs.json); explicit flags override the environment.
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 
 # Only the exceptions are imported here: each subcommand imports the engines
 # it runs, so a call pays for nothing else.
-from .errors import (MassTableError, RegistryConflictError,
+from .errors import (InputError, MassTableError, RegistryConflictError,
                      RegistryIncompleteError, SignPolicyError,
                      WeightBudgetError)
 
@@ -45,10 +46,6 @@ EXIT_INTERNAL = 5
 DATA_DIR_ENV = "AGCOH_DATA_DIR"
 
 
-class UsageError(ValueError):
-    pass
-
-
 class DataFileError(ValueError):
     pass
 
@@ -65,18 +62,15 @@ def _highest_weight(args) -> HighestWeight:
     """The weight --lambda (all zeros when absent) of rank --g; HighestWeight
     checks the entry count and dominance."""
     from .symplectic import HighestWeight
-    if args.g < 1:
-        raise UsageError("genus must be positive")
     try:
         lam = (0,) * args.g if args.lam is None else \
             tuple(int(x) for x in args.lam.split(","))
     except ValueError:
-        raise UsageError(
-            f"--lambda must be comma-separated integers, got {args.lam!r}")
+        raise InputError(f"--lambda must be comma-separated integers, got {args.lam!r}")
     try:
         return HighestWeight(args.g, lam)
     except ValueError as exc:
-        raise UsageError(f"--lambda: {exc}") from None
+        raise InputError(f"--lambda: {exc}") from None
 
 
 def _data_dir() -> Path | None:
@@ -111,7 +105,7 @@ def _load_registry(args) -> Registry:
             return ingest_cardinalities(fh)
     except OSError as exc:
         raise DataFileError(f"cannot read registry file {path}: {exc}") from exc
-    except (RegistryConflictError, json.JSONDecodeError) as exc:
+    except (RegistryConflictError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFileError(f"bad registry file {path}: {exc}") from exc
 
 
@@ -131,15 +125,14 @@ def _load_signs(args):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFileError(f"bad sign file {path}: {exc}") from exc
     if not isinstance(mapping, dict):
         raise DataFileError("sign file must be a JSON object shape -> sign list")
-    try:
-        return {str(k): tuple(v) for k, v in mapping.items()}
-    except TypeError as exc:
-        raise DataFileError(
-            f"bad sign file {path}: every value must be a sign list") from exc
+    # a bare string is not split into its characters
+    if not all(isinstance(v, list) for v in mapping.values()):
+        raise DataFileError(f"bad sign file {path}: every value must be a sign list")
+    return {k: tuple(v) for k, v in mapping.items()}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -165,13 +158,9 @@ def _cmd_intersect(args):
         try:
             exps = tuple(int(x) for x in args.exponents.split(","))
         except ValueError:
-            raise UsageError("--exponents must be comma-separated integers")
-        try:
-            dual = proportionality.compact_dual_degree(g, exps)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+            raise InputError("--exponents must be comma-separated integers")
         result["exponents"] = list(exps)
-        result["compact_dual_degree"] = _fr(dual)
+        result["compact_dual_degree"] = _fr(proportionality.compact_dual_degree(g, exps))
         result["lambda_intersection"] = _fr(proportionality.lambda_intersection(g, exps))
     return result, ["Hirzebruch-Mumford proportionality with stacky "
                     "normalization; the rank-1 Hodge line bundle has degree 1/24"], []
@@ -212,7 +201,7 @@ def _cmd_euler(args):
         table = torsion.load_mass_table(path, g, strict=not args.lenient)
     except OSError as exc:
         raise DataFileError(f"cannot read mass table {path}: {exc}") from exc
-    except MassTableError as exc:
+    except (MassTableError, UnicodeDecodeError) as exc:
         raise DataFileError(f"bad mass table {path}: {exc}") from exc
     warnings = list(table.warnings)
     if hw.weight % 2:
@@ -302,25 +291,21 @@ def _cmd_tables(args):
 
 def _cmd_stable(args):
     from . import tables
-    space = args.space
+    space = args.space.lower()
     n = None
     if space.startswith("universal"):
         tail = space[len("universal"):]
-        if tail.startswith(":") or tail.startswith("("):
-            try:
-                n = int(tail.strip(":()"))
-            except ValueError:
-                raise UsageError(f"bad universal fibre power in {space!r}")
-            space = "universal"
-        else:
-            raise UsageError("use --space universal:N")
+        if tail[:1] not in (":", "("):
+            raise InputError("use --space universal:N")
+        try:
+            n = int(tail.strip(":()"))
+        except ValueError:
+            raise InputError(f"bad universal fibre power in {args.space!r}")
+        space = "universal"
     if space == "ih_sat":
         data = tables.stable_ih_series(args.max_degree)
     else:
-        try:
-            data = tables.stable_series(space, args.max_degree, n=n)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        data = tables.stable_series(space, args.max_degree, n=n)
     return data, ["stable graded dimensions: free graded-commutative algebra "
                   "on even-degree generators, by partition counting"], []
 
@@ -329,7 +314,7 @@ def _cmd_stable(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +433,8 @@ def run(argv) -> tuple[int, str, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "g", 1) < 1:
+            raise InputError("genus must be positive")
         result, citations, warnings = args.func(args)
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -464,22 +451,18 @@ def run(argv) -> tuple[int, str, str]:
             if args.format == "latex":
                 return EXIT_OK, _render_latex(doc), ""
             return EXIT_OK, json.dumps(doc, indent=2) + "\n", ""
-    except UsageError as exc:
+    except (InputError, WeightBudgetError) as exc:
         return _error(EXIT_USAGE, "usage", exc)
     except (DataFileError, MassTableError) as exc:
         return _error(EXIT_DATA, "data", exc)
-    except RegistryIncompleteError as exc:
-        return _error(EXIT_REGISTRY, "registry", exc)
     except SignPolicyError as exc:
         return _error(EXIT_DATA, "signs", exc)
-    except KeyError as exc:
-        # str(KeyError) quotes its message, so report the message itself
-        return _error(EXIT_USAGE, "usage", exc.args[0] if exc.args else exc)
-    except (ValueError, WeightBudgetError) as exc:
-        return _error(EXIT_USAGE, "usage", exc)
+    except RegistryIncompleteError as exc:
+        return _error(EXIT_REGISTRY, "registry", exc)
     except AssertionError as exc:
-        return _error(EXIT_INTERNAL, "internal",
-                      f"internal invariant failed: {exc}")
+        return _error(EXIT_INTERNAL, "internal", f"internal invariant failed: {exc}")
+    except Exception as exc:
+        return _error(EXIT_INTERNAL, "internal", f"{type(exc).__name__}: {exc}")
 
 
 def _error(code: int, kind: str, message: object) -> tuple[int, str, str]:
@@ -489,10 +472,8 @@ def _error(code: int, kind: str, message: object) -> tuple[int, str, str]:
 
 def main(argv=None) -> int:
     code, out, err = run(sys.argv[1:] if argv is None else argv)
-    if out:
-        sys.stdout.write(out)
-    if err:
-        sys.stderr.write(err)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
     return code
 
 

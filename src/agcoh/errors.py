@@ -1,9 +1,13 @@
-"""The five exceptions the `agcoh` command maps to exit codes.
+"""The six exceptions the `agcoh` command maps to exit codes.
 
 They live apart from the engines that raise them, so the command can name
 them without importing any engine; each engine module re-exports its own
 (`torsion.MassTableError` is `errors.MassTableError`).
 """
+
+
+class InputError(ValueError):
+    """Outside input (a command-line value or an argument) was refused."""
 
 
 class MassTableError(ValueError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tautring
+from .errors import InputError
 from .exact import bernoulli, double_factorial_odd, zeta_negative
 
 
@@ -44,12 +45,15 @@ class PiScaledRational:
 
 
 def _check_degree(g: int, exponents) -> tuple[int, ...]:
-    exponents = tuple(int(n) for n in exponents)
+    """Ints only, never truncated (TypeError), of top degree (InputError)."""
+    exponents = tuple(exponents)
+    if any(type(n) is not int for n in exponents):
+        raise TypeError(f"exponents must be integers, got {exponents!r}")
     if len(exponents) != g or any(n < 0 for n in exponents):
-        raise ValueError(f"need {g} nonnegative exponents, got {exponents}")
+        raise InputError(f"need {g} nonnegative exponents, got {exponents}")
     total = sum(i * n for i, n in enumerate(exponents, start=1))
     if total != g * (g + 1) // 2:
-        raise ValueError(
+        raise InputError(
             f"not a top-degree monomial: sum i*n_i = {total} != {g * (g + 1) // 2}")
     return exponents
 

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class Bound:
@@ -101,11 +103,10 @@ def table_ids() -> list[str]:
 
 
 def reference_table(identifier: str) -> ReferenceTable:
-    try:
-        return _TABLES[identifier]
-    except KeyError:
-        raise KeyError(f"unknown reference table {identifier!r}; "
-                       f"known: {', '.join(table_ids())}") from None
+    if identifier not in _TABLES:
+        raise InputError(f"unknown reference table {identifier!r}; "
+                         f"known: {', '.join(table_ids())}")
+    return _TABLES[identifier]
 
 
 # -- stable series ------------------------------------------------------------
@@ -157,17 +158,17 @@ def stable_series(space: str, max_degree: int, n: int | None = None
     The validity range (degree < rank) is reported as metadata only.
     """
     if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+        raise InputError("max_degree must be nonnegative")
     space = space.lower()
     gens = Counter(_lambda_degrees(max_degree))
     if space == "sat":
         gens.update(range(6, max_degree + 1, 4))
     elif space == "universal":
         if n is None or n < 0:
-            raise ValueError("space 'universal' needs a fibre power n >= 0")
+            raise InputError("space 'universal' needs a fibre power n >= 0")
         gens[2] += n + n * (n - 1) // 2
     elif space != "ag":
-        raise ValueError(f"unknown stable space {space!r}")
+        raise InputError(f"unknown stable space {space!r}")
     return {
         "space": space if space != "universal" else f"universal({n})",
         "coefficients": _series_from_generators(gens, max_degree),

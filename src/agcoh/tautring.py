@@ -113,6 +113,13 @@ def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], 
     return [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()], den
 
 
+def _coefficient(c) -> Fraction:
+    """An int (not a bool) or a Fraction, as a Fraction (else TypeError)."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+    return Fraction(c)
+
+
 class RingElement:
     """Element of R_g: Fraction coefficients on square-free basis monomials,
     keyed by subset bitmask.  Products run on integer numerators over a
@@ -128,7 +135,7 @@ class RingElement:
         for mask, c in (coeffs or {}).items():
             if mask < 0 or mask >= (1 << g):
                 raise ValueError(f"bitmask {mask} out of range for genus {g}")
-            c = Fraction(c)
+            c = _coefficient(c)
             if c != 0:
                 cleaned[int(mask)] = c
         object.__setattr__(self, "g", g)
@@ -171,9 +178,11 @@ class RingElement:
         return RingElement(self.g, {m: -c for m, c in self._coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             c = Fraction(other)
             return RingElement(self.g, {m: c * v for m, v in self._coeffs.items()})
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self._check(other)
         g = self.g
         left, d1 = _numerators(self._coeffs)
@@ -235,7 +244,7 @@ def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
     out: dict[int, Fraction] = {}
     for exps, coeff in expr.items():
         exps = _check_exps(g, exps)
-        coeff = Fraction(coeff)
+        coeff = _coefficient(coeff)
         if coeff == 0:
             continue
         for mask, c in _normal_form_monomial(g, exps):

@@ -83,6 +83,10 @@ def test_registry_lookup_and_bound():
     assert reg.lookup(OO, (24,), ).cardinality == 0
     with pytest.raises(ar.RegistryIncompleteError):
         reg.lookup(S, (23,))
+    # weights are ints by type: (11.7,) used to find the real block D11
+    for weights in ((11.7,), (11.0,), ("11",), (True,), (21, 13.0)):
+        with pytest.raises(TypeError, match="is not an integer"):
+            reg.lookup(S, weights)
     assert reg.center_status(S, 11) == "viable"
     assert reg.center_status(S, 13) == "viable"     # via D21,13
     assert reg.center_status(S, 3) == "dead"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcoh import spin, tables
+from agcoh import proportionality, spin, tables
 from agcoh.cli import (EXIT_DATA, EXIT_INTERNAL, EXIT_REGISTRY, EXIT_USAGE,
                        load_result_schema, run)
 from agcoh.proportionality import lambda1_power
@@ -114,8 +114,9 @@ def test_exit_code_usage():
                         "--masses", str(DEMO_MASSES / "g1.tsv")])
     assert code == EXIT_USAGE
     assert "h-series bound" in json.loads(err)["error"]["message"]
-    # a nonpositive genus is refused before any weight is built
-    for command in ("euler", "arthur", "ih"):
+    # one check refuses a nonpositive genus for every subcommand with --g,
+    # before any engine runs
+    for command in ("taut", "intersect", "modforms", "torsion", "euler", "arthur", "ih"):
         for g in ("0", "-1"):
             code, out, err = run([command, "--g", g])
             assert code == EXIT_USAGE and out == "", (command, g)
@@ -140,6 +141,8 @@ def test_exit_code_data(tmp_path):
         (["arthur", "--g", "1"], "--registry",
          [{"kind": "s", "doubled_weights": [23.9], "cardinality": 1.7}]),
         (["ih", "--g", "3"], "--signs", {"[7]": 5}),
+        # a bare string is not a list of signs: "-+" is not split into two
+        (["ih", "--g", "6"], "--signs", {"D11[2]+[9]": "-+", "D11[4]+[7]": "+"}),
     ]
     for i, (argv, flag, content) in enumerate(malformed):
         path = tmp_path / f"malformed{i}.json"
@@ -149,6 +152,14 @@ def test_exit_code_data(tmp_path):
         assert json.loads(err)["error"]["type"] == "data"
         if flag == "--registry":
             assert "malformed registry record" in json.loads(err)["error"]["message"]
+    # a file that is not UTF-8 is a data error too, whichever flag names it
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    for argv in (["euler", "--g", "1", "--masses"], ["arthur", "--g", "1", "--registry"],
+                 ["ih", "--g", "2", "--signs"]):
+        code, out, err = run(argv + [str(binary)])
+        assert code == EXIT_DATA and out == "", argv
+        assert json.loads(err)["error"]["type"] == "data", argv
     # sign policy failures are data errors pointing at the sign file interface
     code, _, err = run(["ih", "--g", "8", "--lambda", "0,0,0,0,0,0,0,0"])
     assert code == EXIT_DATA
@@ -259,6 +270,36 @@ def test_internal_invariant_failure_is_structured(monkeypatch):
     assert error["type"] == "internal"
     assert error["message"] == ("internal invariant failed: "
                                 "string decomposition failed to re-expand")
+
+
+@pytest.mark.parametrize("exc", [ValueError("not a genuine torus character"),
+                                 KeyError("D11"), TypeError("bad operand"),
+                                 IndexError("list index out of range")])
+@pytest.mark.parametrize("module, name, argv", [
+    (spin, "nu_decompose", ["ih", "--g", "2"]),
+    (proportionality, "compact_dual_degree", ["intersect", "--g", "2", "--exponents", "1,1"]),
+    (tables, "reference_table", ["tables", "--id", "tor2"]),
+])
+def test_engine_exceptions_are_internal(monkeypatch, exc, module, name, argv):
+    # only an InputError is the user's fault: any other engine exception is
+    # a bug, so it exits 5, not 2, and never escapes as a traceback
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(argv)
+    assert code == EXIT_INTERNAL and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "internal", "message": f"{type(exc).__name__}: {exc}"}}
+
+
+def test_stable_space_is_case_insensitive():
+    for lower, upper in (("ag", "AG"), ("ih_sat", "IH_SAT"), ("universal:2", "UNIVERSAL:2"),
+                         ("universal(3)", "Universal(3)")):
+        want = run_ok(["stable", "--space", lower, "--max-degree", "10"])["result"]
+        assert run_ok(["stable", "--space", upper, "--max-degree", "10"])["result"] == want
+    code, _, err = run(["stable", "--space", "UNIVERSAL:x", "--max-degree", "4"])
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"]["message"] == "bad universal fibre power in 'UNIVERSAL:x'"
 
 
 def test_integers_past_digit_limit_render(monkeypatch):

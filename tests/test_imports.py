@@ -14,6 +14,7 @@ from agcoh import errors
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ERROR_HOMES = {
+    "InputError": "tables",
     "MassTableError": "torsion",
     "RegistryConflictError": "arthur",
     "RegistryIncompleteError": "arthur",

@@ -4,6 +4,7 @@ import pytest
 
 from agcoh import proportionality as pr
 from agcoh import tautring as tr
+from agcoh.errors import InputError
 
 
 def top_monomials(g):
@@ -33,8 +34,16 @@ def test_compact_dual_degree_examples():
         n = g * (g + 1) // 2
         assert type(pr.compact_dual_degree(g, (n,) + (0,) * (g - 1))) is int
         assert type(tr.top_power_coefficient(g)) is int
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         pr.compact_dual_degree(2, (1, 0))
+
+
+@pytest.mark.parametrize("exponents", [(1.9, 1), (True, 1), (1, 1.0), ("1", 1)])
+def test_exponents_are_ints_by_type(exponents):
+    # nothing is truncated: (1.9, 1) and (True, 1) used to give the degree of (1, 1)
+    for entry in (pr.compact_dual_degree, pr.lambda_intersection):
+        with pytest.raises(TypeError, match="must be integers"):
+            entry(2, exponents)
 
 
 def test_lambda_intersection_anchors():

@@ -5,6 +5,7 @@ import pytest
 from agcoh import tables as tb
 from agcoh import torsion as to
 from agcoh.cli import run
+from agcoh.errors import InputError
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight
 from agcoh.tautring import poincare_polynomial
@@ -21,7 +22,7 @@ def test_reference_values_bit_exact():
     assert tb.reference_table("euler_ag").values == (1, 2, 5, 9, 18, 46, 104, 200, 528)
     assert tb.reference_table("euler_ag").values[6] == 104
     assert tb.reference_table("torsion_counts").values == (3, 12, 32, 92, 219, 530, 1158)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="unknown reference table 'nope'"):
         tb.reference_table("nope")
 
 
@@ -63,10 +64,12 @@ def test_stable_series_examples():
     assert tb.stable_series("sat", 6)["coefficients"][6] == 3
     assert tb.stable_series("universal", 2, n=1)["coefficients"][2] == 2
     assert tb.stable_ih_series(6)["coefficients"] == [1, 0, 1, 0, 1, 0, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         tb.stable_series("nowhere", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         tb.stable_series("universal", 4)
+    with pytest.raises(InputError):
+        tb.stable_series("ag", -1)
 
 
 def test_stable_series_more_degrees():

@@ -26,6 +26,24 @@ def test_multiply_examples():
         tr.u(2, 1) * tr.u(3, 1)
 
 
+def test_coefficients_are_int_or_fraction():
+    assert tr.RingElement(2, {0: Fraction(1, 10), 1: -3}).items() == \
+        [(0, Fraction(1, 10)), (1, Fraction(-3))]
+    # a float used to be stored as its binary expansion
+    for c in (0.1, 1.0, True, "1"):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            tr.RingElement(2, {0: c})
+        with pytest.raises(TypeError, match="int or Fraction"):
+            tr.normal_form(2, {(1, 0): c})
+    x = tr.u(2, 1)
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == tr.RingElement(2, {1: Fraction(1, 2)})
+    for scalar in (0.5, True, "2", None):
+        with pytest.raises(TypeError):
+            x * scalar
+        with pytest.raises(TypeError):
+            scalar * x
+
+
 def test_poincare_polynomial():
     p1 = tr.poincare_polynomial(1)
     assert p1.coeff_list(0, 2) == [Fraction(1), Fraction(0), Fraction(1)]
