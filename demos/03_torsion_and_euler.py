@@ -38,5 +38,9 @@ for k in (1, 4, 5, 7, 8):
     value = to.elliptic_term(hw, table)
     print(f"  coefficients Sym^{2*k}: elliptic term = {value}")
 
+# -1 acts on V_lambda by (-1)^{|lambda|}, so tr(-c) = -tr(c) at odd weight:
+# with the negation-symmetric masses of a parsed table each orbit's weight
+# m_c - m_{-c} is zero, a class with c = -c has trace zero, and
+# elliptic_term evaluates no character at all.
 print("\nodd-weight systems vanish identically:",
       to.elliptic_term(HighestWeight(1, (3,)), table))

@@ -312,9 +312,17 @@ def _cmd_stable(args):
 
 # -- plumbing ------------------------------------------------------------------
 
+class _HelpRequested(Exception):
+    """Carries the --help text from the parser to run."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        # argparse's --help prints and exits; run returns the text instead
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,6 +459,8 @@ def run(argv) -> tuple[int, str, str]:
             if args.format == "latex":
                 return EXIT_OK, _render_latex(doc), ""
             return EXIT_OK, json.dumps(doc, indent=2) + "\n", ""
+    except _HelpRequested as req:
+        return EXIT_OK, req.args[0], ""
     except (InputError, WeightBudgetError) as exc:
         return _error(EXIT_USAGE, "usage", exc)
     except (DataFileError, MassTableError) as exc:

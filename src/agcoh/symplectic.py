@@ -13,7 +13,10 @@ number of nonzero parts,
 with h_k = 0 for k < 0 and the empty determinant (lambda = 0) equal to 1.
 The h_k are the complete symmetric functions of the eigenvalues of c: the
 integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
-class's characteristic polynomial (self-reciprocal, constant term 1).  The
+class's characteristic polynomial (self-reciprocal, constant term 1).  Each
+class computes that series once and keeps it (TorsionClass.h_series),
+extending it only when a longer lambda_1 + l(lambda) asks for more terms,
+so the characters of one class over a range of lambda share one series.  The
 determinant is taken by fraction-free Bareiss elimination with row
 pivoting, because zero pivots do occur at torsion points, so the trace is
 an integer by construction and no weight system is built.
@@ -90,20 +93,11 @@ def weyl_dimension(hw: HighestWeight) -> int:
 
 # -- characters at torsion elements ------------------------------------------
 
-def _h_series(poly: tuple[int, ...], n: int) -> list[int]:
-    """The first n coefficients of 1/poly(z), for poly with constant term 1."""
-    h = [1] + [0] * (n - 1)
-    deg = len(poly) - 1
-    for k in range(1, n):
-        h[k] = -sum(poly[j] * h[k - j] for j in range(1, min(k, deg) + 1))
-    return h
-
-
 def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     """Exact trace of a torsion class on V_lambda, by the symplectic
     Jacobi-Trudi determinant (see the module docstring).  Raises
     WeightBudgetError when the h-series would exceed H_SERIES_BOUND terms."""
-    if cls.degree != 2 * hw.g:
+    if len(cls.characteristic_polynomial()) != 2 * hw.g + 1:
         raise ValueError(
             f"class degree {cls.degree} does not match group rank {2 * hw.g}")
     lam = [part for part in hw.lam if part]
@@ -113,12 +107,11 @@ def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     if length > H_SERIES_BOUND:
         raise WeightBudgetError(
             f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
-    series = _h_series(cls.characteristic_polynomial(), length)
-
-    def h(k: int) -> int:
-        return series[k] if k >= 0 else 0
-
-    rows = [[h(part - i + 1)] + [h(part - i + j) + h(part - i - j + 2)
-                                 for j in range(2, len(lam) + 1)]
-            for i, part in enumerate(lam, start=1)]
+    # h_k = 0 for k < 0: the matrix reads h_k down to k = 3 - 2 l(lambda)
+    pad = 2 * len(lam)
+    h = (0,) * pad + cls.h_series(length)
+    rows = []
+    for i, part in enumerate(lam, start=1):
+        a = pad + part - i
+        rows.append([h[a + 1]] + [h[a + j] + h[a - j + 2] for j in range(2, len(lam) + 1)])
     return bareiss(rows)[1]

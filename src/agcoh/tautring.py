@@ -133,11 +133,13 @@ class RingElement:
             raise ValueError("genus must be positive")
         cleaned = {}
         for mask, c in (coeffs or {}).items():
+            if type(mask) is not int:
+                raise TypeError(f"bitmasks must be int, got {mask!r}")
             if mask < 0 or mask >= (1 << g):
                 raise ValueError(f"bitmask {mask} out of range for genus {g}")
             c = _coefficient(c)
             if c != 0:
-                cleaned[int(mask)] = c
+                cleaned[mask] = c
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_coeffs", cleaned)
 
@@ -165,6 +167,8 @@ class RingElement:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self._check(other)
         out = dict(self._coeffs)
         for m, c in other._coeffs.items():

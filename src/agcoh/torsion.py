@@ -16,6 +16,18 @@ The elliptic term
 over the full class set equals the compactly supported Euler characteristic
 e(A_g, V_lambda); the masses themselves are external data computed from
 orbital integrals and are only ever ingested here, never computed.
+
+Because -1 acts on V_lambda by (-1)^{|lambda|},
+
+    tr(-c | V_lambda) = (-1)^{|lambda|} tr(c | V_lambda),
+
+so elliptic_term evaluates one character per negation orbit, weighted by
+m_c + (-1)^{|lambda|} m_{-c}.  The identity holds for any table, symmetric
+or not; a class with c = -c has trace zero at odd |lambda|, so on a
+symmetric table no odd-weight character is evaluated at all.  Each class
+stores its negation, its characteristic polynomial and the longest h-series
+prefix asked for so far (TorsionClass.h_series), so a sweep over many
+lambda builds each series once.
 """
 from __future__ import annotations
 
@@ -82,8 +94,14 @@ class TorsionClass:
             raise MassTableError(f"invalid class {text!r}: {exc}") from exc
 
     def negate(self) -> "TorsionClass":
-        return TorsionClass(tuple(sorted(
-            (negate_cyclotomic_index(d), m) for d, m in self.pairs)))
+        """-c, computed once per instance and stored like _charpoly; a
+        negation-fixed class returns itself."""
+        neg = self.__dict__.get("_negation")
+        if neg is None:
+            pairs = tuple(sorted((negate_cyclotomic_index(d), m) for d, m in self.pairs))
+            neg = self if pairs == self.pairs else TorsionClass(pairs)
+            self.__dict__["_negation"] = neg
+        return neg
 
     def is_negation_fixed(self) -> bool:
         return self.negate() == self
@@ -106,6 +124,24 @@ class TorsionClass:
             # stored beside the fields, so equality, hashing and order ignore it
             self.__dict__["_charpoly"] = poly
         return poly
+
+    def h_series(self, n: int) -> tuple[int, ...]:
+        """The first n coefficients h_0, ..., h_{n-1} of 1/P_c(z): the
+        complete symmetric functions of the eigenvalues of c.  The longest
+        prefix asked for so far is stored on the instance; a longer request
+        extends a copy and replaces the stored tuple whole, so a concurrent
+        reader never sees a partial series.  The caller bounds n:
+        character_at_torsion checks symplectic.H_SERIES_BOUND first."""
+        series = self.__dict__.get("_hseries", (1,))
+        if len(series) < n:
+            poly = self.characteristic_polynomial()
+            deg = len(poly) - 1
+            h = list(series)
+            for k in range(len(h), n):
+                h.append(-sum(poly[j] * h[k - j] for j in range(1, min(k, deg) + 1)))
+            series = tuple(h)
+            self.__dict__["_hseries"] = series
+        return series[:n]
 
     def __str__(self) -> str:
         return self.encode()
@@ -252,16 +288,41 @@ def load_mass_table(path, g: int, strict: bool = True) -> MassTable:
 
 def elliptic_term(hw, masses: MassTable, strict: bool = True) -> Fraction:
     """T_ell = sum over the full torsion class set of m_c tr(c | V_lambda);
-    equals the compactly supported Euler characteristic e(A_g, V_lambda)."""
+    equals the compactly supported Euler characteristic e(A_g, V_lambda).
+
+    One character per negation orbit: c is evaluated once, weighted by
+    m_c + (-1)^{|lambda|} m_{-c} (m_{-c} = 0 when -c is not in the table),
+    and only when that weight is nonzero.  A class with c = -c is weighted
+    by m_c at even |lambda| and skipped at odd |lambda|, where its trace is
+    zero.  The products numerator * trace are summed as integers per mass
+    denominator, and one Fraction is built at the end."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
     if strict and masses.missing:
         raise MassTableError(
             f"mass table incomplete ({len(masses.missing)} classes); "
             "parse leniently or supply the missing masses")
-    total = Fraction(0)
-    for c, m in masses.masses.items():
-        if m == 0:
-            continue
-        total += m * character_at_torsion(hw, c)
-    return total
+    sign = -1 if hw.weight % 2 else 1
+    table = masses.masses
+    sums: dict[int, int] = {}
+    for c, m in table.items():
+        neg = c.negate()
+        if neg is c:
+            if sign < 0:
+                continue                # tr(c) = tr(-c) = -tr(c) = 0
+            m_neg = 0
+        else:
+            m_neg = table.get(neg)
+            if m_neg is None:
+                m_neg = 0
+            elif neg.pairs < c.pairs:
+                continue                # counted with its partner -c
+        p, q = m.numerator, m.denominator
+        pn, qn = sign * m_neg.numerator, m_neg.denominator
+        if p == -pn and q == qn:
+            continue                    # m_c + sign m_{-c} = 0
+        trace = character_at_torsion(hw, c)
+        sums[q] = sums.get(q, 0) + p * trace
+        sums[qn] = sums.get(qn, 0) + pn * trace
+    den = math.lcm(*sums)
+    return Fraction(sum(num * (den // q) for q, num in sums.items()), den)

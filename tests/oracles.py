@@ -4,6 +4,9 @@ the package computes another way, and the tests compare the two:
 * torsion characters: the Freudenthal weight system of V_lambda, expanded
   over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
   the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
+* the elliptic term: one character per class of the table, c and -c alike,
+  summed as Fractions, against the negation-orbit pairing of
+  `torsion.elliptic_term`;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin.spin_character` specialized at S = 1
   (`set_var_to_one(0)`); both in true exponents;
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
 from agcoh.exact import LaurentPoly, cyclotomic, euler_phi
-from agcoh.symplectic import HighestWeight, weyl_dimension
+from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 
 
 # -- the Freudenthal weight system -----------------------------------------------
@@ -191,6 +194,15 @@ def class_exponents(cls):
 def oracle_character(full, cls):
     exponents, order = class_exponents(cls)
     return weight_sum_character(full, exponents, order)
+
+
+def naive_elliptic_term(hw, masses) -> Fraction:
+    """sum_c m_c tr(c | V_lambda) over every class of the table, with no
+    use of tr(-c) = (-1)^{|lambda|} tr(c)."""
+    total = Fraction(0)
+    for c, m in masses.masses.items():
+        total += m * character_at_torsion(hw, c)
+    return total
 
 
 # -- closed-form spin products ---------------------------------------------------

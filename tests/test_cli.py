@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +20,7 @@ from agcoh.symplectic import HighestWeight, weyl_dimension
 from agcoh.torsion import central_mass_default
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_ok(argv):
@@ -122,6 +125,19 @@ def test_exit_code_usage():
             assert code == EXIT_USAGE and out == "", (command, g)
             error = json.loads(err)["error"]
             assert error == {"type": "usage", "message": "genus must be positive"}
+
+
+def test_help_returns_text(monkeypatch):
+    # run returns the help text; the command prints the same bytes and exits 0
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["taut", "--help"], ["euler", "-h"]):
+        code, out, err = run(argv)
+        assert code == 0 and err == "", argv
+        assert out.startswith("usage: agcoh"), argv
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "agcoh.cli"] + argv,
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), argv
 
 
 def test_exit_code_data(tmp_path):

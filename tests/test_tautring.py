@@ -44,6 +44,26 @@ def test_coefficients_are_int_or_fraction():
             scalar * x
 
 
+def test_bitmasks_are_int():
+    assert tr.RingElement(2, {3: 1}).items() == [(3, Fraction(1))]
+    for mask in (1.5, 1.0, True, "1", Fraction(1)):
+        with pytest.raises(TypeError, match="bitmasks must be int"):
+            tr.RingElement(2, {mask: 1})
+
+
+def test_add_and_mul_refuse_other_operands():
+    x = tr.u(2, 1)
+    for other in (1, Fraction(1, 2), 0.5, "u1", None):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other + x
+        with pytest.raises(TypeError):
+            x - other
+    assert x.__add__(1) is NotImplemented
+    assert x.__mul__(0.5) is NotImplemented and x.__mul__("2") is NotImplemented
+
+
 def test_poincare_polynomial():
     p1 = tr.poincare_polynomial(1)
     assert p1.coeff_list(0, 2) == [Fraction(1), Fraction(0), Fraction(1)]

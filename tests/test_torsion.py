@@ -1,13 +1,18 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from agcoh import symplectic
 from agcoh import torsion as to
+from agcoh.errors import WeightBudgetError
 from agcoh.exact import zeta_negative
 from agcoh.spin import ih_betti
-from agcoh.symplectic import HighestWeight
+from agcoh.symplectic import HighestWeight, character_at_torsion
+from oracles import naive_elliptic_term
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -114,6 +119,163 @@ def test_elliptic_term_odd_weight_vanishes_randomized():
             lines.append(f"{c.encode()}\t{rng.randint(-30, 30)}/{rng.randint(1, 9)}")
         table = to.parse_mass_table("\n".join(lines) + "\n", g)
         assert to.elliptic_term(HighestWeight(g, lam), table) == 0
+
+
+def _random_weight(rng, g, parity):
+    while True:
+        lam = tuple(sorted((rng.randint(0, 4) for _ in range(g)), reverse=True))
+        if sum(lam) % 2 == parity:
+            return HighestWeight(g, lam)
+
+
+def _random_mass(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+
+def _random_tables(rng, g):
+    """Hand-built tables that need not be negation-symmetric: independent
+    masses for c and -c (zeros among them, some classes left out), and the
+    two central classes alone."""
+    full = to.enumerate_torsion_classes(g)
+    independent = to.MassTable(genus=g, masses={
+        c: rng.choice((Fraction(0), _random_mass(rng)))
+        for c in full if rng.random() < 0.8})
+    yield independent
+    # -c carries m_c up to sign: on one parity of |lambda| the orbit cancels
+    yield to.MassTable(genus=g, masses={
+        d: m for c, m in independent.masses.items()
+        for d in (c, c.negate()) for m in (m if d == c else rng.choice((m, -m)),)})
+    for d in (1, 2):
+        yield to.MassTable(genus=g, masses={to.TorsionClass(((d, 2 * g),)): _random_mass(rng)})
+
+
+def test_elliptic_term_matches_naive_sum_on_asymmetric_tables():
+    rng = random.Random(20261018)
+    for g in (1, 2, 3, 4):
+        for _ in range(3):
+            for table in _random_tables(rng, g):
+                for parity in (0, 1):
+                    hw = _random_weight(rng, g, parity)
+                    assert to.elliptic_term(hw, table) == naive_elliptic_term(hw, table), \
+                        (hw, sorted((c.encode(), m) for c, m in table.masses.items()))
+
+
+def test_elliptic_term_matches_naive_sum_on_lenient_tables():
+    rng = random.Random(7)
+    for g in (1, 2, 3, 4):
+        orbits = to.enumerate_torsion_classes(g, mod_negation=True)
+        lines = [f"genus: {g}"] + [f"{c.encode()}\t{_random_mass(rng)}"
+                                   for c in rng.sample(orbits, len(orbits) // 2)]
+        table = to.parse_mass_table("\n".join(lines) + "\n", g, strict=False)
+        assert table.missing
+        for parity in (0, 1, 0, 1):
+            hw = _random_weight(rng, g, parity)
+            assert to.elliptic_term(hw, table, strict=False) == \
+                naive_elliptic_term(hw, table)
+
+
+def test_elliptic_term_evaluates_one_character_per_weighted_orbit(monkeypatch):
+    calls = []
+
+    def counting(hw, c):
+        calls.append(c)
+        return character_at_torsion(hw, c)
+
+    monkeypatch.setattr(to, "character_at_torsion", counting)
+    rng = random.Random(11)
+    for g in (1, 2, 3):
+        for table in _random_tables(rng, g):
+            for parity in (0, 1):
+                hw = _random_weight(rng, g, parity)
+                sign = (-1) ** parity
+                weights = {}
+                for c, m in table.masses.items():
+                    orbit = frozenset((c, c.negate()))
+                    if len(orbit) == 1:         # tr(c) = sign tr(c)
+                        weights[orbit] = m * (1 + sign) / 2
+                    else:
+                        weights[orbit] = weights.get(orbit, 0) + \
+                            (m if c == min(orbit) else sign * m)
+                calls.clear()
+                to.elliptic_term(hw, table)
+                assert len(calls) == len(set(calls)) == sum(1 for w in weights.values() if w)
+    # a negation-symmetric table at odd weight evaluates no character at all
+    table = to.load_mass_table(DEMO_MASSES / "g1.tsv", 1)
+    calls.clear()
+    assert to.elliptic_term(HighestWeight(1, (3,)), table) == 0 and calls == []
+
+
+def test_h_series_memo_rising_then_falling():
+    shared = to.TorsionClass.parse("1^2,3^1,4^1")
+    for top in list(range(0, 12)) + list(range(11, -1, -1)):
+        for lam in ((top, 0, 0), (top, min(top, 2), 1 if top else 0)):
+            hw = HighestWeight(3, lam)
+            fresh = to.TorsionClass.parse("1^2,3^1,4^1")
+            assert character_at_torsion(hw, shared) == character_at_torsion(hw, fresh), lam
+    assert shared.h_series(5) == to.TorsionClass.parse("1^2,3^1,4^1").h_series(5)
+    assert len(shared.h_series(5)) == 5
+
+
+def test_h_series_memo_under_threads():
+    # threads extend the series of shared classes in interleaved orders; a
+    # reader must never see a partial series, so every value equals the one
+    # computed on a fresh instance
+    encodings = [c.encode() for c in to.enumerate_torsion_classes(3)][::3]
+    weights = [HighestWeight(3, (top, 1, 1)) for top in range(1, 40)]
+    want = {(hw.lam, e): character_at_torsion(hw, to.TorsionClass.parse(e))
+            for hw in weights for e in encodings}
+    errors = []
+
+    def worker(seed, shared, barrier):
+        order = weights[:]
+        random.Random(seed).shuffle(order)
+        try:
+            barrier.wait(timeout=60)
+            for hw in order:
+                for e, c in zip(encodings, shared):
+                    if character_at_torsion(hw, c) != want[hw.lam, e]:
+                        errors.append((seed, hw.lam, e))
+        except Exception as exc:    # a thread's exception fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(4):
+            shared = [to.TorsionClass.parse(e) for e in encodings]
+            barrier = threading.Barrier(6)
+            threads = [threading.Thread(target=worker, args=(6 * rnd + i, shared, barrier))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+def test_h_series_bound_leaves_memo_short(monkeypatch):
+    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    c = to.TorsionClass.parse("3^1,4^1")
+    character_at_torsion(HighestWeight(2, (4, 2)), c)
+    with pytest.raises(WeightBudgetError):
+        character_at_torsion(HighestWeight(2, (9, 0)), c)
+    assert len(c.__dict__["_hseries"]) <= 6
+
+
+def test_memo_leaves_equality_hash_and_order_alone():
+    a, b = to.TorsionClass.parse("1^2,3^1"), to.TorsionClass.parse("1^2,3^1")
+    a.h_series(30)
+    a.negate()
+    a.characteristic_polynomial()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert not a < b and not b < a
+    assert {b: 1}[a] == 1
+    assert a.negate() == b.negate() and a.negate() is a.negate()
+    fixed = to.TorsionClass.parse("4^1")
+    assert fixed.negate() is fixed
 
 
 def _dim_cusp_forms_sl2z(k):
