@@ -19,6 +19,7 @@ Submodules:
                    compactification
   tables           published reference tables and stable Poincare series
   errors           the exceptions the command maps to exit codes
+  records          the base of the engines' immutable record classes
   cli              the `agcoh` command-line front end
 
 `import agcoh` is lazy: it loads no engine.  Each name in `__all__` imports
@@ -32,7 +33,7 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index",
-              "nu_character", "zeta_negative"),
+              "zeta_negative"),
     "tautring": ("RingElement", "normal_form", "poincare_polynomial",
                  "quotient_by_top", "socle_pairing"),
     "proportionality": ("PiScaledRational", "compact_dual_degree",

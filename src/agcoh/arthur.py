@@ -32,10 +32,10 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import RegistryConflictError, RegistryIncompleteError
+from .records import Record
 from .symplectic import HighestWeight
 
 
@@ -65,23 +65,30 @@ def block_parity_ok(kind: BlockKind, doubled_weights: tuple[int, ...]) -> bool:
     return total % 2 == (m // 2) % 2
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
-    kind: BlockKind = field(compare=False)
-    doubled_weights: tuple[int, ...]
-    cardinality: int = field(compare=False)
-    names: tuple[str, ...] = field(default=(), compare=False)
-    field_degree: int | None = field(default=None, compare=False)
+class BuildingBlock(Record):
+    """A block by its kind, doubled weights and cardinality.  Equality and
+    hashing are those of `doubled_weights` alone."""
 
-    def __post_init__(self):
-        dw = tuple(self.doubled_weights)
+    kind: BlockKind
+    doubled_weights: tuple[int, ...]
+    cardinality: int
+    names: tuple[str, ...]
+    field_degree: int | None
+
+    def __init__(self, kind: BlockKind, doubled_weights: tuple[int, ...],
+                 cardinality: int, names: tuple[str, ...] = (),
+                 field_degree: int | None = None):
+        dw = tuple(doubled_weights)
         if any(type(x) is not int for x in dw):
             raise TypeError(f"doubled weights must be integers, got {dw!r}")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "doubled_weights", dw)
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "cardinality", cardinality)
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "field_degree", field_degree)
         if any(a <= b for a, b in zip(dw, dw[1:])) or (dw and dw[-1] <= 0):
             raise ValueError(f"weights must be strictly decreasing positive: {dw}")
-        if self.kind is BlockKind.SYMPLECTIC:
+        if kind is BlockKind.SYMPLECTIC:
             if not dw:
                 raise ValueError("symplectic blocks need at least one weight")
             if any(x % 2 == 0 for x in dw):
@@ -89,13 +96,21 @@ class BuildingBlock:
         else:
             if any(x % 2 for x in dw):
                 raise ValueError(f"orthogonal weights must be integral: {dw}")
-        if self.kind is BlockKind.EVEN_ORTHOGONAL and (len(dw) < 2 or len(dw) % 2):
+        if kind is BlockKind.EVEN_ORTHOGONAL and (len(dw) < 2 or len(dw) % 2):
             raise ValueError("even orthogonal blocks need a positive even weight count")
-        if self.cardinality < 0:
+        if cardinality < 0:
             raise ValueError("cardinality must be nonnegative")
-        if self.cardinality > 0 and not block_parity_ok(self.kind, dw):
+        if cardinality > 0 and not block_parity_ok(kind, dw):
             raise ValueError(
-                f"parity-violating block cannot be nonempty: {self.kind.value} {dw}")
+                f"parity-violating block cannot be nonempty: {kind.value} {dw}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.doubled_weights == other.doubled_weights
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.doubled_weights,))
 
     @property
     def standard_dimension(self) -> int:
@@ -284,8 +299,7 @@ def weight_block(kind: BlockKind, doubled_weights: Iterable[int], d: int) -> set
     return out
 
 
-@dataclass(frozen=True)
-class ArthurParameter:
+class ArthurParameter(Record):
     """A shape pi_0[d_0] + pi_1[d_1] + ... + pi_r[d_r] with validated weight
     block partition.  The factors are canonically ordered (descending weight
     vectors, then descending d); the principal pair comes separately."""
@@ -294,13 +308,16 @@ class ArthurParameter:
     principal: tuple[BuildingBlock, int]
     factors: tuple[tuple[BuildingBlock, int], ...]
 
-    def __post_init__(self):
-        block0, d0 = self.principal
+    def __init__(self, genus: int, principal: tuple[BuildingBlock, int],
+                 factors: tuple[tuple[BuildingBlock, int], ...]):
+        block0, d0 = principal
         if block0.kind is not BlockKind.ODD_ORTHOGONAL or d0 < 1 or d0 % 2 == 0:
             raise ValueError("principal pair must be odd orthogonal with odd d")
-        ordered = tuple(sorted(self.factors,
+        ordered = tuple(sorted(factors,
                                key=lambda bd: (bd[0].doubled_weights, bd[1]),
                                reverse=True))
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "principal", principal)
         object.__setattr__(self, "factors", ordered)
         seen = set()
         degree = block0.standard_dimension * d0
@@ -317,12 +334,23 @@ class ArthurParameter:
             wb = weight_block(block.kind, block.doubled_weights, d)
             count += len(wb)
             covered |= wb
-        if degree != 2 * self.genus + 1:
+        if degree != 2 * genus + 1:
             raise ValueError(
-                f"degree identity fails: {degree} != {2 * self.genus + 1}")
-        if len(covered) != count or len(covered) != self.genus:
+                f"degree identity fails: {degree} != {2 * genus + 1}")
+        if len(covered) != count or len(covered) != genus:
             raise ValueError("weight blocks are not disjoint or do not fill rank")
         object.__setattr__(self, "_tau_set", frozenset(covered))
+
+    def _key(self):
+        return (self.genus, self.principal, self.factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def r(self) -> int:

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every invocation prints a schema-versioned JSON document on stdout:
+Every successful invocation prints a schema-versioned JSON document on
+stdout (--help prints plain-text help instead):
 
     {"schema_version": 1, "command": ..., "inputs": ..., "citations": [...],
      "result": ..., "warnings": [...]}

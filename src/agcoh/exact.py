@@ -14,9 +14,15 @@ import functools
 import math
 import operator
 import threading
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# `fractions` (and the `decimal` it loads) is imported inside bernoulli, the
+# one function here that builds a Fraction, so the engines that never touch a
+# rational load neither.  The first bernoulli call seeds the cache with B_0.
+_bernoulli_cache: dict[int, Fraction] = {}
 _bernoulli_lock = threading.Lock()
 
 
@@ -26,9 +32,12 @@ def bernoulli(n: int) -> Fraction:
     So B_1 = -1/2 and B_n = 0 for odd n >= 3.  Computed by the recurrence
     sum_{k=0}^{n} C(n+1, k) B_k = 0 and memoized per process.
     """
+    from fractions import Fraction
     if n < 0:
         raise ValueError("bernoulli index must be nonnegative")
     with _bernoulli_lock:
+        if not _bernoulli_cache:
+            _bernoulli_cache[0] = Fraction(1)
         if n in _bernoulli_cache:
             return _bernoulli_cache[n]
         top = max(_bernoulli_cache) + 1
@@ -354,15 +363,6 @@ class LaurentPoly:
             mono = "*".join(f"{n}^{e}" for n, e in zip(names, exps) if e != 0)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-def nu_character(d: int) -> LaurentPoly:
-    """Character of the d-dimensional irreducible SL2 representation:
-    T^{d-1} + T^{d-3} + ... + T^{1-d}.
-    """
-    if d < 1:
-        raise ValueError("nu index must be positive")
-    return LaurentPoly(1, {(e,): 1 for e in range(d - 1, -d, -2)})
 
 
 def double_factorial_odd(g: int) -> int:

@@ -15,20 +15,34 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tautring
 from .errors import InputError
 from .exact import bernoulli, double_factorial_odd, zeta_negative
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PiScaledRational:
+class PiScaledRational(Record):
     """Exactly (rational) * pi^(pi_exponent)."""
 
     rational: Fraction
     pi_exponent: int
+
+    def __init__(self, rational: Fraction, pi_exponent: int):
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "pi_exponent", pi_exponent)
+
+    def _key(self):
+        return (self.rational, self.pi_exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __mul__(self, other):
         if isinstance(other, PiScaledRational):

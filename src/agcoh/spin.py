@@ -37,13 +37,13 @@ per-sign-vector products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
 from .errors import SignPolicyError
 from .exact import LaurentPoly
+from .records import Record
 from .symplectic import HighestWeight
 
 
@@ -55,8 +55,7 @@ BUNDLED_SIGNS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class WeightLine:
+class WeightLine(Record):
     """One inverse pair of weights S^(+-2w) T^(+-e) of a factor's standard
     representation, stored as (s, t) = (2w, e): these are the doubled
     exponents of the half-line monomial entering the spin products.
@@ -65,9 +64,22 @@ class WeightLine:
     s: int
     t: int
 
-    def __post_init__(self):
-        if self.s < 0 or (self.s == 0 and self.t < 0):
+    def __init__(self, s: int, t: int):
+        if s < 0 or (s == 0 and t < 0):
             raise ValueError("line breaks canonical positivity")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+
+    def _key(self):
+        return (self.s, self.t)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
@@ -241,8 +253,7 @@ def hodge_diamond(char: LaurentPoly, genus: int, weight: int = 0
 
 # -- assembly ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeVariant:
+class ShapeVariant(Record):
     signs: tuple[str, ...]
     betti: tuple[int, ...]          # per unit multiplicity, degrees 0 .. g(g+1)
     nu: tuple[int, ...]
@@ -250,21 +261,79 @@ class ShapeVariant:
     s_trivial: bool
     hodge: dict[tuple[int, int], int] | None
 
+    def __init__(self, signs: tuple[str, ...], betti: tuple[int, ...],
+                 nu: tuple[int, ...], primitive: tuple[int, ...], s_trivial: bool,
+                 hodge: dict[tuple[int, int], int] | None):
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "primitive", primitive)
+        object.__setattr__(self, "s_trivial", s_trivial)
+        object.__setattr__(self, "hodge", hodge)
 
-@dataclass(frozen=True)
-class ShapeReport:
+    def _key(self):
+        return (self.signs, self.betti, self.nu, self.primitive, self.s_trivial,
+                self.hodge)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        # a TypeError when the Hodge diamond (a dict) is present
+        return hash(self._key())
+
+
+class ShapeReport(Record):
     shape: str
     multiplicity: int
     variants: tuple[ShapeVariant, ...]
 
+    def __init__(self, shape: str, multiplicity: int,
+                 variants: tuple[ShapeVariant, ...]):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "variants", variants)
 
-@dataclass(frozen=True)
-class IHResult:
+    def _key(self):
+        return (self.shape, self.multiplicity, self.variants)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class IHResult(Record):
     genus: int
     lam: tuple[int, ...]
     betti: tuple[int, ...] | None   # None when emit-both variants disagree
     per_shape: tuple[ShapeReport, ...]
     warnings: tuple[str, ...]
+
+    def __init__(self, genus: int, lam: tuple[int, ...],
+                 betti: tuple[int, ...] | None, per_shape: tuple[ShapeReport, ...],
+                 warnings: tuple[str, ...]):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "per_shape", per_shape)
+        object.__setattr__(self, "warnings", warnings)
+
+    def _key(self):
+        return (self.genus, self.lam, self.betti, self.per_shape, self.warnings)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def euler_characteristic(self) -> int:
         if self.betti is None:

@@ -27,11 +27,11 @@ Z[x]/Phi_N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import WeightBudgetError
 from .exact import bareiss
+from .records import Record
 
 if TYPE_CHECKING:
     from .torsion import TorsionClass
@@ -42,23 +42,34 @@ if TYPE_CHECKING:
 H_SERIES_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class HighestWeight:
+class HighestWeight(Record):
     """Dominant weight lambda_1 >= ... >= lambda_g >= 0 for the rank-g
     symplectic group."""
 
     g: int
     lam: tuple[int, ...]
 
-    def __post_init__(self):
-        lam = tuple(self.lam)
+    def __init__(self, g: int, lam: tuple[int, ...]):
+        lam = tuple(lam)
         if any(type(x) is not int for x in lam):
             raise TypeError(f"weight entries must be integers, got {lam!r}")
-        object.__setattr__(self, "lam", lam)
-        if self.g < 1 or len(lam) != self.g:
-            raise ValueError(f"need {self.g} weight entries, got {lam}")
+        if g < 1 or len(lam) != g:
+            raise ValueError(f"need {g} weight entries, got {lam}")
         if any(a < b for a, b in zip(lam, lam[1:])) or lam[-1] < 0:
             raise ValueError(f"weight {lam} is not dominant")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "lam", lam)
+
+    def _key(self):
+        return (self.g, self.lam)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def weight(self) -> int:

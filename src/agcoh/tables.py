@@ -12,18 +12,32 @@ the stable limit itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Record):
     """A typed table entry: an exact value or a one-sided lower bound."""
 
     value: int
-    exact: bool = True
+    exact: bool
+
+    def __init__(self, value: int, exact: bool = True):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
+
+    def _key(self):
+        return (self.value, self.exact)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __str__(self):
         return str(self.value) if self.exact else f">={self.value}"
@@ -32,12 +46,29 @@ class Bound:
         return n == self.value if self.exact else n >= self.value
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(Record):
     identifier: str
     degrees: tuple[int, ...]
     values: tuple
     citation: str
+
+    def __init__(self, identifier: str, degrees: tuple[int, ...], values: tuple,
+                 citation: str):
+        object.__setattr__(self, "identifier", identifier)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "citation", citation)
+
+    def _key(self):
+        return (self.identifier, self.degrees, self.values, self.citation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 _TABLES: dict[str, ReferenceTable] = {}

@@ -33,8 +33,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import (LaurentPoly, bareiss, double_factorial_odd,
-                    strict_partition_count)
+from .exact import LaurentPoly, bareiss, strict_partition_count
 
 ExponentVector = tuple[int, ...]
 
@@ -298,16 +297,6 @@ def socle_pairing(a: RingElement, b: RingElement) -> Fraction:
     """Coefficient of the socle u_1 u_2 ... u_g in a * b."""
     a._check(b)
     return (a * b).coeff((1 << a.g) - 1)
-
-
-def top_power_coefficient(g: int) -> int:
-    """u_1^{g(g+1)/2} = N! / prod_{j=1}^{g}(2j-1)!! times the socle, N = g(g+1)/2.
-
-    This is the intersection degree of the compact dual under the socle
-    normalization, used as a cross-check of the proportionality constant.
-    """
-    n = g * (g + 1) // 2
-    return math.factorial(n) // double_factorial_odd(g)
 
 
 def quotient_by_top(g: int) -> dict[int, int]:

@@ -34,38 +34,67 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import MassTableError
 from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
                     zeta_negative)
+from .records import Record
 from .symplectic import character_at_torsion
 
 
 _ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")
 
 
-@dataclass(frozen=True, order=True)
-class TorsionClass:
-    """Multiset of (cyclotomic index, multiplicity) pairs, indices ascending."""
+class TorsionClass(Record):
+    """Multiset of (cyclotomic index, multiplicity) pairs, indices ascending.
+    Equality, hashing and order are those of `pairs` alone."""
 
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
         seen = set()
-        for d, m in self.pairs:
+        for d, m in pairs:
             if d < 1 or m < 1:
                 raise ValueError(f"invalid pair ({d}, {m})")
             if d in seen:
                 raise ValueError(f"repeated index {d}; merge multiplicities")
             seen.add(d)
-        if list(self.pairs) != sorted(self.pairs):
+        if list(pairs) != sorted(pairs):
             raise ValueError("indices must be ascending")
         for d in (1, 2):
             if self.multiplicity(d) % 2:
                 raise ValueError(f"index {d} must have even multiplicity")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs < other.pairs
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs <= other.pairs
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs > other.pairs
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs >= other.pairs
+        return NotImplemented
 
     def multiplicity(self, d: int) -> int:
         for dd, m in self.pairs:
@@ -185,15 +214,37 @@ def central_mass_default(g: int) -> Fraction:
     return math.prod((zeta_negative(j) for j in range(1, g + 1)), start=Fraction(1))
 
 
-@dataclass(frozen=True)
-class MassTable:
-    """Masses m_c for the full torsion class set of one rank."""
+class MassTable(Record):
+    """Masses m_c for the full torsion class set of one rank.  Every mass is
+    an int or a Fraction (TypeError otherwise, a bool included)."""
 
     genus: int
     masses: dict[TorsionClass, Fraction]
-    provenance: str = ""
-    missing: frozenset[TorsionClass] = frozenset()
-    warnings: tuple[str, ...] = ()
+    provenance: str
+    missing: frozenset[TorsionClass]
+    warnings: tuple[str, ...]
+
+    def __init__(self, genus: int, masses: dict[TorsionClass, Fraction],
+                 provenance: str = "", missing: frozenset[TorsionClass] = frozenset(),
+                 warnings: tuple[str, ...] = ()):
+        for c, m in masses.items():
+            if type(m) is not int and type(m) is not Fraction:
+                raise TypeError(f"mass of class {c} must be int or Fraction, got {m!r}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "warnings", warnings)
+
+    def _key(self):
+        return (self.genus, self.masses, self.provenance, self.missing, self.warnings)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    # unhashable, as the masses are a dict: __eq__ without __hash__
 
     def mass(self, c: TorsionClass) -> Fraction:
         return self.masses[c]

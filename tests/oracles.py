@@ -13,7 +13,9 @@ the package computes another way, and the tests compare the two:
 * the tautological ring: the straightforward rewrite recursion, a product
   that accumulates Fraction coefficients, and the all-pairs check of
   R_g/(u_g) = R_{g-1}, against the integer products and the generator-level
-  check of `tautring`.
+  check of `tautring`;
+* closed forms the tests compare against: the SL2 characters nu_d, and the
+  top power u_1^N = N! / prod (2j-1)!! times the socle.
 """
 import functools
 import itertools
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 
 from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
-from agcoh.exact import LaurentPoly, cyclotomic, euler_phi
+from agcoh.exact import LaurentPoly, cyclotomic, double_factorial_odd, euler_phi
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 
 
@@ -207,6 +209,15 @@ def naive_elliptic_term(hw, masses) -> Fraction:
 
 # -- closed-form spin products ---------------------------------------------------
 
+def nu_character(d: int) -> LaurentPoly:
+    """Character of the d-dimensional irreducible SL2 representation:
+    T^{d-1} + T^{d-3} + ... + T^{1-d}.
+    """
+    if d < 1:
+        raise ValueError("nu index must be positive")
+    return LaurentPoly(1, {(e,): 1 for e in range(d - 1, -d, -2)})
+
+
 def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     """The closed-form one-variable Laurent products for the factor's spin
     data at S = 1, in true exponents: a single polynomial for odd
@@ -237,6 +248,16 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
 
 
 # -- the tautological ring ---------------------------------------------------------
+
+def top_power_coefficient(g: int) -> int:
+    """u_1^{g(g+1)/2} = N! / prod_{j=1}^{g}(2j-1)!! times the socle, N = g(g+1)/2.
+
+    This is the intersection degree of the compact dual under the socle
+    normalization, used as a cross-check of the proportionality constant.
+    """
+    n = g * (g + 1) // 2
+    return math.factorial(n) // double_factorial_odd(g)
+
 
 @functools.lru_cache(maxsize=None)
 def normal_form_monomial(g: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -30,7 +30,7 @@ from agcoh import tautring as tr
 from agcoh import torsion as to
 from agcoh.exact import strict_partition_count
 from agcoh.symplectic import HighestWeight
-from oracles import closed_form_oracle
+from oracles import closed_form_oracle, nu_character
 from test_arthur import TABLE_SHAPES, dominant_weights
 
 REG = ar.Registry.builtin()
@@ -189,7 +189,7 @@ def test_c05_ih_computations():
     assert all(p == q for p, q in variant.hodge)
 
     # rank 7: the full two-variable decomposition of the worked example
-    from agcoh.exact import LaurentPoly, nu_character
+    from agcoh.exact import LaurentPoly
     param = next(p for p, _ in
                  ar.enumerate_parameters(HighestWeight(7, (0,) * 7), REG)
                  if p.canonical_shape() == "D11[4]+[7]")

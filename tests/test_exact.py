@@ -1,13 +1,17 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agcoh import exact
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, euler_phi,
-                         negate_cyclotomic_index, nu_character, poly_divmod,
-                         poly_mul, zeta_negative)
+                         negate_cyclotomic_index, poly_divmod, poly_mul,
+                         zeta_negative)
+from oracles import nu_character
 
 
 def bernoulli_by_recurrence(n: int) -> Fraction:
@@ -31,6 +35,32 @@ def test_bernoulli_odd_vanish_and_recurrence():
     for n in range(1, 31):
         total = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert total == 0
+
+
+def test_bernoulli_cache_seeds_once_under_threads(monkeypatch):
+    # an empty cache, as at import: the first call seeds B_0 under the lock
+    monkeypatch.setattr(exact, "_bernoulli_cache", {})
+    expected = [bernoulli_by_recurrence(n) for n in range(41)]
+    results = []
+
+    def work(order):
+        results.extend((n, bernoulli(n)) for n in order)
+
+    threads = [threading.Thread(target=work, args=(range(40, -1, -1) if i % 2 else range(41),))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * 41
+    assert all(value == expected[n] for n, value in results)
+    assert exact._bernoulli_cache == dict(enumerate(expected))
 
 
 def test_zeta_negative_examples():

@@ -5,9 +5,9 @@ import pytest
 
 from agcoh import arthur as ar
 from agcoh import spin as sp
-from agcoh.exact import LaurentPoly, nu_character
+from agcoh.exact import LaurentPoly
 from agcoh.symplectic import HighestWeight
-from oracles import closed_form_oracle
+from oracles import closed_form_oracle, nu_character
 
 REG = ar.Registry.builtin()
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \

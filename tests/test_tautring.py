@@ -175,7 +175,7 @@ def test_top_power_identity():
         n = g * (g + 1) // 2
         got = tr.monomial(g, (n,) + (0,) * (g - 1)).coeff((1 << g) - 1)
         expected = Fraction(math.factorial(n), double_factorial_odd(g))
-        assert got == expected == tr.top_power_coefficient(g)
+        assert got == expected == oracles.top_power_coefficient(g)
 
 
 def test_quotient_by_top():

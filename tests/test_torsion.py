@@ -95,6 +95,21 @@ def test_parse_mass_table_lenient():
     assert table.mass(to.TorsionClass.parse("1^2")) == Fraction(-1, 12)
 
 
+@pytest.mark.parametrize("mass", [0.5, True, "1/3"])
+def test_mass_table_refuses_masses_that_are_not_rational(mass):
+    # a float once got as far as elliptic_term (AttributeError on .numerator)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        to.MassTable(genus=1, masses={to.TorsionClass.parse("3^1"): mass})
+
+
+@pytest.mark.parametrize("mass", [Fraction(1, 2), 3])
+def test_mass_table_takes_int_and_fraction_masses(mass):
+    c = to.TorsionClass.parse("3^1")
+    hw = HighestWeight(1, (2,))
+    table = to.MassTable(genus=1, masses={c: mass})
+    assert to.elliptic_term(hw, table) == mass * character_at_torsion(hw, c)
+
+
 def test_elliptic_term_toy_table():
     # only the central classes, both at the default mass m: lambda = 0 gives 2m
     table = to.parse_mass_table("genus: 2\n", 2, strict=False)
