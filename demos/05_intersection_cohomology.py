@@ -37,7 +37,9 @@ param = next(p for p, _ in ar.enumerate_parameters(HighestWeight(7, (0,) * 7), r
 char = sp.rho_psi(param, ("+",))
 print("shape:", param.canonical_shape(), " dimension:", char.evaluate_all_ones())
 print("q - p values present:", sorted({a for (a, b) in char.support()}))
-print("strings at S=1:", sp.nu_decompose(char.set_var_to_one(0)))
+(variant,) = next(r for r in sp.ih_betti(HighestWeight(7, (0,) * 7), reg).per_shape
+                  if r.shape == param.canonical_shape()).variants
+print("strings at S=1:", list(variant.nu))
 
 print("\n== rank 8 needs sign input: emit-both mode ==")
 both = sp.ih_betti(HighestWeight(8, (0,) * 8), reg, signs="both")

@@ -133,10 +133,6 @@ class BuildingBlock(Record):
         return f"{prefix}({','.join(map(str, self.doubled_weights))})"
 
 
-def _empty_block(kind: BlockKind, doubled_weights: tuple[int, ...]) -> BuildingBlock:
-    return BuildingBlock(kind, doubled_weights, 0)
-
-
 _BUILTIN_BLOCKS: tuple[BuildingBlock, ...] = (
     BuildingBlock(BlockKind.ODD_ORTHOGONAL, (), 1, ("",), 1),
     BuildingBlock(BlockKind.SYMPLECTIC, (11,), 1, ("D11",), 1),
@@ -183,6 +179,8 @@ class Registry:
                 raise RegistryConflictError(f"duplicate block {b.label}")
             self._blocks[key] = b
         self.bound_doubled = bound_doubled
+        # empty blocks built by lookup, shared by later lookups of the same key
+        self._empty: dict[tuple[BlockKind, tuple[int, ...]], BuildingBlock] = {}
         self._viable: dict[BlockKind, set[int]] = {k: set() for k in BlockKind}
         for b in self._blocks.values():
             if b.cardinality > 0:
@@ -198,12 +196,12 @@ class Registry:
     def lookup(self, kind: BlockKind, doubled_weights: Iterable[int]) -> BuildingBlock:
         dw = tuple(sorted(map(_record_int, doubled_weights), reverse=True))
         key = (kind, dw)
-        if key in self._blocks:
-            return self._blocks[key]
-        if not block_parity_ok(kind, dw):
-            return _empty_block(kind, dw)
-        if all(x <= self.bound_doubled for x in dw):
-            return _empty_block(kind, dw)
+        block = self._blocks.get(key) or self._empty.get(key)
+        if block is not None:
+            return block
+        if not block_parity_ok(kind, dw) or all(x <= self.bound_doubled for x in dw):
+            # setdefault keeps the first of two racing builds
+            return self._empty.setdefault(key, BuildingBlock(kind, dw, 0))
         raise RegistryIncompleteError(
             f"block {kind.value} with doubled weights {dw} exceeds the registry "
             f"bound 2*w_1 <= {self.bound_doubled} and was not ingested")

@@ -326,60 +326,51 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def build_parser() -> argparse.ArgumentParser:
+_G = ("--g", {"type": int, "required": True})
+_LAMBDA = ("--lambda", {"dest": "lam", "default": None})
+_REGISTRY = ("--registry", {"default": None})
+
+#: name -> (function, help, arguments after --format as (flag, keywords))
+_SUBCOMMANDS = {
+    "taut": (_cmd_taut, "tautological ring dimensions", [_G]),
+    "intersect": (_cmd_intersect, "top intersection numbers", [
+        _G, ("--exponents", {"default": None,
+                             "help": "comma-separated exponent vector n_1,...,n_g"})]),
+    "modforms": (_cmd_modforms, "modular form dimension asymptotics", [_G]),
+    "torsion": (_cmd_torsion, "torsion conjugacy classes",
+                [_G, ("--mod-negation", {"action": "store_true"})]),
+    "euler": (_cmd_euler, "elliptic term / Euler characteristic", [
+        _G, _LAMBDA, ("--masses", {"default": None}),
+        ("--lenient", {"action": "store_true",
+                       "help": "zero-fill missing masses instead of failing"})]),
+    "arthur": (_cmd_arthur, "enumerate discrete parameters", [_G, _LAMBDA, _REGISTRY]),
+    "ih": (_cmd_ih, "intersection cohomology of the minimal compactification", [
+        _G, _LAMBDA, _REGISTRY,
+        ("--signs", {"default": "default",
+                     "help": "default | both | path to a JSON sign file"}),
+        ("--hodge", {"action": "store_true"})]),
+    "tables": (_cmd_tables, "published reference tables", [("--id", {"required": True})]),
+    "stable": (_cmd_stable, "stable Poincare series", [
+        ("--space", {"required": True, "help": "ag | sat | ih_sat | universal:N"}),
+        ("--max-degree", {"type": int, "required": True})]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  Parsing it needs only the subparser that its
+    first word names, so only that one is built when there is one;
+    otherwise (no arguments, --help, an unknown name) all of them are, for
+    the full help text and the list of choices."""
     parser = _Parser(prog="agcoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        func, help_text, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "tsv", "latex"), default="json")
-        return p
-
-    p = add("taut", _cmd_taut, help="tautological ring dimensions")
-    p.add_argument("--g", type=int, required=True)
-
-    p = add("intersect", _cmd_intersect, help="top intersection numbers")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--exponents", default=None,
-                   help="comma-separated exponent vector n_1,...,n_g")
-
-    p = add("modforms", _cmd_modforms, help="modular form dimension asymptotics")
-    p.add_argument("--g", type=int, required=True)
-
-    p = add("torsion", _cmd_torsion, help="torsion conjugacy classes")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--mod-negation", action="store_true")
-
-    p = add("euler", _cmd_euler, help="elliptic term / Euler characteristic")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--masses", default=None)
-    p.add_argument("--lenient", action="store_true",
-                   help="zero-fill missing masses instead of failing")
-
-    p = add("arthur", _cmd_arthur, help="enumerate discrete parameters")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--registry", default=None)
-
-    p = add("ih", _cmd_ih, help="intersection cohomology of the minimal "
-                                "compactification")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--signs", default="default",
-                   help="default | both | path to a JSON sign file")
-    p.add_argument("--hodge", action="store_true")
-
-    p = add("tables", _cmd_tables, help="published reference tables")
-    p.add_argument("--id", required=True)
-
-    p = add("stable", _cmd_stable, help="stable Poincare series")
-    p.add_argument("--space", required=True,
-                   help="ag | sat | ih_sat | universal:N")
-    p.add_argument("--max-degree", type=int, required=True)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -439,7 +430,7 @@ def load_result_schema() -> dict:
 
 def run(argv) -> tuple[int, str, str]:
     """Run one invocation; returns (exit_code, stdout_text, stderr_text)."""
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "g", 1) < 1:

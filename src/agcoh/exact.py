@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from typing import TYPE_CHECKING
 
@@ -172,11 +171,13 @@ class LaurentPoly:
         for exps, c in (coeffs or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"exponent tuple {exps!r} has an entry that is not an int")
             if type(c) is not int:
                 raise TypeError(
                     f"coefficient {c!r} is a {type(c).__name__}, not an int")
             if c != 0:
-                cleaned[tuple(int(e) for e in exps)] = c
+                cleaned[tuple(exps)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_coeffs", cleaned)
 
@@ -212,6 +213,9 @@ class LaurentPoly:
     def items(self):
         return sorted(self._coeffs.items())
 
+    def terms(self):  # unsorted
+        return self._coeffs.items()
+
     def coeff(self, *exps: int):
         return self._coeffs.get(tuple(exps), 0)
 
@@ -226,10 +230,15 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True when coefficients are invariant under negating all exponents."""
-        coeffs = self._coeffs
-        for exps, c in coeffs.items():
-            if coeffs.get(tuple(map(operator.neg, exps))) != c:
-                return False
+        get = self._coeffs.get
+        if self.nvars == 1:
+            for (a,), c in self._coeffs.items():
+                if get((-a,)) != c:
+                    return False
+        else:
+            for (a, b), c in self._coeffs.items():
+                if get((-a, -b)) != c:
+                    return False
         return True
 
     def exponent_range(self, var: int = 0) -> tuple[int, int]:
@@ -326,17 +335,6 @@ class LaurentPoly:
                 key.append(v // den)
             out[tuple(key)] = c
         return LaurentPoly._trusted(self.nvars, out)
-
-    def set_var_to_one(self, var: int) -> "LaurentPoly":
-        """Specialize one variable of a two-variable polynomial to 1."""
-        if self.nvars != 2:
-            raise ValueError("set_var_to_one applies to two-variable polynomials")
-        out: dict[tuple[int, ...], int] = {}
-        keep = 1 - var
-        for exps, c in self._coeffs.items():
-            key = (exps[keep],)
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly._trusted(1, out)
 
     def halve(self) -> "LaurentPoly":
         """Exact half of a polynomial whose coefficients are even; raises

@@ -32,7 +32,10 @@ exponents, with integer coefficients by type (the half-spins are exact
 halves, LaurentPoly.halve).  A factor's spin data depends only on its
 (kind, doubled weights, d), so it is built once per process and shared by
 every parameter and every call; parameters differ only in the
-per-sign-vector products.
+per-sign-vector products.  A variant is read in one pass over its product
+into a dense int list of its coefficients of T^-n .. T^n at S = 1,
+n = g(g+1)/2: the graded dimensions, whose torus strings and primitive
+degrees follow from that list alone.
 """
 from __future__ import annotations
 
@@ -193,6 +196,30 @@ def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()
     return next(_characters(param, [signs]))[1]
 
 
+def _t_strings(coeffs: list[int]) -> list[int]:
+    """nu_decompose on the dense list of coefficients of T^-n .. T^n, the
+    coefficient c_k of T^k at coeffs[n + k]."""
+    if coeffs != coeffs[::-1]:
+        raise ValueError(f"not a genuine torus character: T-coefficients {coeffs}")
+    n = len(coeffs) // 2
+    padded = coeffs + [0, 0]
+    ends = [0] * (2 * n + 3)    # stride-2 differences of the re-expansion
+    nus: list[int] = []
+    for d in range(n + 1, 0, -1):
+        count = padded[n + d - 1] - padded[n + d + 1]
+        if count < 0:
+            raise ValueError(f"negative count of the {d}-string in T-coefficients {coeffs}")
+        if count:
+            nus += [d] * count
+            ends[n - d + 1] += count    # T^(d-1) + T^(d-3) + ... + T^(1-d)
+            ends[n + d + 1] -= count
+    ends[0::2] = itertools.accumulate(ends[0::2])
+    ends[1::2] = itertools.accumulate(ends[1::2])
+    if ends[:-2] != coeffs:
+        raise AssertionError("string decomposition failed to re-expand")
+    return nus
+
+
 def nu_decompose(char: LaurentPoly) -> list[int]:
     """Decompose a one-variable character into irreducible torus strings:
     the d-string occurs c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.
@@ -201,24 +228,8 @@ def nu_decompose(char: LaurentPoly) -> list[int]:
     genuine torus character (ValueError)."""
     if char.nvars != 1:
         raise ValueError("nu_decompose expects a one-variable character")
-    if not char.is_symmetric():
-        raise ValueError(f"not a genuine torus character: {char}")
-    coeffs = dict(char.items())
-    counts: dict[int, int] = {}
-    for d in range(char.exponent_range()[1] + 1, 0, -1):
-        count = coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0)
-        if count < 0:
-            raise ValueError(f"negative count of the {d}-string in {char}")
-        if count:
-            counts[d] = count
-    # re-expand: the d-string is T^(d-1) + T^(d-3) + ... + T^(1-d)
-    check: dict[tuple[int], int] = {}
-    for d, count in counts.items():
-        for e in range(d - 1, -d, -2):
-            check[(e,)] = check.get((e,), 0) + count
-    if check != coeffs:
-        raise AssertionError("string decomposition failed to re-expand")
-    return [d for d, count in counts.items() for _ in range(count)]
+    n = max(map(abs, char.exponent_range()))
+    return _t_strings(char.coeff_list(-n, n))
 
 
 def primitive_degrees(genus: int, nus: Sequence[int]) -> list[int]:
@@ -341,25 +352,26 @@ class IHResult(Record):
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def _betti_from_char(t_char: LaurentPoly, genus: int) -> tuple[int, ...]:
-    """Graded dimensions, degrees 0 .. g(g+1), of a one-variable T-character."""
-    n = genus * (genus + 1) // 2
-    out = tuple(t_char.coeff_list(-n, n))
-    if any(c < 0 for c in out):
-        raise AssertionError("negative graded dimension")
-    return out
-
-
 def _variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,
              include_hodge: bool) -> ShapeVariant:
-    t_char = char.set_var_to_one(0)
-    nus = tuple(nu_decompose(t_char))
+    n = genus * (genus + 1) // 2
+    betti = [0] * (2 * n + 1)
+    s_trivial = True
+    for (a, b), c in char.terms():
+        if not -n <= b <= n:
+            raise AssertionError(f"T^{b} lies outside the degrees of genus {genus}")
+        betti[n + b] += c
+        if a:
+            s_trivial = False
+    nus = tuple(_t_strings(betti))
+    if min(betti) < 0:
+        raise AssertionError("negative graded dimension")
     return ShapeVariant(
         signs=signs,
-        betti=_betti_from_char(t_char, genus),
+        betti=tuple(betti),
         nu=nus,
         primitive=tuple(primitive_degrees(genus, nus)),
-        s_trivial=char.exponent_range(0) == (0, 0),
+        s_trivial=s_trivial,
         hodge=hodge_diamond(char, genus, weight) if include_hodge else None,
     )
 

@@ -9,7 +9,11 @@ the package computes another way, and the tests compare the two:
   `torsion.elliptic_term`;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin.spin_character` specialized at S = 1
-  (`set_var_to_one(0)`); both in true exponents;
+  (`set_var_to_one`); both in true exponents;
+* IH sign variants: specialize the character at S = 1 to a sparse
+  one-variable LaurentPoly (`set_var_to_one`), decompose it into torus
+  strings by a dict walk and read the graded dimensions with `coeff_list`,
+  against the single dense pass of `spin._variant`;
 * the tautological ring: the straightforward rewrite recursion, a product
   that accumulates Fraction coefficients, and the all-pairs check of
   R_g/(u_g) = R_{g-1}, against the integer products and the generator-level
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
 from agcoh.exact import LaurentPoly, cyclotomic, double_factorial_odd, euler_phi
+from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 
 
@@ -245,6 +250,73 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
         prod_plus = prod_plus * (base + 2) ** m
         prod_minus = prod_minus * (2 - base) ** m
     return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
+
+
+# -- IH sign variants through one-variable characters ------------------------------
+
+def set_var_to_one(poly: LaurentPoly, var: int) -> LaurentPoly:
+    """Specialize one variable of a two-variable polynomial to 1."""
+    if poly.nvars != 2:
+        raise ValueError("set_var_to_one applies to two-variable polynomials")
+    out: dict[tuple[int, ...], int] = {}
+    keep = 1 - var
+    for exps, c in poly.items():
+        key = (exps[keep],)
+        out[key] = out.get(key, 0) + c
+    return LaurentPoly(1, out)
+
+
+def sparse_nu_decompose(char: LaurentPoly) -> list[int]:
+    """Torus strings of a one-variable character: the d-string occurs
+    c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.  Returns the string
+    dimensions d (descending, with repetition), checked by re-expansion.  An
+    asymmetric character or a negative count is not a genuine torus
+    character (ValueError)."""
+    if char.nvars != 1:
+        raise ValueError("nu_decompose expects a one-variable character")
+    if not char.is_symmetric():
+        raise ValueError(f"not a genuine torus character: {char}")
+    coeffs = dict(char.items())
+    counts: dict[int, int] = {}
+    for d in range(char.exponent_range()[1] + 1, 0, -1):
+        count = coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0)
+        if count < 0:
+            raise ValueError(f"negative count of the {d}-string in {char}")
+        if count:
+            counts[d] = count
+    # re-expand: the d-string is T^(d-1) + T^(d-3) + ... + T^(1-d)
+    check: dict[tuple[int], int] = {}
+    for d, count in counts.items():
+        for e in range(d - 1, -d, -2):
+            check[(e,)] = check.get((e,), 0) + count
+    if check != coeffs:
+        raise AssertionError("string decomposition failed to re-expand")
+    return [d for d, count in counts.items() for _ in range(count)]
+
+
+def betti_from_char(t_char: LaurentPoly, genus: int) -> tuple[int, ...]:
+    """Graded dimensions, degrees 0 .. g(g+1), of a one-variable T-character."""
+    n = genus * (genus + 1) // 2
+    out = tuple(t_char.coeff_list(-n, n))
+    if any(c < 0 for c in out):
+        raise AssertionError("negative graded dimension")
+    return out
+
+
+def sparse_variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,
+                   include_hodge: bool) -> ShapeVariant:
+    """The ShapeVariant of one sign vector's two-variable character, read
+    through its one-variable specialization at S = 1."""
+    t_char = set_var_to_one(char, 0)
+    nus = tuple(sparse_nu_decompose(t_char))
+    return ShapeVariant(
+        signs=signs,
+        betti=betti_from_char(t_char, genus),
+        nu=nus,
+        primitive=tuple(primitive_degrees(genus, nus)),
+        s_trivial=char.exponent_range(0) == (0, 0),
+        hodge=hodge_diamond(char, genus, weight) if include_hodge else None,
+    )
 
 
 # -- the tautological ring ---------------------------------------------------------

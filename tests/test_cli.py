@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agcoh import proportionality, spin, tables
+from agcoh import cli, proportionality, spin, tables
 from agcoh.cli import (EXIT_DATA, EXIT_INTERNAL, EXIT_REGISTRY, EXIT_USAGE,
                        load_result_schema, run)
 from agcoh.proportionality import lambda1_power
@@ -277,9 +277,9 @@ def test_exact_values_past_int_digit_limit():
 
 
 def test_internal_invariant_failure_is_structured(monkeypatch):
-    def broken(char):
+    def broken(coeffs):
         raise AssertionError("string decomposition failed to re-expand")
-    monkeypatch.setattr(spin, "nu_decompose", broken)
+    monkeypatch.setattr(spin, "_t_strings", broken)
     code, out, err = run(["ih", "--g", "2"])
     assert code == EXIT_INTERNAL and out == ""
     error = json.loads(err)["error"]
@@ -292,7 +292,7 @@ def test_internal_invariant_failure_is_structured(monkeypatch):
                                  KeyError("D11"), TypeError("bad operand"),
                                  IndexError("list index out of range")])
 @pytest.mark.parametrize("module, name, argv", [
-    (spin, "nu_decompose", ["ih", "--g", "2"]),
+    (spin, "_t_strings", ["ih", "--g", "2"]),
     (proportionality, "compact_dual_degree", ["intersect", "--g", "2", "--exponents", "1,1"]),
     (tables, "reference_table", ["tables", "--id", "tor2"]),
 ])
@@ -306,6 +306,33 @@ def test_engine_exceptions_are_internal(monkeypatch, exc, module, name, argv):
     assert code == EXIT_INTERNAL and out == ""
     assert json.loads(err) == {"error": {
         "type": "internal", "message": f"{type(exc).__name__}: {exc}"}}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def test_parser_builds_the_named_subcommand_only(monkeypatch):
+    every = ["taut", "intersect", "modforms", "torsion", "euler", "arthur", "ih",
+             "tables", "stable"]
+    assert _subcommands(cli.build_parser()) == every
+    for argv in ([], ["--help"], ["nope"], ["--", "taut"], ["ta"], ["-h", "taut"]):
+        assert _subcommands(cli.build_parser(argv)) == every, argv
+    for name in every:
+        assert _subcommands(cli.build_parser([name, "--g", "2"])) == [name]
+    # the reduced parser answers every call as the full one does
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["--help"], ["taut", "--help"], ["euler", "-h"], [], ["nope"],
+             ["--", "taut", "--g", "2"], ["ih", "--g", "x"], ["taut"],
+             ["taut", "--g", "2", "--format", "xml"], ["taut", "--g", "2", "ih"],
+             ["stable", "--space", "ag", "--max", "5"], ["tables", "--id", "tor2"],
+             ["ih", "--g", "3", "--signs", "both", "--format", "tsv"],
+             ["arthur", "--g", "2", "--lambda", "12,0"], ["modforms", "--g", "0"]]
+    reduced = [run(argv) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert [run(argv) for argv in argvs] == reduced
 
 
 def test_stable_space_is_case_insensitive():

@@ -11,7 +11,7 @@ from agcoh import exact
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, euler_phi,
                          negate_cyclotomic_index, poly_divmod, poly_mul,
                          zeta_negative)
-from oracles import nu_character
+from oracles import nu_character, set_var_to_one
 
 
 def bernoulli_by_recurrence(n: int) -> Fraction:
@@ -220,7 +220,7 @@ def test_laurent_results_match_naive_dicts(polys, k, scale):
                                           for e, c in ta)),
     ]
     if nvars == 2:
-        cases.append((a.set_var_to_one(0), _naive(((e[1],), c) for e, c in ta)))
+        cases.append((set_var_to_one(a, 0), _naive(((e[1],), c) for e, c in ta)))
     for poly, expected in cases:
         assert dict(poly.items()) == expected
         assert all(type(c) is int and c != 0 for _, c in poly.items())
@@ -239,6 +239,14 @@ def test_laurent_constructor_validates_caller_data():
     for c in ("1/2", "half", 0.25, 1.0, Fraction(1, 2), Fraction(2), True, False):
         with pytest.raises(TypeError, match="not an int"):
             LaurentPoly(1, {(0,): c})
+    # exponents too: (1.9,) and (True,) used to be stored as T^1
+    for exps in ((1.9,), (True,), (1.0,), ("1",), (0, False), (Fraction(1), 0)):
+        with pytest.raises(TypeError, match="not an int"):
+            LaurentPoly(len(exps), {exps: 1})
+        with pytest.raises(TypeError, match="not an int"):
+            LaurentPoly.term(len(exps), exps)
+    with pytest.raises(TypeError, match="not an int"):
+        LaurentPoly.t_power(0.5)
     # scalars are ints too, and any other operand is a TypeError
     p = LaurentPoly.t_power(1)
     for op in (lambda: p * 0.5, lambda: p + "x", lambda: p * Fraction(1, 2),

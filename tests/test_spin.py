@@ -7,7 +7,8 @@ from agcoh import arthur as ar
 from agcoh import spin as sp
 from agcoh.exact import LaurentPoly
 from agcoh.symplectic import HighestWeight
-from oracles import closed_form_oracle, nu_character
+from oracles import (betti_from_char, closed_form_oracle, nu_character, set_var_to_one,
+                     sparse_variant)
 
 REG = ar.Registry.builtin()
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \
@@ -70,7 +71,7 @@ def test_weight_line_validation():
 def test_spin_character_small_examples():
     # trivial principal block with d = 2g+1: prod (T^j + T^-j)
     for g in (1, 2, 3, 4):
-        char = sp.spin_character(TRIV, 2 * g + 1, "full").set_var_to_one(0)
+        char = set_var_to_one(sp.spin_character(TRIV, 2 * g + 1, "full"), 0)
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
@@ -219,13 +220,13 @@ def test_oracle_equality_across_enumerated_factors():
     for key, (block, d) in pieces.items():
         oracle = closed_form_oracle(block, d)
         if block.kind is OO:
-            got = (sp.spin_character(block, d, "full").set_var_to_one(0),)
+            got = (set_var_to_one(sp.spin_character(block, d, "full"), 0),)
             assert got == oracle, key
         else:
             plus = sp.spin_character(block, d, "plus")
             minus = sp.spin_character(block, d, "minus")
             assert plus != minus, key
-            assert {plus.set_var_to_one(0), minus.set_var_to_one(0)} == set(oracle), key
+            assert {set_var_to_one(plus, 0), set_var_to_one(minus, 0)} == set(oracle), key
 
 
 def test_characters_have_int_coefficients():
@@ -252,7 +253,7 @@ def test_rho_psi_principal_only_is_graded_ring():
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
-        assert char.set_var_to_one(0) == expected
+        assert set_var_to_one(char, 0) == expected
         assert char.exponent_range(0) == (0, 0)
 
 
@@ -262,7 +263,7 @@ def test_rho_psi_g6_example():
                  if p.canonical_shape() == "D11[2]+[9]")
     char = sp.rho_psi(param, ("-",))
     assert char.exponent_range(0) == (0, 0)
-    nus = sp.nu_decompose(char.set_var_to_one(0))
+    nus = sp.nu_decompose(set_var_to_one(char, 0))
     assert nus == [12, 10, 6, 4]
     assert sp.primitive_degrees(6, nus) == [10, 12, 16, 18]
     diamond = sp.hodge_diamond(char, 6)
@@ -309,10 +310,10 @@ def test_structural_invariants_all_parameters():
                     char = sp.rho_psi(param, combo)
                     assert char.evaluate_all_ones() == 2 ** (g - param.r)
                     assert char.is_symmetric()
-                    t_char = char.set_var_to_one(0)
+                    t_char = set_var_to_one(char, 0)
                     exps = [e for (e,), _ in t_char.items()]
                     assert len({e % 2 for e in exps}) <= 1
-                    betti = sp._betti_from_char(t_char, g)
+                    betti = betti_from_char(t_char, g)
                     assert betti == betti[::-1]
                     for parity in (0, 1):
                         seq = betti[parity::2]
@@ -352,6 +353,50 @@ def test_nu_decompose_examples():
     assert sp.nu_decompose(3 * nu_character(2)) == [2, 2, 2]
     with pytest.raises(TypeError):   # a non-integral character cannot be built
         LaurentPoly(1, {(0,): Fraction(1, 2)})
+
+
+def test_t_strings_refuses_non_characters():
+    assert sp._t_strings([0, 1, 0, 1, 0]) == [2]
+    assert sp._t_strings([1, 0, 2, 0, 1]) == [3, 1]
+    with pytest.raises(ValueError, match="genuine"):
+        sp._t_strings([0, 1, 0, 0, 0])                   # asymmetric
+    with pytest.raises(ValueError, match="genuine"):
+        sp._t_strings([2, 1, 0, 1, 1])                   # asymmetric, same total
+    with pytest.raises(ValueError, match="negative count of the 1-string"):
+        sp._t_strings([1, 0, 0, 0, 1])                   # T^2 + T^-2
+    with pytest.raises(ValueError, match="negative count of the 2-string"):
+        sp._t_strings([1, 0, 0, 0, 0, 0, 1])             # T^3 + T^-3
+
+
+def test_variant_refuses_t_degree_out_of_range():
+    # genus 1 has degrees T^-1 .. T^1; nothing beyond may wrap round to the
+    # other end of the list: T^-3 alone would land on T^0, a genuine 1-string
+    for terms in ({(0, 2): 1, (0, -2): 1}, {(0, 5): 1, (0, -5): 1}, {(0, -3): 1},
+                  {(0, -2): 1, (0, 1): 1}, {(1, 3): 2}):
+        with pytest.raises(AssertionError, match="outside"):
+            sp._variant((), LaurentPoly(2, terms), 1, 0, False)
+    ok = sp._variant((), LaurentPoly(2, {(0, 1): 1, (0, -1): 1}), 1, 0, False)
+    assert (ok.betti, ok.nu, ok.primitive, ok.s_trivial) == ((1, 0, 1), (2,), (0,), True)
+    with pytest.raises(ValueError, match="genuine"):
+        sp._variant((), LaurentPoly(2, {(1, 1): 1, (0, 0): 1}), 1, 0, False)
+
+
+@pytest.mark.parametrize("include_hodge", [False, True])
+def test_ih_betti_matches_sparse_oracle(include_hodge):
+    # every field of every variant, against the route through one-variable
+    # characters, on every weight with lambda_1 + g <= 11
+    for g in range(1, 12):
+        for lam in dominant_weights(g, 11 - g):
+            hw = HighestWeight(g, lam)
+            res = sp.ih_betti(hw, REG, signs="both", include_hodge=include_hodge)
+            params = ar.enumerate_parameters(hw, REG)
+            assert [r.shape for r in res.per_shape] == \
+                [p.canonical_shape() for p, _ in params]
+            for report, (param, _) in zip(res.per_shape, params):
+                want = tuple(sparse_variant(signs, char, g, hw.weight, include_hodge)
+                             for signs, char in sp._characters(
+                                 param, all_sign_choices(param)))
+                assert report.variants == want, (g, lam, report.shape)
 
 
 # -- ih_betti ----------------------------------------------------------------------
