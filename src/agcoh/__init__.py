@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index",
               "zeta_negative"),
-    "tautring": ("RingElement", "normal_form", "poincare_polynomial",
-                 "quotient_by_top", "socle_pairing"),
+    "tautring": ("RingElement", "poincare_polynomial", "quotient_by_top",
+                 "socle_pairing"),
     "proportionality": ("PiScaledRational", "compact_dual_degree",
                         "lambda1_power", "lambda_intersection",
                         "modular_form_asymptotics", "siegel_volume"),
@@ -44,8 +44,7 @@ _EXPORTS = {
                 "enumerate_torsion_classes", "parse_mass_table"),
     "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
                "enumerate_parameters", "ingest_cardinalities", "weight_block"),
-    "spin": ("IHResult", "hodge_diamond", "ih_betti", "nu_decompose", "rho_psi",
-             "spin_character", "standard_weight_lines"),
+    "spin": ("IHResult", "hodge_diamond", "ih_betti", "rho_psi"),
     "tables": ("reference_table", "stable_ih_series", "stable_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -339,17 +339,6 @@ class ArthurParameter(Record):
             raise ValueError("weight blocks are not disjoint or do not fill rank")
         object.__setattr__(self, "_tau_set", frozenset(covered))
 
-    def _key(self):
-        return (self.genus, self.principal, self.factors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def r(self) -> int:
         return len(self.factors)

@@ -241,13 +241,6 @@ class LaurentPoly:
                     return False
         return True
 
-    def exponent_range(self, var: int = 0) -> tuple[int, int]:
-        """(min, max) exponent of the given variable; (0, 0) for the zero polynomial."""
-        if not self._coeffs:
-            return (0, 0)
-        exps = [e[var] for e in self._coeffs]
-        return (min(exps), max(exps))
-
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "LaurentPoly") -> None:
         if self.nvars != other.nvars:

@@ -33,17 +33,6 @@ class PiScaledRational(Record):
         object.__setattr__(self, "rational", rational)
         object.__setattr__(self, "pi_exponent", pi_exponent)
 
-    def _key(self):
-        return (self.rational, self.pi_exponent)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __mul__(self, other):
         if isinstance(other, PiScaledRational):
             return PiScaledRational(self.rational * other.rational,

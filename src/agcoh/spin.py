@@ -73,19 +73,8 @@ class WeightLine(Record):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
-    def _key(self):
-        return (self.s, self.t)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-def standard_weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
+def _weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
     """Weight lines of the factor's standard representation (the block's
     standard tensored with the d-dimensional torus string).  The zero
     weight, present exactly for odd orthogonal blocks, has no line."""
@@ -130,7 +119,7 @@ def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     spins = _FACTOR_SPINS.get(key)
     if spins is not None:
         return spins
-    lines = standard_weight_lines(block, d)
+    lines = _weight_lines(block, d)
     if block.kind is BlockKind.ODD_ORTHOGONAL:
         doubled = (_line_products(lines)[0],)
     else:
@@ -145,21 +134,6 @@ def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     return spins
 
 
-def spin_character(block: BuildingBlock, d: int, half: str) -> LaurentPoly:
-    """Spin ('full', odd standard dimension) or labeled half-spin ('plus' /
-    'minus', even standard dimension) character of one factor."""
-    if half == "full":
-        if block.kind is not BlockKind.ODD_ORTHOGONAL:
-            raise ValueError("full spin only applies to odd standard pieces")
-        return _factor_spins(block, d)[0]
-    if half not in ("plus", "minus"):
-        raise ValueError(f"half must be 'full', 'plus' or 'minus', not {half!r}")
-    if block.kind is BlockKind.ODD_ORTHOGONAL:
-        raise ValueError("half-spins only apply to even standard pieces")
-    plus, minus = _factor_spins(block, d)
-    return plus if half == "plus" else minus
-
-
 def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]
                 ) -> Iterator[tuple[tuple[str, ...], LaurentPoly]]:
     """(signs, character) for each sign vector (aligned with param.factors,
@@ -167,7 +141,7 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
     half-spin pair come from the per-process factor cache, then are
     multiplied per vector."""
     block0, d0 = param.principal
-    principal = spin_character(block0, d0, "full")
+    (principal,) = _factor_spins(block0, d0)
     pairs = [_factor_spins(block, d) for block, d in param.factors]
     for signs in sign_vectors:
         signs = tuple(signs)[:param.r]
@@ -197,8 +171,12 @@ def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()
 
 
 def _t_strings(coeffs: list[int]) -> list[int]:
-    """nu_decompose on the dense list of coefficients of T^-n .. T^n, the
-    coefficient c_k of T^k at coeffs[n + k]."""
+    """Decompose a torus character, given as the dense list of its
+    coefficients of T^-n .. T^n (c_k, the coefficient of T^k, at
+    coeffs[n + k]), into irreducible torus strings: the d-string occurs
+    c_(d-1) - c_(d+1) times.  Returns the string dimensions d (descending,
+    with repetition), checked by re-expansion.  An asymmetric list or a
+    negative count is not a genuine torus character (ValueError)."""
     if coeffs != coeffs[::-1]:
         raise ValueError(f"not a genuine torus character: T-coefficients {coeffs}")
     n = len(coeffs) // 2
@@ -218,18 +196,6 @@ def _t_strings(coeffs: list[int]) -> list[int]:
     if ends[:-2] != coeffs:
         raise AssertionError("string decomposition failed to re-expand")
     return nus
-
-
-def nu_decompose(char: LaurentPoly) -> list[int]:
-    """Decompose a one-variable character into irreducible torus strings:
-    the d-string occurs c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.
-    Returns the string dimensions d (descending, with repetition), checked
-    by re-expansion.  An asymmetric character or a negative count is not a
-    genuine torus character (ValueError)."""
-    if char.nvars != 1:
-        raise ValueError("nu_decompose expects a one-variable character")
-    n = max(map(abs, char.exponent_range()))
-    return _t_strings(char.coeff_list(-n, n))
 
 
 def primitive_degrees(genus: int, nus: Sequence[int]) -> list[int]:
@@ -282,19 +248,6 @@ class ShapeVariant(Record):
         object.__setattr__(self, "s_trivial", s_trivial)
         object.__setattr__(self, "hodge", hodge)
 
-    def _key(self):
-        return (self.signs, self.betti, self.nu, self.primitive, self.s_trivial,
-                self.hodge)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        # a TypeError when the Hodge diamond (a dict) is present
-        return hash(self._key())
-
 
 class ShapeReport(Record):
     shape: str
@@ -306,17 +259,6 @@ class ShapeReport(Record):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "variants", variants)
-
-    def _key(self):
-        return (self.shape, self.multiplicity, self.variants)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 class IHResult(Record):
@@ -334,17 +276,6 @@ class IHResult(Record):
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "per_shape", per_shape)
         object.__setattr__(self, "warnings", warnings)
-
-    def _key(self):
-        return (self.genus, self.lam, self.betti, self.per_shape, self.warnings)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def euler_characteristic(self) -> int:
         if self.betti is None:

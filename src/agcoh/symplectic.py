@@ -60,17 +60,6 @@ class HighestWeight(Record):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "lam", lam)
 
-    def _key(self):
-        return (self.g, self.lam)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def weight(self) -> int:
         """w(lambda) = sum lambda_i; odd-weight local systems have trivial

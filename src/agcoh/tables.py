@@ -28,17 +28,6 @@ class Bound(Record):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "exact", exact)
 
-    def _key(self):
-        return (self.value, self.exact)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __str__(self):
         return str(self.value) if self.exact else f">={self.value}"
 
@@ -58,17 +47,6 @@ class ReferenceTable(Record):
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "citation", citation)
-
-    def _key(self):
-        return (self.identifier, self.degrees, self.values, self.citation)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 _TABLES: dict[str, ReferenceTable] = {}

@@ -79,7 +79,10 @@ def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int]
 
 def _check_exps(g: int, exps) -> ExponentVector:
     exps = tuple(exps)
-    if len(exps) != g or any(e < 0 for e in exps):
+    # a good vector costs one pass: every lambda integral is checked here
+    if len(exps) != g or any(type(e) is not int or e < 0 for e in exps):
+        if any(type(e) is not int for e in exps):
+            raise TypeError(f"exponents must be integers, got {exps!r}")
         raise ValueError(f"bad exponent vector {exps} for genus {g}")
     return exps
 
@@ -241,23 +244,9 @@ def socle(g: int) -> RingElement:
     return RingElement(g, {(1 << g) - 1: 1})
 
 
-def normal_form(g: int, expr: Mapping[ExponentVector, Fraction]) -> RingElement:
-    """Normal form of a formal polynomial in u_1..u_g, given as a mapping
-    from exponent vectors (e_1, ..., e_g) to coefficients."""
-    out: dict[int, Fraction] = {}
-    for exps, coeff in expr.items():
-        exps = _check_exps(g, exps)
-        coeff = _coefficient(coeff)
-        if coeff == 0:
-            continue
-        for mask, c in _normal_form_monomial(g, exps):
-            out[mask] = out.get(mask, Fraction(0)) + coeff * c
-    return RingElement(g, out)
-
-
 def monomial(g: int, exps: ExponentVector) -> RingElement:
     """Normal form of the single monomial u_1^{e_1} ... u_g^{e_g}."""
-    return normal_form(g, {tuple(exps): 1})
+    return RingElement(g, dict(_normal_form_monomial(g, _check_exps(g, exps))))
 
 
 def socle_coefficient(g: int, exps: ExponentVector) -> int:

@@ -236,15 +236,7 @@ class MassTable(Record):
         object.__setattr__(self, "missing", missing)
         object.__setattr__(self, "warnings", warnings)
 
-    def _key(self):
-        return (self.genus, self.masses, self.provenance, self.missing, self.warnings)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    # unhashable, as the masses are a dict: __eq__ without __hash__
+    __hash__ = None    # the masses are a dict
 
     def mass(self, c: TorsionClass) -> Fraction:
         return self.masses[c]

@@ -8,16 +8,17 @@ the package computes another way, and the tests compare the two:
   summed as Fractions, against the negation-orbit pairing of
   `torsion.elliptic_term`;
 * spin data: closed-form one-variable Laurent products, against the
-  weight-line characters of `spin.spin_character` specialized at S = 1
+  weight-line characters of `spin._factor_spins` specialized at S = 1
   (`set_var_to_one`); both in true exponents;
 * IH sign variants: specialize the character at S = 1 to a sparse
   one-variable LaurentPoly (`set_var_to_one`), decompose it into torus
   strings by a dict walk and read the graded dimensions with `coeff_list`,
   against the single dense pass of `spin._variant`;
-* the tautological ring: the straightforward rewrite recursion, a product
-  that accumulates Fraction coefficients, and the all-pairs check of
-  R_g/(u_g) = R_{g-1}, against the integer products and the generator-level
-  check of `tautring`;
+* the tautological ring: the straightforward rewrite recursion and its
+  linear extension to formal polynomials, a product that accumulates
+  Fraction coefficients, and the all-pairs check of R_g/(u_g) = R_{g-1},
+  against the monomials, integer products and generator-level check of
+  `tautring`;
 * closed forms the tests compare against: the SL2 characters nu_d, and the
   top power u_1^N = N! / prod (2j-1)!! times the socle.
 """
@@ -30,6 +31,7 @@ from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
 from agcoh.exact import LaurentPoly, cyclotomic, double_factorial_odd, euler_phi
 from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
+from agcoh.tautring import RingElement
 
 
 # -- the Freudenthal weight system -----------------------------------------------
@@ -266,6 +268,12 @@ def set_var_to_one(poly: LaurentPoly, var: int) -> LaurentPoly:
     return LaurentPoly(1, out)
 
 
+def exponent_range(poly: LaurentPoly, var: int = 0) -> tuple[int, int]:
+    """(min, max) exponent of the given variable; (0, 0) for the zero polynomial."""
+    exps = [e[var] for e in poly.support()]
+    return (min(exps), max(exps)) if exps else (0, 0)
+
+
 def sparse_nu_decompose(char: LaurentPoly) -> list[int]:
     """Torus strings of a one-variable character: the d-string occurs
     c_(d-1) - c_(d+1) times, c_k the coefficient of T^k.  Returns the string
@@ -278,7 +286,7 @@ def sparse_nu_decompose(char: LaurentPoly) -> list[int]:
         raise ValueError(f"not a genuine torus character: {char}")
     coeffs = dict(char.items())
     counts: dict[int, int] = {}
-    for d in range(char.exponent_range()[1] + 1, 0, -1):
+    for d in range(exponent_range(char)[1] + 1, 0, -1):
         count = coeffs.get((d - 1,), 0) - coeffs.get((d + 1,), 0)
         if count < 0:
             raise ValueError(f"negative count of the {d}-string in {char}")
@@ -314,7 +322,7 @@ def sparse_variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight
         betti=betti_from_char(t_char, genus),
         nu=nus,
         primitive=tuple(primitive_degrees(genus, nus)),
-        s_trivial=char.exponent_range(0) == (0, 0),
+        s_trivial=exponent_range(char, 0) == (0, 0),
         hodge=hodge_diamond(char, genus, weight) if include_hodge else None,
     )
 
@@ -354,6 +362,17 @@ def normal_form_monomial(g: int, exps: tuple[int, ...]) -> tuple[tuple[int, int]
         for mask, c in normal_form_monomial(g, tuple(child)):
             acc[mask] = acc.get(mask, 0) + 2 * (-1) ** (j + k + 1) * c
     return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
+
+
+def normal_form(g: int, expr: dict[tuple[int, ...], Fraction]) -> RingElement:
+    """Normal form of a formal polynomial in u_1..u_g, given as a mapping
+    from exponent vectors to coefficients: the sum of its terms' monomial
+    normal forms, accumulated in Fraction."""
+    out: dict[int, Fraction] = {}
+    for exps, coeff in expr.items():
+        for mask, c in normal_form_monomial(g, exps):
+            out[mask] = out.get(mask, Fraction(0)) + coeff * c
+    return RingElement(g, out)
 
 
 def pair_exps(g: int, m1: int, m2: int) -> tuple[int, ...]:

@@ -216,11 +216,10 @@ def test_c06_oracle_equivalence():
                     seen.add(key)
                     oracle = closed_form_oracle(block, d)
                     if block.kind is ar.BlockKind.ODD_ORTHOGONAL:
-                        got = (set_var_to_one(sp.spin_character(block, d, "full"), 0),)
-                        assert got == oracle, key
+                        (full,) = sp._factor_spins(block, d)
+                        assert (set_var_to_one(full, 0),) == oracle, key
                     else:
-                        got = {set_var_to_one(sp.spin_character(block, d, h), 0)
-                               for h in ("plus", "minus")}
+                        got = {set_var_to_one(half, 0) for half in sp._factor_spins(block, d)}
                         assert got == set(oracle), key
     assert time.monotonic() - start < 60.0
 

@@ -25,7 +25,7 @@ ERROR_HOMES = {
 
 
 def test_every_public_name_resolves_to_its_submodule():
-    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 41
+    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 37
     for name in agcoh.__all__:
         module = importlib.import_module(f"agcoh.{agcoh._MODULE_OF[name]}")
         assert getattr(agcoh, name) is getattr(module, name), name
@@ -39,10 +39,12 @@ def test_star_import():
 
 
 def test_unknown_attribute():
-    # four moved to the tests as oracles; Rational (an alias of Fraction)
-    # was deleted
+    # five moved to the tests as oracles; Rational (an alias of Fraction),
+    # nu_decompose and spin_character were deleted; standard_weight_lines
+    # became private
     for name in ("no_such_name", "WeightSystem", "weight_multiplicities",
-                 "closed_form_oracle", "nu_character", "Rational"):
+                 "closed_form_oracle", "nu_character", "normal_form", "Rational",
+                 "nu_decompose", "spin_character", "standard_weight_lines"):
         with pytest.raises(AttributeError, match=name):
             getattr(agcoh, name)
 

@@ -7,8 +7,8 @@ from agcoh import arthur as ar
 from agcoh import spin as sp
 from agcoh.exact import LaurentPoly
 from agcoh.symplectic import HighestWeight
-from oracles import (betti_from_char, closed_form_oracle, nu_character, set_var_to_one,
-                     sparse_variant)
+from oracles import (betti_from_char, closed_form_oracle, exponent_range, nu_character,
+                     set_var_to_one, sparse_variant)
 
 REG = ar.Registry.builtin()
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \
@@ -21,6 +21,13 @@ SYM2 = REG.lookup(OO, (22,))
 def t_lift(poly):
     """Lift a one-variable T-polynomial into the (S, T) plane."""
     return LaurentPoly(2, {(0, e): c for (e,), c in poly.items()})
+
+
+def t_strings(char):
+    """Torus strings of a one-variable character, through `_t_strings` on
+    its T-coefficient list."""
+    n = max(map(abs, exponent_range(char)))
+    return sp._t_strings(char.coeff_list(-n, n))
 
 
 def dominant_weights(g, max_l1):
@@ -42,11 +49,11 @@ def all_sign_choices(param):
 # -- weight lines ---------------------------------------------------------------
 
 def test_standard_weight_lines_examples():
-    lines = sp.standard_weight_lines(D11, 2)
+    lines = sp._weight_lines(D11, 2)
     assert [(l.s, l.t) for l in lines] == [(11, 1), (11, -1)]
-    lines = sp.standard_weight_lines(TRIV, 9)
+    lines = sp._weight_lines(TRIV, 9)
     assert [(l.s, l.t) for l in lines] == [(0, 8), (0, 6), (0, 4), (0, 2)]
-    lines = sp.standard_weight_lines(SYM2, 1)
+    lines = sp._weight_lines(SYM2, 1)
     assert [(l.s, l.t) for l in lines] == [(22, 0)]
 
 
@@ -54,7 +61,7 @@ def test_line_count_matches_standard_dimension():
     for block, d in [(D11, 2), (D11, 6), (SYM2, 3), (TRIV, 13),
                      (REG.lookup(S, (21, 13)), 2)]:
         # odd orthogonal pieces carry the zero weight, which has no line
-        lines = sp.standard_weight_lines(block, d)
+        lines = sp._weight_lines(block, d)
         has_zero = block.kind is OO
         assert 2 * len(lines) + has_zero == block.standard_dimension * d
 
@@ -63,7 +70,7 @@ def test_weight_line_validation():
     with pytest.raises(ValueError):
         sp.WeightLine(-2, 0)     # breaks canonical positivity
     with pytest.raises(ValueError):
-        sp.standard_weight_lines(D11, 3)
+        sp._weight_lines(D11, 3)
 
 
 # -- spin characters --------------------------------------------------------------
@@ -71,34 +78,24 @@ def test_weight_line_validation():
 def test_spin_character_small_examples():
     # trivial principal block with d = 2g+1: prod (T^j + T^-j)
     for g in (1, 2, 3, 4):
-        char = set_var_to_one(sp.spin_character(TRIV, 2 * g + 1, "full"), 0)
+        (full,) = sp._factor_spins(TRIV, 2 * g + 1)
+        char = set_var_to_one(full, 0)
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
         assert char == expected
-    plus = sp.spin_character(D11, 2, "plus")
-    minus = sp.spin_character(D11, 2, "minus")
+    plus, minus = sp._factor_spins(D11, 2)
     assert plus == LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == t_lift(nu_character(2))
 
 
 def test_spin_character_plus_labeling_delta11_4():
     # the plus half carries the symmetric square of the standard piece
-    plus = sp.spin_character(D11, 4, "plus")
+    plus, minus = sp._factor_spins(D11, 4)
     sym2_std = LaurentPoly(2, {(22, 0): 1, (0, 0): 1, (-22, 0): 1})
     assert plus == sym2_std + t_lift(nu_character(5))
-    minus = sp.spin_character(D11, 4, "minus")
     std = LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
     assert minus == std * t_lift(nu_character(4))
-
-
-def test_spin_character_kind_guards():
-    with pytest.raises(ValueError):
-        sp.spin_character(D11, 2, "full")
-    with pytest.raises(ValueError):
-        sp.spin_character(TRIV, 9, "plus")
-    with pytest.raises(ValueError):
-        sp.spin_character(D11, 2, "sideways")
 
 
 def test_factor_spin_cache_keys_on_kind():
@@ -111,9 +108,9 @@ def test_factor_spin_cache_keys_on_kind():
         sp._FACTOR_SPINS.clear()
         sp._factor_spins(first, 1)
         assert len(sp._factor_spins(second, 1)) == (1 if second is oo else 2)
-    full = sp.spin_character(oo, 1, "full")
+    (full,) = sp._factor_spins(oo, 1)
     assert full.scale_exponents(2) == \
-        sp._line_products(sp.standard_weight_lines(oo, 1))[0]
+        sp._line_products(sp._weight_lines(oo, 1))[0]
     assert full not in sp._factor_spins(oe, 1)
 
 
@@ -122,13 +119,11 @@ def test_cached_half_spins_match_rebuilt():
                      (ar.BuildingBlock(OE, (10, 4), 0), 3)]:
         cached = sp._factor_spins(block, d)
         assert sp._factor_spins(block, d) is cached
-        lines = sp.standard_weight_lines(block, d)
+        lines = sp._weight_lines(block, d)
         p, q = sp._line_products(lines)
         plus, minus = cached
         assert plus.scale_exponents(2) == (p + q).halve(), (block.label, d)
         assert minus.scale_exponents(2) == (p - q).halve(), (block.label, d)
-        assert sp.spin_character(block, d, "plus") == plus
-        assert sp.spin_character(block, d, "minus") == minus
 
 
 @pytest.mark.parametrize("kind, doubled_weights, ds", [
@@ -142,15 +137,11 @@ def test_line_products_halve_to_true_exponents(kind, doubled_weights, ds):
     # (halved) doubled line products, blocks beyond the registry included
     block = ar.BuildingBlock(kind, doubled_weights, 0)
     for d in ds:
-        p, q = sp._line_products(sp.standard_weight_lines(block, d))
+        p, q = sp._line_products(sp._weight_lines(block, d))
         assert all(e % 2 == 0 for exps in p.support() for e in exps), d
-        if kind is OO:
-            got = {"full": p}
-        else:
-            got = {"plus": (p + q).halve(), "minus": (p - q).halve()}
-        for half, doubled in got.items():
-            char = sp.spin_character(block, d, half)
-            assert char.scale_exponents(2) == doubled, (doubled_weights, d, half)
+        want = (p,) if kind is OO else ((p + q).halve(), (p - q).halve())
+        got = tuple(char.scale_exponents(2) for char in sp._factor_spins(block, d))
+        assert got == want, (doubled_weights, d)
 
 
 def test_ambiguous_half_spin():
@@ -158,7 +149,7 @@ def test_ambiguous_half_spin():
     # integers (the tau eigenvalue 0)
     block = ar.BuildingBlock(S, (1,), 0)
     with pytest.raises(ValueError, match="leaves the positive integers"):
-        sp.spin_character(block, 2, "plus")
+        sp._factor_spins(block, 2)
 
 
 @pytest.mark.parametrize("kind, doubled_weights", [
@@ -179,10 +170,10 @@ def test_half_spins_refuse_exactly_nonpositive_runs(kind, doubled_weights):
             leaves = True
         if leaves:
             with pytest.raises(ValueError, match="leaves the positive integers"):
-                sp.spin_character(block, d, "plus")
+                sp._factor_spins(block, d)
         else:
-            plus = sp.spin_character(block, d, "plus")
-            assert plus != sp.spin_character(block, d, "minus")
+            plus, minus = sp._factor_spins(block, d)
+            assert plus != minus
 
 
 def test_closed_form_oracle_examples():
@@ -220,11 +211,10 @@ def test_oracle_equality_across_enumerated_factors():
     for key, (block, d) in pieces.items():
         oracle = closed_form_oracle(block, d)
         if block.kind is OO:
-            got = (set_var_to_one(sp.spin_character(block, d, "full"), 0),)
-            assert got == oracle, key
+            (full,) = sp._factor_spins(block, d)
+            assert (set_var_to_one(full, 0),) == oracle, key
         else:
-            plus = sp.spin_character(block, d, "plus")
-            minus = sp.spin_character(block, d, "minus")
+            plus, minus = sp._factor_spins(block, d)
             assert plus != minus, key
             assert {set_var_to_one(plus, 0), set_var_to_one(minus, 0)} == set(oracle), key
 
@@ -254,7 +244,7 @@ def test_rho_psi_principal_only_is_graded_ring():
         for j in range(1, g + 1):
             expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
         assert set_var_to_one(char, 0) == expected
-        assert char.exponent_range(0) == (0, 0)
+        assert exponent_range(char, 0) == (0, 0)
 
 
 def test_rho_psi_g6_example():
@@ -262,8 +252,8 @@ def test_rho_psi_g6_example():
     param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
                  if p.canonical_shape() == "D11[2]+[9]")
     char = sp.rho_psi(param, ("-",))
-    assert char.exponent_range(0) == (0, 0)
-    nus = sp.nu_decompose(set_var_to_one(char, 0))
+    assert exponent_range(char, 0) == (0, 0)
+    nus = t_strings(set_var_to_one(char, 0))
     assert nus == [12, 10, 6, 4]
     assert sp.primitive_degrees(6, nus) == [10, 12, 16, 18]
     diamond = sp.hodge_diamond(char, 6)
@@ -338,19 +328,19 @@ def test_vanishing_bound_attained_even_g():
 
 
 def test_nu_decompose_examples():
-    assert sp.nu_decompose(nu_character(2)) == [2]
+    assert t_strings(nu_character(2)) == [2]
     p2 = (LaurentPoly.t_power(1) + LaurentPoly.t_power(-1)) * \
         (LaurentPoly.t_power(2) + LaurentPoly.t_power(-2))
-    assert sp.nu_decompose(p2) == [4]
+    assert t_strings(p2) == [4]
     p3 = p2 * (LaurentPoly.t_power(3) + LaurentPoly.t_power(-3))
-    assert sp.nu_decompose(p3) == [7, 1]
-    assert sp.nu_decompose(LaurentPoly.zero(1)) == []
+    assert t_strings(p3) == [7, 1]
+    assert t_strings(LaurentPoly.zero(1)) == []
     with pytest.raises(ValueError):
-        sp.nu_decompose(LaurentPoly.t_power(1))          # asymmetric
+        t_strings(LaurentPoly.t_power(1))          # asymmetric
     with pytest.raises(ValueError):
-        sp.nu_decompose(nu_character(3) - nu_character(1))   # negative count
-    assert sp.nu_decompose(nu_character(4) + nu_character(1)) == [4, 1]
-    assert sp.nu_decompose(3 * nu_character(2)) == [2, 2, 2]
+        t_strings(nu_character(3) - nu_character(1))   # negative count
+    assert t_strings(nu_character(4) + nu_character(1)) == [4, 1]
+    assert t_strings(3 * nu_character(2)) == [2, 2, 2]
     with pytest.raises(TypeError):   # a non-integral character cannot be built
         LaurentPoly(1, {(0,): Fraction(1, 2)})
 

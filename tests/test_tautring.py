@@ -33,8 +33,6 @@ def test_coefficients_are_int_or_fraction():
     for c in (0.1, 1.0, True, "1"):
         with pytest.raises(TypeError, match="int or Fraction"):
             tr.RingElement(2, {0: c})
-        with pytest.raises(TypeError, match="int or Fraction"):
-            tr.normal_form(2, {(1, 0): c})
     x = tr.u(2, 1)
     assert x * Fraction(1, 2) == Fraction(1, 2) * x == tr.RingElement(2, {1: Fraction(1, 2)})
     for scalar in (0.5, True, "2", None):
@@ -91,8 +89,8 @@ def test_socle_pairing_examples():
 
 
 def test_normal_form_linearity_rank_certification():
-    # normal_form has rank 2^g on the span of all monomials of degree
-    # <= g(g+1), certifying confluence of the rewrite system
+    # the normal forms of all monomials of degree <= g(g+1) span a space of
+    # rank 2^g, certifying confluence of the rewrite system
     for g in range(1, 7):
         n = g * (g + 1) // 2
         rows = []
@@ -108,7 +106,7 @@ def test_normal_form_linearity_rank_certification():
 
         gen(0, n, [])
         dim = 1 << g
-        mat = [[tr.normal_form(g, {e: 1}).coeff(m) for m in range(dim)]
+        mat = [[tr.monomial(g, e).coeff(m) for m in range(dim)]
                for e in rows]
         assert tr.matrix_rank(mat) == dim
 
@@ -116,6 +114,8 @@ def test_normal_form_linearity_rank_certification():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_normal_form_is_linear(g, data):
+    # sums of monomials are additive in their terms and agree with the
+    # oracle's normal form of the whole formal polynomial
     exps = st.tuples(*([st.integers(0, 3)] * g))
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     e1 = data.draw(st.dictionaries(exps, coeff, max_size=3))
@@ -123,8 +123,11 @@ def test_normal_form_is_linear(g, data):
     merged = dict(e1)
     for k, v in e2.items():
         merged[k] = merged.get(k, Fraction(0)) + v
-    assert tr.normal_form(g, merged) == \
-        tr.normal_form(g, e1) + tr.normal_form(g, e2)
+
+    def combine(expr):
+        return sum((c * tr.monomial(g, e) for e, c in expr.items()), tr.RingElement(g))
+
+    assert combine(merged) == combine(e1) + combine(e2) == oracles.normal_form(g, merged)
 
 
 def test_pairing_matrices_nonsingular():
@@ -158,6 +161,12 @@ def test_socle_coefficient():
         tr.socle_coefficient(2, (1, 1, 0))
     with pytest.raises(ValueError):
         tr.socle_coefficient(2, (-1, 2))
+    # exponents are exactly ints: a float or a bool is never truncated
+    for exps in ((1.5, 0), (True, 0), (1.0, 1.0)):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            tr.monomial(2, exps)
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            tr.socle_coefficient(2, exps)
 
 
 def test_duality_shape():
