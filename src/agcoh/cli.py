@@ -28,9 +28,8 @@ from typing import TYPE_CHECKING
 
 # Only the exceptions are imported here: each subcommand imports the engines
 # it runs, so a call pays for nothing else.
-from .errors import (InputError, MassTableError, RegistryConflictError,
-                     RegistryIncompleteError, SignPolicyError,
-                     WeightBudgetError)
+from .errors import (InputError, MassTableError, RegistryIncompleteError,
+                     SignPolicyError, WeightBudgetError)
 
 if TYPE_CHECKING:
     from .arthur import Registry
@@ -52,11 +51,9 @@ class DataFileError(ValueError):
 
 
 def _fr(x) -> str:
-    """A rational as "n" or "n/d", exactly.  Decimal renders integers of any
-    length, where str(int) stops at the interpreter's digit limit."""
-    from decimal import Decimal
-    text = str(Decimal(x.numerator))
-    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+    """A rational as "n" or "n/d", exactly, of any length."""
+    with _unlimited_int_digits():
+        return str(x)
 
 
 def _highest_weight(args) -> HighestWeight:
@@ -92,6 +89,21 @@ def _mass_path(args) -> Path:
         f"under ${DATA_DIR_ENV}")
 
 
+def _read_data_file(path, what: str, parse, errors=(ValueError, RecursionError)):
+    """parse(fh) of the UTF-8 data file at path.  A file that cannot be
+    opened or read is "cannot read {what} {path}"; one that is not UTF-8, or
+    that parse refuses with one of errors, is "bad {what} {path}"; both exit
+    3.  The default errors are json.load's (bad JSON, an integer past the
+    digit limit, nesting past the recursion limit) and RegistryConflictError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise DataFileError(f"cannot read {what} {path}: {exc}") from exc
+    except (UnicodeDecodeError, *errors) as exc:
+        raise DataFileError(f"bad {what} {path}: {exc}") from exc
+
+
 def _load_registry(args) -> Registry:
     from .arthur import Registry, ingest_cardinalities
     path = getattr(args, "registry", None)
@@ -101,13 +113,7 @@ def _load_registry(args) -> Registry:
             path = base / "registry.json"
     if path is None:
         return Registry.builtin()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ingest_cardinalities(fh)
-    except OSError as exc:
-        raise DataFileError(f"cannot read registry file {path}: {exc}") from exc
-    except (RegistryConflictError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFileError(f"bad registry file {path}: {exc}") from exc
+    return _read_data_file(path, "registry file", ingest_cardinalities)
 
 
 def _load_signs(args):
@@ -123,11 +129,7 @@ def _load_signs(args):
             path = base / mode
         else:
             raise DataFileError(f"sign file {mode} not found")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFileError(f"bad sign file {path}: {exc}") from exc
+    mapping = _read_data_file(path, "sign file", json.load)
     if not isinstance(mapping, dict):
         raise DataFileError("sign file must be a JSON object shape -> sign list")
     # a bare string is not split into its characters
@@ -198,12 +200,8 @@ def _cmd_euler(args):
     g = args.g
     hw = _highest_weight(args)
     path = _mass_path(args)
-    try:
-        table = torsion.load_mass_table(path, g, strict=not args.lenient)
-    except OSError as exc:
-        raise DataFileError(f"cannot read mass table {path}: {exc}") from exc
-    except (MassTableError, UnicodeDecodeError) as exc:
-        raise DataFileError(f"bad mass table {path}: {exc}") from exc
+    table = _read_data_file(path, "mass table", lambda fh: torsion.parse_mass_table(
+        fh, g, strict=not args.lenient, provenance=str(path)), (MassTableError,))
     warnings = list(table.warnings)
     if hw.weight % 2:
         warnings.append("odd weight: the elliptic term vanishes identically")

@@ -2,11 +2,14 @@
 values, cyclotomic polynomials, sparse Laurent polynomials, and fraction-free
 elimination.
 
-Values keep their exact type: `int` where integral, Laurent coefficients
-included, and `fractions.Fraction` (always reduced, positive denominator)
-for the Bernoulli and zeta values.  Everything in this module is immutable
-after construction and all operations are pure, so values can be shared
-freely between threads.
+It owns the closed forms the engines share: the Hirzebruch-Mumford product
+zeta(-1) ... zeta(1-2g) (zeta_product) and the partition counts behind
+prod_{k<=g} (1 + T^{2k}) (strict_partition_counts).  Values keep their exact
+type: `int` where integral, Laurent coefficients included, and
+`fractions.Fraction` (always reduced, positive denominator) for the
+Bernoulli and zeta values.  Everything in this module is immutable after
+construction and all operations are pure, so values can be shared freely
+between threads.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# `fractions` (and the `decimal` it loads) is imported inside bernoulli, the
-# one function here that builds a Fraction, so the engines that never touch a
-# rational load neither.  The first bernoulli call seeds the cache with B_0.
+# `fractions` (and the `decimal` it loads) is imported inside the functions
+# that build a Fraction, bernoulli and zeta_product, so engines that never touch
+# a rational load neither.  The first bernoulli call seeds the cache with B_0.
 _bernoulli_cache: dict[int, Fraction] = {}
 _bernoulli_lock = threading.Lock()
 
@@ -49,14 +52,20 @@ def bernoulli(n: int) -> Fraction:
 
 
 def zeta_negative(j: int) -> Fraction:
-    """zeta(1 - 2j) = -B_{2j} / (2j) for j >= 1.
-
-    These are the zeta special values entering the Hirzebruch-Mumford
-    proportionality constant and the default central masses.
-    """
+    """zeta(1 - 2j) = -B_{2j} / (2j) for j >= 1."""
     if j < 1:
         raise ValueError("zeta_negative expects j >= 1 (returns zeta(1-2j))")
     return -bernoulli(2 * j) / (2 * j)
+
+
+def zeta_product(g: int) -> Fraction:
+    """prod_{j=1}^{g} zeta(1-2j) = prod_j -B_{2j}/(2j), as one Fraction of
+    two integer products (1 for g = 0)."""
+    from fractions import Fraction
+    bs = [bernoulli(2 * j) for j in range(1, g + 1)]
+    num = math.prod(b.numerator for b in bs)
+    den = math.prod(2 * j * b.denominator for j, b in enumerate(bs, start=1))
+    return Fraction(-num if g % 2 else num, den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,13 +370,14 @@ def double_factorial_odd(g: int) -> int:
     return math.prod(math.prod(range(1, 2 * j, 2)) for j in range(1, g + 1))
 
 
-def strict_partition_count(k: int, max_part: int) -> int:
-    """Number of partitions of k into distinct parts <= max_part."""
+def strict_partition_counts(k: int, max_part: int) -> list[int]:
+    """Entry n <= k counts the partitions of n into distinct parts <= max_part:
+    the T^n coefficient of prod_{i<=max_part} (1 + T^i), by in-place shift-add."""
     counts = [1] + [0] * k
     for part in range(1, max_part + 1):
         for n in range(k, part - 1, -1):
             counts[n] += counts[n - part]
-    return counts[k]
+    return counts
 
 
 # ---------------------------------------------------------------------------

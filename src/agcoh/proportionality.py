@@ -5,7 +5,7 @@ Top lambda-monomials on a smooth toroidal compactification equal the
 corresponding Chern numbers of the tautological subbundle on the compact dual
 times the proportionality constant
 
-    (-1)^{g(g+1)/2} 2^{-g} prod_{j=1}^{g} zeta(1-2j).
+    (-1)^{g(g+1)/2} 2^{-g} prod_{j=1}^{g} zeta(1-2j)   (exact.zeta_product).
 
 All values are stacky, i.e. the generic involution -1 is taken into account;
 in particular the degree of the Hodge line bundle in genus one is 1/24.
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import tautring
 from .errors import InputError
-from .exact import bernoulli, double_factorial_odd, zeta_negative
+from .exact import double_factorial_odd, zeta_product
 from .records import Record
 
 
@@ -47,8 +47,12 @@ class PiScaledRational(Record):
         return f"({self.rational})*pi^{self.pi_exponent}"
 
 
-def _check_degree(g: int, exponents) -> tuple[int, ...]:
-    """Ints only, never truncated (TypeError), of top degree (InputError)."""
+def compact_dual_degree(g: int, exponents) -> int:
+    """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
+    that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer.
+    The exponents are ints, never truncated (TypeError), of top degree
+    (InputError); this is their one check, so the normal form is read
+    directly rather than through socle_coefficient."""
     exponents = tuple(exponents)
     if any(type(n) is not int for n in exponents):
         raise TypeError(f"exponents must be integers, got {exponents!r}")
@@ -58,13 +62,7 @@ def _check_degree(g: int, exponents) -> tuple[int, ...]:
     if total != g * (g + 1) // 2:
         raise InputError(
             f"not a top-degree monomial: sum i*n_i = {total} != {g * (g + 1) // 2}")
-    return exponents
-
-
-def compact_dual_degree(g: int, exponents) -> int:
-    """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
-    that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer."""
-    value = tautring.socle_coefficient(g, _check_degree(g, exponents))
+    value = tautring._socle_term(g, tautring._normal_form_monomial(g, exponents))
     if value < 0:
         raise AssertionError(f"compact dual degree came out negative: {value}")
     return value
@@ -74,8 +72,7 @@ def compact_dual_degree(g: int, exponents) -> int:
 def proportionality_constant(g: int) -> Fraction:
     """(-1)^{g(g+1)/2} 2^{-g} prod_{j=1}^{g} zeta(1-2j), once per genus."""
     sign = -1 if (g * (g + 1) // 2) % 2 else 1
-    return Fraction(sign, 2 ** g) * math.prod(
-        (zeta_negative(j) for j in range(1, g + 1)), start=Fraction(1))
+    return zeta_product(g) * Fraction(sign, 2 ** g)
 
 
 def lambda_intersection(g: int, exponents) -> Fraction:
@@ -85,25 +82,20 @@ def lambda_intersection(g: int, exponents) -> Fraction:
 
 
 def lambda1_power(g: int) -> Fraction:
-    """Closed form for lambda_1^{g(g+1)/2}:
-
-    (-1)^{g(g+1)/2} ((g(g+1)/2)! / 2^g) prod_{k=1}^{g} zeta(1-2k)/(2k-1)!!
-    """
+    """Closed form for lambda_1^{g(g+1)/2}: the proportionality constant
+    times the compact-dual degree (g(g+1)/2)! / prod_{k=1}^{g} (2k-1)!!."""
     if g < 1:
         raise ValueError("genus must be positive")
     n = g * (g + 1) // 2
-    sign = -1 if n % 2 else 1
-    value = Fraction(sign * math.factorial(n), 2 ** g)
-    value /= double_factorial_odd(g)
-    for k in range(1, g + 1):
-        value *= zeta_negative(k)
-    return value
+    return proportionality_constant(g) * (math.factorial(n) // double_factorial_odd(g))
 
 
 def _bernoulli_factor(g: int) -> Fraction:
-    return math.prod((Fraction((-1) ** (j - 1)) * Fraction(math.factorial(j - 1),
-                                                           math.factorial(2 * j)) * bernoulli(2 * j)
-                      for j in range(1, g + 1)), start=Fraction(1))
+    """prod_{j=1}^{g} ((j-1)!/(2j)!) (-1)^{j-1} B_{2j}.  As B_{2j} =
+    -2j zeta(1-2j), each factor is (-1)^j 2 (j!/(2j)!) zeta(1-2j), so the
+    product is proportionality_constant(g) * 4^g / prod_{j=1}^{g} (2j)!/j!."""
+    den = math.prod(math.perm(2 * j, j) for j in range(1, g + 1))
+    return proportionality_constant(g) * Fraction(4 ** g, den)
 
 
 def modular_form_asymptotics(g: int) -> tuple[Fraction, int]:

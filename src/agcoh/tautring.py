@@ -33,7 +33,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping
 
-from .exact import LaurentPoly, bareiss, strict_partition_count
+from .exact import LaurentPoly, bareiss, strict_partition_counts
 
 ExponentVector = tuple[int, ...]
 
@@ -269,17 +269,15 @@ def poincare_polynomial(g: int) -> LaurentPoly:
     """
     if g < 1:
         raise ValueError("genus must be positive")
-    result = LaurentPoly.one(1)
-    for k in range(1, g + 1):
-        result = result * (LaurentPoly.one(1) + LaurentPoly.t_power(2 * k))
-    return result
+    counts = strict_partition_counts(g * (g + 1) // 2, g)
+    return LaurentPoly(1, {(2 * k,): c for k, c in enumerate(counts)})
 
 
 def graded_dimension(g: int, degree: int) -> int:
     """dim of the degree `degree` piece of R_g (degree of u_i is 2i)."""
     if degree % 2 == 1 or degree < 0 or degree > g * (g + 1):
         return 0
-    return strict_partition_count(degree // 2, g)
+    return strict_partition_counts(degree // 2, g)[-1]
 
 
 def socle_pairing(a: RingElement, b: RingElement) -> Fraction:

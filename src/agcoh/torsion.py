@@ -7,7 +7,8 @@ polynomial; the indices 1 and 2 must occur with even multiplicity.  The
 canonical text encoding is `d1^m1,d2^m2,...` with indices ascending and no
 spaces.  Negation acts indexwise through negate_cyclotomic_index and masses
 satisfy m_{-c} = m_c, so mass files carry one record per negation orbit
-(the lexicographically smallest encoding).
+(the lexicographically smallest encoding), each mass written p or p/q; the
+central classes 1^{2g} and 2^{2g} default to exact.zeta_product(g).
 
 The elliptic term
 
@@ -39,12 +40,13 @@ from typing import Iterable
 
 from .errors import MassTableError
 from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
-                    zeta_negative)
+                    zeta_product)
 from .records import Record
 from .symplectic import character_at_torsion
 
 
 _ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class TorsionClass(Record):
@@ -113,11 +115,8 @@ class TorsionClass(Record):
     def parse(cls, text: str) -> "TorsionClass":
         if not _ENC_RE.match(text):
             raise MassTableError(f"invalid class encoding {text!r}")
-        pairs = []
-        for chunk in text.split(","):
-            d, m = chunk.split("^")
-            pairs.append((int(d), int(m)))
-        try:
+        try:   # int() refuses a number past the digit limit with a ValueError
+            pairs = [tuple(map(int, chunk.split("^"))) for chunk in text.split(",")]
             return cls(tuple(sorted(pairs)))
         except ValueError as exc:
             raise MassTableError(f"invalid class {text!r}: {exc}") from exc
@@ -208,12 +207,6 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
     return sorted(out, key=lambda c: c.encode())
 
 
-def central_mass_default(g: int) -> Fraction:
-    """Default mass of the central classes 1^{2g} and 2^{2g}:
-    zeta(-1) zeta(-3) ... zeta(1-2g)."""
-    return math.prod((zeta_negative(j) for j in range(1, g + 1)), start=Fraction(1))
-
-
 class MassTable(Record):
     """Masses m_c for the full torsion class set of one rank.  Every mass is
     an int or a Fraction (TypeError otherwise, a bool included)."""
@@ -247,6 +240,9 @@ class MassTable(Record):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """p or p/q only: Fraction() alone would expand an exponent unboundedly."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise MassTableError(f"invalid rational {text!r}: expected p or p/q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -258,9 +254,9 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     """Parse a TSV mass table: a required `genus: N` header, `#` comments,
     then one record `class<TAB>p/q` per negation orbit.  The table is
     expanded to the full class set by m_{-c} = m_c; the central classes
-    1^{2g} and 2^{2g} default to zeta(-1)...zeta(1-2g) when omitted.  In
-    strict mode every class must be covered; lenient mode zero-fills the
-    rest and records a warning."""
+    1^{2g} and 2^{2g} default to exact.zeta_product(g) when omitted.  A mass
+    is p or p/q.  In strict mode every class must be covered; lenient mode
+    zero-fills the rest and records a warning."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     lines = [ln.rstrip("\n") for ln in stream]
@@ -310,7 +306,7 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     for d in (1, 2):
         central = TorsionClass(((d, 2 * g),))
         if central not in masses:
-            masses[central] = central_mass_default(g)
+            masses[central] = zeta_product(g)
 
     missing = [c for c in full if c not in masses]
     if missing:

@@ -20,7 +20,13 @@ the package computes another way, and the tests compare the two:
   against the monomials, integer products and generator-level check of
   `tautring`;
 * closed forms the tests compare against: the SL2 characters nu_d, and the
-  top power u_1^N = N! / prod (2j-1)!! times the socle.
+  top power u_1^N = N! / prod (2j-1)!! times the socle;
+* the closed forms `exact` and `proportionality` build from integer
+  products, by their textbook products of Fractions and LaurentPolys: the
+  g-fold product prod (1 + T^{2k}) for the Poincare polynomial, the
+  zeta(1-2j) product for the central mass, the sign, power of 2 and zeta
+  terms of lambda_1^N, and the per-term B_{2j} product of the Siegel volume
+  and the modular-form asymptotics.
 """
 import functools
 import itertools
@@ -28,7 +34,8 @@ import math
 from fractions import Fraction
 
 from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
-from agcoh.exact import LaurentPoly, cyclotomic, double_factorial_odd, euler_phi
+from agcoh.exact import (LaurentPoly, bernoulli, cyclotomic, double_factorial_odd,
+                         euler_phi, zeta_negative)
 from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 from agcoh.tautring import RingElement
@@ -407,3 +414,35 @@ def quotient_by_top_all_pairs(g: int) -> dict[int, int]:
                 raise AssertionError(
                     f"R_{g}/(u_{g}) differs from R_{h} on basis product {m1:b} * {m2:b}")
     return {m: m for m in range(1 << h)}
+
+
+# -- closed forms as textbook products -------------------------------------------
+
+def poincare_product(g: int) -> LaurentPoly:
+    """prod_{k=1}^{g} (1 + T^{2k}), multiplied out as LaurentPolys."""
+    result = LaurentPoly.one(1)
+    for k in range(1, g + 1):
+        result = result * (LaurentPoly.one(1) + LaurentPoly.t_power(2 * k))
+    return result
+
+
+def zeta_negative_product(g: int) -> Fraction:
+    """zeta(-1) zeta(-3) ... zeta(1-2g), one Fraction per factor."""
+    return math.prod((zeta_negative(j) for j in range(1, g + 1)), start=Fraction(1))
+
+
+def lambda1_power_closed_form(g: int) -> Fraction:
+    """(-1)^N (N! / 2^g) prod_{k=1}^{g} zeta(1-2k)/(2k-1)!!, N = g(g+1)/2."""
+    n = g * (g + 1) // 2
+    sign = -1 if n % 2 else 1
+    value = Fraction(sign * math.factorial(n), 2 ** g)
+    value /= double_factorial_odd(g)
+    for k in range(1, g + 1):
+        value *= zeta_negative(k)
+    return value
+
+
+def bernoulli_factor(g: int) -> Fraction:
+    """prod_{j=1}^{g} ((j-1)!/(2j)!) (-1)^{j-1} B_{2j}, term by term."""
+    return math.prod((Fraction((-1) ** (j - 1) * math.factorial(j - 1), math.factorial(2 * j))
+                      * bernoulli(2 * j) for j in range(1, g + 1)), start=Fraction(1))

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from agcoh import cli, proportionality, spin, tables
 from agcoh.cli import (EXIT_DATA, EXIT_INTERNAL, EXIT_REGISTRY, EXIT_USAGE,
                        load_result_schema, run)
+from agcoh.exact import zeta_product
 from agcoh.proportionality import lambda1_power
 from agcoh.symplectic import HighestWeight, weyl_dimension
-from agcoh.torsion import central_mass_default
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,6 +79,21 @@ def test_ih_output_bytes_pinned():
         code, out, err = run(list(argv))
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_closed_form_output_bytes_pinned():
+    """sha256 over every code, stdout and stderr of intersect, modforms and
+    taut at g = 1..40 in each format, recorded before the closed forms were
+    rebuilt from integer products.  A deliberate change to these documents
+    re-records the value."""
+    digest = hashlib.sha256()
+    for g in range(1, 41):
+        for cmd in ("intersect", "modforms", "taut"):
+            for fmt in ("json", "tsv", "latex"):
+                code, out, err = run([cmd, "--g", str(g), "--format", fmt])
+                digest.update(f"{code}|{out}|{err}".encode())
+    assert digest.hexdigest() == \
+        "61dcdec7ee041d7558c3303a11117da311cfd977470cf61ef3f549e55ce425c5"
 
 
 def test_ih_expected_betti():
@@ -168,6 +183,30 @@ def test_exit_code_data(tmp_path):
         assert json.loads(err)["error"]["type"] == "data"
         if flag == "--registry":
             assert "malformed registry record" in json.loads(err)["error"]["message"]
+    # a file json cannot decode is a data error, not an internal one: an
+    # integer past the digit limit (ValueError) or nesting past the
+    # recursion limit (RecursionError)
+    undecodable = [
+        (["arthur", "--g", "2", "--registry"],
+         '[{"kind": "s", "doubled_weights": [25], "cardinality": 1%s}]' % ("0" * 5000)),
+        (["ih", "--g", "9", "--signs"], '{"[19]": [1%s]}' % ("0" * 5000)),
+        (["arthur", "--g", "2", "--registry"], "[" * 100_000 + "]" * 100_000),
+        (["ih", "--g", "9", "--signs"], "[" * 100_000 + "]" * 100_000),
+    ]
+    for i, (argv, text) in enumerate(undecodable):
+        path = tmp_path / f"undecodable{i}.json"
+        path.write_text(text)
+        code, out, err = run(argv + [str(path)])
+        assert code == EXIT_DATA and out == "", argv
+        error = json.loads(err)["error"]
+        assert error["type"] == "data" and error["message"].startswith("bad "), argv
+    # a path that cannot be read is "cannot read", whichever flag names it
+    for argv, what in ((["euler", "--g", "1", "--masses"], "mass table"),
+                       (["arthur", "--g", "1", "--registry"], "registry file"),
+                       (["ih", "--g", "2", "--signs"], "sign file")):
+        code, out, err = run(argv + [str(tmp_path)])
+        assert code == EXIT_DATA and out == "", argv
+        assert json.loads(err)["error"]["message"].startswith(f"cannot read {what} "), argv
     # a file that is not UTF-8 is a data error too, whichever flag names it
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00 not text")
@@ -260,7 +299,7 @@ def test_euler_beyond_weight_budget(tmp_path):
     hw = HighestWeight(4, (8, 4, 2, 0))
     assert weyl_dimension(hw) == 3_825_536
     # only the central classes +-1 carry mass, and both act by +1 (even weight)
-    expected = 2 * central_mass_default(4) * weyl_dimension(hw)
+    expected = 2 * zeta_product(4) * weyl_dimension(hw)
     assert doc["result"]["elliptic_term"] == str(expected) == "29887/340200"
 
 

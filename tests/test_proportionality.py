@@ -4,7 +4,7 @@ import pytest
 
 from agcoh import proportionality as pr
 from agcoh.errors import InputError
-from oracles import top_power_coefficient
+from oracles import bernoulli_factor, lambda1_power_closed_form, top_power_coefficient
 
 
 def top_monomials(g):
@@ -56,6 +56,8 @@ def test_lambda1_power_examples():
     assert pr.lambda1_power(1) == Fraction(1, 24)
     assert pr.lambda1_power(2) == Fraction(1, 2880)
     assert pr.lambda1_power(3) == Fraction(1, 181440)
+    for g in range(1, 41):
+        assert pr.lambda1_power(g) == lambda1_power_closed_form(g)
 
 
 def test_two_formulas_agree_and_signs():
@@ -85,6 +87,9 @@ def test_modular_form_asymptotics():
     assert pr.modular_form_asymptotics(2) == (Fraction(1, 8640), 3)
     coeff, expo = pr.modular_form_asymptotics(3)
     assert expo == 6 and coeff > 0
+    for g in range(1, 41):
+        assert pr.modular_form_asymptotics(g) == \
+            (2 ** ((g - 1) * (g - 2) // 2) * bernoulli_factor(g), g * (g + 1) // 2)
 
 
 def test_siegel_volume():
@@ -92,6 +97,9 @@ def test_siegel_volume():
     assert (v1.rational, v1.pi_exponent) == (Fraction(1, 3), 1)
     v2 = pr.siegel_volume(2)
     assert v2.pi_exponent == 3
+    for g in range(1, 41):
+        assert pr.siegel_volume(g) == \
+            pr.PiScaledRational(2 ** (g * g + 1) * bernoulli_factor(g), g * (g + 1) // 2)
     # consistency with the asymptotic coefficient:
     # vol * 2^{-N-g} / pi^N = leading coefficient of dim M_k(level) before
     # cancelling the index; at full level the powers of two differ by the

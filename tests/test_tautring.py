@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from agcoh import tautring as tr
-from agcoh.exact import double_factorial_odd, strict_partition_count
+from agcoh.exact import double_factorial_odd, strict_partition_counts
 
 
 def test_rewrite_examples():
@@ -73,11 +73,14 @@ def test_poincare_polynomial():
 
 
 def test_graded_dimensions_are_strict_partition_counts():
-    for g in range(1, 9):
+    for g in range(1, 31):
         p = tr.poincare_polynomial(g)
-        for k in range(0, g * (g + 1) // 2 + 1):
-            assert p.coeff(2 * k) == strict_partition_count(k, g)
-            assert tr.graded_dimension(g, 2 * k) == strict_partition_count(k, g)
+        assert p == oracles.poincare_product(g)
+        counts = strict_partition_counts(g * (g + 1) // 2, g)
+        assert p.coeff_list(0, g * (g + 1))[::2] == counts
+        if g <= 8:
+            for k, count in enumerate(counts):
+                assert tr.graded_dimension(g, 2 * k) == count
 
 
 def test_socle_pairing_examples():

@@ -9,10 +9,10 @@ import pytest
 from agcoh import symplectic
 from agcoh import torsion as to
 from agcoh.errors import WeightBudgetError
-from agcoh.exact import zeta_negative
+from agcoh.exact import zeta_negative, zeta_product
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight, character_at_torsion
-from oracles import naive_elliptic_term
+from oracles import naive_elliptic_term, zeta_negative_product
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -58,8 +58,16 @@ def test_full_count_negation_identity():
 
 
 def test_central_mass_default():
-    assert to.central_mass_default(1) == Fraction(-1, 12)
-    assert to.central_mass_default(2) == zeta_negative(1) * zeta_negative(2)
+    assert zeta_product(0) == 1
+    assert zeta_product(1) == Fraction(-1, 12)
+    assert zeta_product(2) == zeta_negative(1) * zeta_negative(2)
+    for g in range(1, 41):
+        assert zeta_product(g) == zeta_negative_product(g)
+    # the central classes take it when a table omits them
+    for g in (1, 2, 3):
+        table = to.parse_mass_table(f"genus: {g}\n", g, strict=False)
+        for d in (1, 2):
+            assert table.mass(to.TorsionClass(((d, 2 * g),))) == zeta_product(g)
 
 
 def test_parse_mass_table_defaults_and_negation_closure():
@@ -83,6 +91,19 @@ def test_parse_mass_table_errors():
         to.parse_mass_table("genus: 1\n3^1\t1/3\n6^1\t1/3\n", 1)  # duplicate orbit
     with pytest.raises(to.MassTableError):
         to.parse_mass_table("genus: 1\n3^1\tx\n", 1)             # bad rational
+    # a mass is p or p/q: no exponent (whose expansion is unbounded), no
+    # decimal point, no underscores, one slash at most
+    for text in ("1e1000000", "0.5", "1_000", "1/2/3"):
+        with pytest.raises(to.MassTableError, match="expected p or p/q"):
+            to.parse_mass_table(f"genus: 1\n3^1\t{text}\n", 1, strict=False)
+    with pytest.raises(to.MassTableError, match="invalid rational"):
+        to.parse_mass_table("genus: 1\n3^1\t1/0\n", 1, strict=False)
+    # an index past the interpreter's digit limit is malformed data too
+    with pytest.raises(to.MassTableError, match="invalid class"):
+        to.parse_mass_table("genus: 1\n1" + "0" * 5000 + "^1\t1\n", 1, strict=False)
+    table = to.parse_mass_table("genus: 1\n3^1\t -2/6 \n4^1\t+3\n", 1)
+    assert table.mass(to.TorsionClass.parse("3^1")) == Fraction(-1, 3)
+    assert table.mass(to.TorsionClass.parse("4^1")) == 3
     with pytest.raises(to.MassTableError):
         to.parse_mass_table("genus: 1\n", 1)                     # incomplete, strict
 
@@ -117,7 +138,7 @@ def test_elliptic_term_toy_table():
     with pytest.raises(to.MassTableError):
         to.elliptic_term(hw, table)          # strict refuses the zero-filled table
     value = to.elliptic_term(hw, table, strict=False)
-    assert value == 2 * to.central_mass_default(2)
+    assert value == 2 * zeta_product(2)
 
 
 def test_elliptic_term_odd_weight_vanishes_randomized():
