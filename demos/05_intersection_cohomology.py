@@ -58,4 +58,5 @@ hw = HighestWeight(2, (4, 4))
 print(f"rank 2, weights (4,4): shape {param.canonical_shape()}")
 for sign in ("+", "-"):
     char = sp.rho_psi(param, (sign,))
-    print(f"  sign {sign}: Hodge diamond {sp.hodge_diamond(char, hw.g, hw.weight)}")
+    diamond = sp.hodge_diamond(char, hw.g, hw.weight)
+    print(f"  sign {sign}: Hodge diamond {sorted(diamond.items())}")

@@ -22,10 +22,11 @@ w = lambda + rho.
 
 Enumeration peels maximal-element-anchored consecutive runs off the weight
 set for every admissible central run length, pruning as soon as a run center
-cannot belong to any nonzero registered block.  The multiplicity of a shape
-is the product of its block cardinalities; two factors can never share the
-same (weight vector, d) since their runs would collide, so the product needs
-no binomial corrections.
+cannot belong to any nonzero registered block; the weights are an int
+bitmask, so a run comes off with one mask operation.  The multiplicity of a
+shape is the product of its block cardinalities; two factors can never share
+the same (weight vector, d) since their runs would collide, so the product
+needs no binomial corrections.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ class BlockKind(enum.Enum):
     ODD_ORTHOGONAL = "odd_orthogonal"
     EVEN_ORTHOGONAL = "even_orthogonal"
     SYMPLECTIC = "symplectic"
+    __hash__ = object.__hash__    # members are singletons; Enum's hash runs in Python
 
 
 _KIND_ALIASES = {
@@ -194,7 +196,11 @@ class Registry:
         return list(self._blocks.values())
 
     def lookup(self, kind: BlockKind, doubled_weights: Iterable[int]) -> BuildingBlock:
-        dw = tuple(sorted(map(_record_int, doubled_weights), reverse=True))
+        return self._lookup(kind, tuple(sorted(map(_record_int, doubled_weights),
+                                               reverse=True)))
+
+    def _lookup(self, kind: BlockKind, dw: tuple[int, ...]) -> BuildingBlock:
+        # dw is already a descending tuple of ints, as the enumeration makes it
         key = (kind, dw)
         block = self._blocks.get(key) or self._empty.get(key)
         if block is not None:
@@ -209,11 +215,19 @@ class Registry:
     def center_status(self, kind: BlockKind, doubled_center: int) -> str:
         """'viable' when some nonzero block of this kind contains the weight,
         'dead' when exhaustive knowledge rules it out, 'unknown' otherwise."""
-        if doubled_center in self._viable[kind]:
-            return "viable"
-        if doubled_center <= self.bound_doubled:
-            return "dead"
-        return "unknown"
+        known = self._center_known(self._viable[kind], self.bound_doubled, doubled_center)
+        return "unknown" if known is None else "viable" if known else "dead"
+
+    @staticmethod
+    def _center_known(viable: set[int], bound_doubled: int, doubled_center: int
+                      ) -> bool | None:
+        # center_status as True (viable), False (dead) or None (unknown);
+        # `viable` holds the centers of the kind's nonzero blocks
+        if doubled_center in viable:
+            return True
+        if doubled_center <= bound_doubled:
+            return False
+        return None
 
     def with_records(self, records: Iterable[dict]) -> "Registry":
         merged = dict(self._blocks)
@@ -376,65 +390,62 @@ class ArthurParameter(Record):
         return self.canonical_shape()
 
 
-def _run_assignments(rest: tuple[int, ...], d0: int, registry: Registry
-                     ) -> list[tuple[tuple[int, ...], dict]]:
-    """Peel runs of consecutive integers off `rest`, assigning each either to
-    the principal block (runs of length exactly d0 whose center lies in some
-    nonzero odd orthogonal block) or to a factor pool keyed by (kind, d).
-    Returns all (principal_doubled_centers, pools) assignments; raises
-    RegistryIncompleteError when a run center is beyond registry knowledge.
-    """
-    memo: dict[frozenset[int], list[tuple[tuple[int, ...], dict]]] = {}
+def _run_assignments(rest: int, d0: int, registry: Registry
+                     ) -> list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]:
+    """Peel runs off the weight bitmask `rest` (bit w for weight w; a top run
+    of length k comes off by keeping the bits below top - k + 1), assigning
+    each either to the principal block (length exactly d0, center in some
+    nonzero odd orthogonal block) or to the factor pool of its length d,
+    symplectic for even d and even orthogonal for odd d.  Returns all
+    (principal_doubled_centers, {d: doubled_centers}) assignments, centers
+    descending, memoized per call by mask; raises RegistryIncompleteError
+    when a run center is beyond registry knowledge."""
+    memo: dict[int, list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]] = {}
+    odd_orth = registry._viable[BlockKind.ODD_ORTHOGONAL]
+    even_orth = registry._viable[BlockKind.EVEN_ORTHOGONAL]
+    symplectic = registry._viable[BlockKind.SYMPLECTIC]
+    bound, center_known = registry.bound_doubled, Registry._center_known
 
-    def viable(kind: BlockKind, doubled_center: int) -> bool:
-        st = registry.center_status(kind, doubled_center)
-        if st == "unknown":
-            raise RegistryIncompleteError(
-                f"run centered at weight {doubled_center}/2 exceeds the registry "
-                "bound; ingest cardinalities to enumerate")
-        return st == "viable"
+    def viable(centers: set[int], doubled_center: int) -> bool:
+        known = center_known(centers, bound, doubled_center)
+        if known is not None:
+            return known
+        raise RegistryIncompleteError(
+            f"run centered at weight {doubled_center}/2 exceeds the registry "
+            "bound; ingest cardinalities to enumerate")
 
-    def recurse(remaining: frozenset[int]) -> list[tuple[tuple[int, ...], dict]]:
+    def recurse(remaining: int) -> list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]:
         if not remaining:
             return [((), {})]
         if remaining in memo:
             return memo[remaining]
-        out: list[tuple[tuple[int, ...], dict]] = []
-        top = max(remaining)
+        out = []
+        top = remaining.bit_length() - 1
         run_len = 0
-        while top - run_len >= 1 and (top - run_len) in remaining:
+        while top > run_len and remaining >> (top - run_len) & 1:
             run_len += 1
             doubled_center = 2 * top - run_len + 1
-            options: list[tuple[str, tuple[BlockKind, int] | None]] = []
-            if run_len % 2:
-                if run_len == d0 and viable(BlockKind.ODD_ORTHOGONAL, doubled_center):
-                    options.append(("principal", None))
-                if viable(BlockKind.EVEN_ORTHOGONAL, doubled_center):
-                    options.append(("pool", (BlockKind.EVEN_ORTHOGONAL, run_len)))
-            elif viable(BlockKind.SYMPLECTIC, doubled_center):
-                options.append(("pool", (BlockKind.SYMPLECTIC, run_len)))
-            if not options:
+            principal = run_len == d0 and viable(odd_orth, doubled_center)    # d0 is odd
+            pooled = viable(even_orth if run_len % 2 else symplectic, doubled_center)
+            if not (principal or pooled):
                 continue
-            sub = recurse(remaining - frozenset(range(top - run_len + 1, top + 1)))
-            for tag, key in options:
-                for sub_principal, sub_pools in sub:
-                    if tag == "principal":
-                        out.append(((doubled_center,) + sub_principal, sub_pools))
-                    else:
-                        pools = dict(sub_pools)
-                        pools[key] = (doubled_center,) + pools.get(key, ())
-                        out.append((sub_principal, pools))
+            sub = recurse(remaining & ((1 << (top - run_len + 1)) - 1))
+            if principal:
+                out += [((doubled_center,) + centers, pools) for centers, pools in sub]
+            if pooled:
+                out += [(centers, {**pools, run_len: (doubled_center,) + pools.get(run_len, ())})
+                        for centers, pools in sub]
         memo[remaining] = out
         return out
 
-    return recurse(frozenset(rest))
+    return recurse(rest)
 
 
 def _pool_groupings(kind: BlockKind, centers: tuple[int, ...], registry: Registry
                     ) -> list[tuple[BuildingBlock, ...]]:
     """All ways to split a pool of run centers into nonzero blocks of the
     given kind (even group sizes for the even orthogonal kind)."""
-    even_sizes = kind is BlockKind.EVEN_ORTHOGONAL
+    even_sizes = kind is BlockKind.EVEN_ORTHOGONAL    # first plus an odd number of mates
     results: list[tuple[BuildingBlock, ...]] = []
 
     def recurse(todo: tuple[int, ...], acc: tuple[BuildingBlock, ...]):
@@ -442,11 +453,9 @@ def _pool_groupings(kind: BlockKind, centers: tuple[int, ...], registry: Registr
             results.append(acc)
             return
         first, rest = todo[0], todo[1:]
-        for size in range(0, len(rest) + 1):
-            if even_sizes and (size + 1) % 2:
-                continue
+        for size in range(even_sizes, len(rest) + 1, 1 + even_sizes):
             for mates in itertools.combinations(rest, size):
-                block = registry.lookup(kind, (first,) + mates)
+                block = registry._lookup(kind, (first,) + mates)
                 if block.cardinality == 0:
                     continue
                 left = tuple(x for x in rest if x not in mates)
@@ -464,35 +473,32 @@ def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
     empty block are dropped; shapes needing blocks beyond the registry's
     knowledge raise RegistryIncompleteError."""
     registry = registry or Registry.builtin()
-    tau = set(hw.tau)
     g = hw.g
+    rest = sum(1 << w for w in hw.tau)
     found: dict[str, tuple[ArthurParameter, int]] = {}
     for c in range(g + 1):
-        if c > 0 and c not in tau:
+        if c and not rest >> c & 1:
             break
+        rest &= ~(1 << c)    # the central run {1..c} takes weight c (no weight is 0)
         d0 = 2 * c + 1
-        rest = tuple(sorted(tau - set(range(1, c + 1)), reverse=True))
         for principal_centers, pools in _run_assignments(rest, d0, registry):
-            principal_block = registry.lookup(BlockKind.ODD_ORTHOGONAL, principal_centers)
+            principal_block = registry._lookup(BlockKind.ODD_ORTHOGONAL, principal_centers)
             if principal_block.cardinality == 0:
                 continue
             per_pool = []
-            dead = False
-            for (kind, d), centers in sorted(pools.items(),
-                                             key=lambda kv: (kv[0][0].value, kv[0][1])):
-                groupings = _pool_groupings(kind, tuple(sorted(centers, reverse=True)),
-                                            registry)
+            # even orthogonal pools (odd d), then symplectic: (kind.value, d) order
+            for d in sorted(pools, key=lambda d: (d % 2 == 0, d)):
+                kind = BlockKind.EVEN_ORTHOGONAL if d % 2 else BlockKind.SYMPLECTIC
+                groupings = _pool_groupings(kind, pools[d], registry)
                 if not groupings:
-                    dead = True
                     break
                 per_pool.append([(d, grouping) for grouping in groupings])
-            if dead:
-                continue
-            for combo in itertools.product(*per_pool):
-                factors = tuple((block, d) for d, grouping in combo for block in grouping)
-                param = ArthurParameter(g, (principal_block, d0), factors)
-                shape = param.canonical_shape()
-                if shape in found:
-                    raise AssertionError(f"shape {shape} enumerated twice")
-                found[shape] = (param, param.multiplicity)
+            else:
+                for combo in itertools.product(*per_pool):
+                    factors = tuple((block, d) for d, grouping in combo for block in grouping)
+                    param = ArthurParameter(g, (principal_block, d0), factors)
+                    shape = param.canonical_shape()
+                    if shape in found:
+                        raise AssertionError(f"shape {shape} enumerated twice")
+                    found[shape] = (param, param.multiplicity)
     return [found[k] for k in sorted(found)]

@@ -31,11 +31,11 @@ every character after it is a plain two-variable LaurentPoly in its true
 exponents, with integer coefficients by type (the half-spins are exact
 halves, LaurentPoly.halve).  A factor's spin data depends only on its
 (kind, doubled weights, d), so it is built once per process and shared by
-every parameter and every call; parameters differ only in the
-per-sign-vector products.  A variant is read in one pass over its product
-into a dense int list of its coefficients of T^-n .. T^n at S = 1,
-n = g(g+1)/2: the graded dimensions, whose torus strings and primitive
-degrees follow from that list alone.
+every parameter and every call; parameters differ only in the per-sign-vector
+products, of which vectors with a common sign prefix share the prefix's.  A
+variant is read in one pass over its product into a dense int list of its
+coefficients of T^-n .. T^n at S = 1, n = g(g+1)/2: the graded dimensions,
+whose torus strings and primitive degrees follow from that list alone.
 """
 from __future__ import annotations
 
@@ -139,22 +139,28 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
     """(signs, character) for each sign vector (aligned with param.factors,
     extra entries cut off): the principal spin character and each factor's
     half-spin pair come from the per-process factor cache, then are
-    multiplied per vector."""
+    multiplied per vector: each sign prefix's product is formed once per
+    call, shared by every vector that starts with it (2 + 4 + ... + 2^r
+    products under emit-both, not r 2^r).  Every vector is checked."""
     block0, d0 = param.principal
     (principal,) = _factor_spins(block0, d0)
     pairs = [_factor_spins(block, d) for block, d in param.factors]
+    prefixes: dict[tuple[str, ...], LaurentPoly] = {}
     for signs in sign_vectors:
         signs = tuple(signs)[:param.r]
         result = principal
-        for (block, d), (plus, minus), sign in itertools.zip_longest(
-                param.factors, pairs, signs):
+        for i, ((block, d), (plus, minus), sign) in enumerate(itertools.zip_longest(
+                param.factors, pairs, signs)):
             if sign is None:
                 raise SignPolicyError(
                     f"factor {block.label}[{d}] of {param.canonical_shape()} has "
                     "distinct half-spins; provide an explicit sign or use emit-both")
             if sign not in ("+", "-"):
                 raise SignPolicyError(f"invalid sign {sign!r}")
-            result = result * (plus if sign == "+" else minus)
+            product = prefixes.get(signs[:i + 1])
+            if product is None:
+                product = prefixes[signs[:i + 1]] = result * (plus if sign == "+" else minus)
+            result = product
         if result.evaluate_all_ones() != 2 ** (param.genus - param.r):
             raise AssertionError("assembled character has the wrong dimension")
         if not result.is_symmetric():
@@ -212,20 +218,25 @@ def hodge_diamond(char: LaurentPoly, genus: int, weight: int = 0
     weight (the Hodge structure on degree-k classes with nontrivial
     coefficients is pure of weight k + w, so the bidegrees shift by w).
     A negative coefficient, or a parity or positivity failure, means the
-    sign assignment was invalid (ValueError)."""
+    sign assignment was invalid (ValueError).  The dict's order is
+    unspecified: sort its items for a stable rendering."""
     n = genus * (genus + 1) // 2 + weight
     out: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in char.items():
+    for (a, b), coeff in char.terms():
+        if coeff < 0 or (a + b + n) % 2 or abs(a) > b + n:
+            break
+        p = (b + n - a) // 2
+        q = (b + n + a) // 2
+        out[(p, q)] = out.get((p, q), 0) + coeff
+    else:
+        return out
+    for (a, b), coeff in char.items():    # name the first fault in sorted order
         if coeff < 0:
             raise ValueError("character has a negative coefficient")
         if (a + b + n) % 2 or abs(a) > b + n:
             raise ValueError(
                 f"monomial S^{a} T^{b} violates Hodge parity/positivity "
                 "(invalid sign assignment)")
-        p = (b + n - a) // 2
-        q = (b + n + a) // 2
-        out[(p, q)] = out.get((p, q), 0) + coeff
-    return out
 
 
 # -- assembly ----------------------------------------------------------------

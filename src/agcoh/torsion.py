@@ -175,6 +175,11 @@ class TorsionClass(Record):
         return self.encode()
 
 
+def _index_bound(g: int) -> int:
+    """No larger cyclotomic index fits in rank g: phi(d) >= sqrt(d/2) > 2g."""
+    return 2 * (2 * g) ** 2
+
+
 def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[TorsionClass]:
     """All torsion classes of rank g: multisets of cyclotomic indices with
     total degree 2g and even multiplicity of the indices 1 and 2.  With
@@ -183,7 +188,7 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
     if g < 1:
         raise ValueError("rank must be positive")
     budget = 2 * g
-    indices = [d for d in range(1, 2 * budget * budget + 1) if euler_phi(d) <= budget]
+    indices = [d for d in range(1, _index_bound(g) + 1) if euler_phi(d) <= budget]
     out: list[TorsionClass] = []
 
     def extend(pos: int, remaining: int, acc: list[tuple[int, int]]) -> None:
@@ -291,6 +296,9 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     masses: dict[TorsionClass, Fraction] = {}
     covered_orbits: set[TorsionClass] = set()
     for c, mass in records:
+        if c.pairs[-1][0] > _index_bound(g):    # before its totient is computed
+            raise MassTableError(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
+                                 f"{_index_bound(g)}, so its degree exceeds {2 * g}")
         if c.degree != 2 * g:
             raise MassTableError(f"class {c} has degree {c.degree}, expected {2 * g}")
         if c not in full_set:

@@ -7,6 +7,10 @@ the package computes another way, and the tests compare the two:
 * the elliptic term: one character per class of the table, c and -c alike,
   summed as Fractions, against the negation-orbit pairing of
   `torsion.elliptic_term`;
+* parameter enumeration: runs peeled off a frozenset of weights, run
+  centers judged through `Registry.center_status` and every block found by
+  the public `Registry.lookup`, against the bitmask peeling and trusted
+  lookups of `arthur.enumerate_parameters`;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin._factor_spins` specialized at S = 1
   (`set_var_to_one`); both in true exponents;
@@ -33,7 +37,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from agcoh.arthur import BlockKind, BuildingBlock, check_kind_d
+from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
+                          check_kind_d)
+from agcoh.errors import RegistryIncompleteError
 from agcoh.exact import (LaurentPoly, bernoulli, cyclotomic, double_factorial_odd,
                          euler_phi, zeta_negative)
 from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
@@ -219,6 +225,126 @@ def naive_elliptic_term(hw, masses) -> Fraction:
     for c, m in masses.masses.items():
         total += m * character_at_torsion(hw, c)
     return total
+
+
+# -- parameter enumeration over frozensets -------------------------------------------
+
+def set_run_assignments(rest: tuple[int, ...], d0: int, registry: Registry
+                        ) -> list[tuple[tuple[int, ...], dict]]:
+    """Peel runs of consecutive integers off `rest`, assigning each either to
+    the principal block (runs of length exactly d0 whose center lies in some
+    nonzero odd orthogonal block) or to a factor pool keyed by (kind, d).
+    Returns all (principal_doubled_centers, pools) assignments; raises
+    RegistryIncompleteError when a run center is beyond registry knowledge.
+    """
+    memo: dict[frozenset[int], list[tuple[tuple[int, ...], dict]]] = {}
+
+    def viable(kind: BlockKind, doubled_center: int) -> bool:
+        st = registry.center_status(kind, doubled_center)
+        if st == "unknown":
+            raise RegistryIncompleteError(
+                f"run centered at weight {doubled_center}/2 exceeds the registry "
+                "bound; ingest cardinalities to enumerate")
+        return st == "viable"
+
+    def recurse(remaining: frozenset[int]) -> list[tuple[tuple[int, ...], dict]]:
+        if not remaining:
+            return [((), {})]
+        if remaining in memo:
+            return memo[remaining]
+        out: list[tuple[tuple[int, ...], dict]] = []
+        top = max(remaining)
+        run_len = 0
+        while top - run_len >= 1 and (top - run_len) in remaining:
+            run_len += 1
+            doubled_center = 2 * top - run_len + 1
+            options: list[tuple[str, tuple[BlockKind, int] | None]] = []
+            if run_len % 2:
+                if run_len == d0 and viable(BlockKind.ODD_ORTHOGONAL, doubled_center):
+                    options.append(("principal", None))
+                if viable(BlockKind.EVEN_ORTHOGONAL, doubled_center):
+                    options.append(("pool", (BlockKind.EVEN_ORTHOGONAL, run_len)))
+            elif viable(BlockKind.SYMPLECTIC, doubled_center):
+                options.append(("pool", (BlockKind.SYMPLECTIC, run_len)))
+            if not options:
+                continue
+            sub = recurse(remaining - frozenset(range(top - run_len + 1, top + 1)))
+            for tag, key in options:
+                for sub_principal, sub_pools in sub:
+                    if tag == "principal":
+                        out.append(((doubled_center,) + sub_principal, sub_pools))
+                    else:
+                        pools = dict(sub_pools)
+                        pools[key] = (doubled_center,) + pools.get(key, ())
+                        out.append((sub_principal, pools))
+        memo[remaining] = out
+        return out
+
+    return recurse(frozenset(rest))
+
+
+def set_pool_groupings(kind: BlockKind, centers: tuple[int, ...], registry: Registry
+                       ) -> list[tuple[BuildingBlock, ...]]:
+    """All ways to split a pool of run centers into nonzero blocks of the
+    given kind (even group sizes for the even orthogonal kind)."""
+    even_sizes = kind is BlockKind.EVEN_ORTHOGONAL
+    results: list[tuple[BuildingBlock, ...]] = []
+
+    def recurse(todo: tuple[int, ...], acc: tuple[BuildingBlock, ...]):
+        if not todo:
+            results.append(acc)
+            return
+        first, rest = todo[0], todo[1:]
+        for size in range(0, len(rest) + 1):
+            if even_sizes and (size + 1) % 2:
+                continue
+            for mates in itertools.combinations(rest, size):
+                block = registry.lookup(kind, (first,) + mates)
+                if block.cardinality == 0:
+                    continue
+                left = tuple(x for x in rest if x not in mates)
+                recurse(left, acc + (block,))
+
+    recurse(centers, ())
+    return results
+
+
+def set_enumerate_parameters(hw: HighestWeight, registry: Registry
+                             ) -> list[tuple[ArthurParameter, int]]:
+    """`arthur.enumerate_parameters` on frozensets: every (parameter,
+    multiplicity), sorted by canonical shape."""
+    tau = set(hw.tau)
+    g = hw.g
+    found: dict[str, tuple[ArthurParameter, int]] = {}
+    for c in range(g + 1):
+        if c > 0 and c not in tau:
+            break
+        d0 = 2 * c + 1
+        rest = tuple(sorted(tau - set(range(1, c + 1)), reverse=True))
+        for principal_centers, pools in set_run_assignments(rest, d0, registry):
+            principal_block = registry.lookup(BlockKind.ODD_ORTHOGONAL, principal_centers)
+            if principal_block.cardinality == 0:
+                continue
+            per_pool = []
+            dead = False
+            for (kind, d), centers in sorted(pools.items(),
+                                             key=lambda kv: (kv[0][0].value, kv[0][1])):
+                groupings = set_pool_groupings(kind, tuple(sorted(centers, reverse=True)),
+                                               registry)
+                if not groupings:
+                    dead = True
+                    break
+                per_pool.append([(d, grouping) for grouping in groupings])
+            if dead:
+                continue
+            for combo in itertools.product(*per_pool):
+                factors = tuple((block, d) for d, grouping in combo for block in grouping)
+                param = ArthurParameter(g, (principal_block, d0), factors)
+                shape = param.canonical_shape()
+                if shape in found:
+                    raise AssertionError(f"shape {shape} enumerated twice")
+                found[shape] = (param, param.multiplicity)
+    return [found[k] for k in sorted(found)]
 
 
 # -- closed-form spin products ---------------------------------------------------

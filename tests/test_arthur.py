@@ -7,6 +7,7 @@ import pytest
 
 from agcoh import arthur as ar
 from agcoh.symplectic import HighestWeight
+from oracles import set_enumerate_parameters
 
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \
     ar.BlockKind.SYMPLECTIC
@@ -316,15 +317,20 @@ def test_registry_incompleteness_error():
         ar.enumerate_parameters(HighestWeight(12, (0,) * 12), reg)
 
 
-def test_multiplicities_multiply():
+def _synthetic_registry():
     # synthetic world with exhaustive knowledge up to doubled weight 30:
-    # one nontrivial odd-orthogonal block of cardinality 3 and a symplectic
-    # block of cardinality 2
+    # one nontrivial odd-orthogonal block of cardinality 3, a symplectic
+    # block of cardinality 2 and an even-orthogonal block of cardinality 5
     blocks = list(ar.Registry.builtin().blocks()) + [
         ar.BuildingBlock(S, (23,), 2),
         ar.BuildingBlock(OO, (26,), 3),
+        ar.BuildingBlock(OE, (26, 8), 5),
     ]
-    reg = ar.Registry(blocks, bound_doubled=30)
+    return ar.Registry(blocks, bound_doubled=30)
+
+
+def test_multiplicities_multiply():
+    reg = _synthetic_registry()
     params = {p.canonical_shape(): m
               for p, m in ar.enumerate_parameters(HighestWeight(1, (12,)), reg)}
     assert params == {"Oo(26)": 3}
@@ -337,6 +343,47 @@ def test_multiplicities_multiply():
     params = {p.canonical_shape(): m
               for p, m in ar.enumerate_parameters(hw, reg)}
     assert params["S(23)[2]+D11[10]+Oo(26)"] == 6
+
+
+# -- the frozenset enumeration oracle --------------------------------------------
+
+def _enumeration_or_error(enumerate_parameters, hw, reg):
+    try:
+        return [(repr(p), m) for p, m in enumerate_parameters(hw, reg)]
+    except ar.RegistryIncompleteError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("registry, max_rank", [
+    (ar.Registry, 11), (_synthetic_registry, 13)], ids=["builtin", "bound30"])
+def test_enumeration_matches_set_oracle(registry, max_rank):
+    # every weight with lambda_1 + g <= max_rank, odd weights too: the same
+    # (parameter, multiplicity) list in the same order, block kinds, names
+    # and cardinalities included
+    reg, oracle_reg = registry(), registry()
+    nonzero = even_orthogonal = 0
+    for g in range(1, max_rank + 1):
+        for lam in dominant_weights(g, max_rank - g):
+            hw = HighestWeight(g, lam)
+            got = _enumeration_or_error(ar.enumerate_parameters, hw, reg)
+            assert got == _enumeration_or_error(set_enumerate_parameters, hw,
+                                                oracle_reg), (g, lam)
+            nonzero += bool(got)
+            even_orthogonal += any("EVEN_ORTHOGONAL" in param for param, _ in got)
+    assert (nonzero, even_orthogonal) == {11: (174, 0), 13: (525, 145)}[max_rank]
+
+
+@pytest.mark.parametrize("registry, g, lam", [
+    (ar.Registry, 1, (12,)), (ar.Registry, 12, (0,) * 12),
+    (_synthetic_registry, 1, (15,))])
+def test_incompleteness_message_matches_set_oracle(registry, g, lam):
+    hw = HighestWeight(g, lam)
+    with pytest.raises(ar.RegistryIncompleteError) as got:
+        ar.enumerate_parameters(hw, registry())
+    with pytest.raises(ar.RegistryIncompleteError) as want:
+        set_enumerate_parameters(hw, registry())
+    assert str(got.value) == str(want.value)
+    assert "exceeds the registry bound" in str(got.value)
 
 
 # -- independent brute-force oracle ---------------------------------------------

@@ -221,6 +221,17 @@ def test_exit_code_data(tmp_path):
     assert json.loads(err)["error"]["type"] == "signs"
 
 
+def test_exit_code_data_for_an_index_too_large(tmp_path):
+    # used to hang computing the totient of a large prime index
+    table = tmp_path / "g1.tsv"
+    table.write_text("genus: 1\n1000000000000000003^1\t1\n")
+    code, out, err = run(["euler", "--g", "1", "--lambda", "2", "--masses", str(table)])
+    assert (code, out) == (EXIT_DATA, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "data"
+    assert "cyclotomic index 1000000000000000003 > 8" in error["message"]
+
+
 def test_exit_code_registry():
     code, _, err = run(["arthur", "--g", "1", "--lambda", "12"])
     assert code == EXIT_REGISTRY

@@ -287,6 +287,30 @@ def test_rho_psi_missing_sign():
     assert char == sp.rho_psi(param, ("-",))
 
 
+def test_shared_sign_prefixes_match_separate_products():
+    # emit-both shares each sign prefix's product between the vectors that
+    # start with it; every character equals its own unshared product
+    for g in range(6, 12):
+        for lam in dominant_weights(g, 11 - g):
+            hw = HighestWeight(g, lam)
+            for param, _ in ar.enumerate_parameters(hw, REG):
+                got = list(sp._characters(param, all_sign_choices(param)))
+                assert got == [(signs, sp.rho_psi(param, signs))
+                               for signs in all_sign_choices(param)]
+
+
+def test_shared_sign_prefixes_still_check_every_vector():
+    hw = HighestWeight(8, (0,) * 8)
+    param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
+                 if p.canonical_shape() == "D15[2]+D11[2]+[9]")
+    for bad, message in ((("+", "x"), "invalid sign"), (("+",), "distinct half-spins"),
+                         (("+", None), "distinct half-spins")):
+        chars = sp._characters(param, [("+", "+"), bad])
+        assert next(chars) == (("+", "+"), sp.rho_psi(param, ("+", "+")))
+        with pytest.raises(sp.SignPolicyError, match=message):
+            next(chars)
+
+
 # -- structural invariants over everything enumerable -----------------------------
 
 def test_structural_invariants_all_parameters():

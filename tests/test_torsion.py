@@ -101,6 +101,13 @@ def test_parse_mass_table_errors():
     # an index past the interpreter's digit limit is malformed data too
     with pytest.raises(to.MassTableError, match="invalid class"):
         to.parse_mass_table("genus: 1\n1" + "0" * 5000 + "^1\t1\n", 1, strict=False)
+    # an index too large for the rank is refused before its totient is
+    # computed: trial division of this prime used to run for minutes
+    for g, enc in ((1, "1000000000000000003^1"), (1, "9^1"), (2, "3^2,33^1")):
+        with pytest.raises(to.MassTableError, match="cyclotomic index"):
+            to.parse_mass_table(f"genus: {g}\n{enc}\t1\n", g, strict=False)
+    with pytest.raises(to.MassTableError, match="has degree 4, expected 2"):
+        to.parse_mass_table("genus: 1\n8^1\t1\n", 1, strict=False)   # 8 = 2(2g)^2
     table = to.parse_mass_table("genus: 1\n3^1\t -2/6 \n4^1\t+3\n", 1)
     assert table.mass(to.TorsionClass.parse("3^1")) == Fraction(-1, 3)
     assert table.mass(to.TorsionClass.parse("4^1")) == 3
