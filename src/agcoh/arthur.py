@@ -83,11 +83,7 @@ class BuildingBlock(Record):
         dw = tuple(doubled_weights)
         if any(type(x) is not int for x in dw):
             raise TypeError(f"doubled weights must be integers, got {dw!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "doubled_weights", dw)
-        object.__setattr__(self, "cardinality", cardinality)
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "field_degree", field_degree)
+        super().__init__(kind, dw, cardinality, tuple(names), field_degree)
         if any(a <= b for a, b in zip(dw, dw[1:])) or (dw and dw[-1] <= 0):
             raise ValueError(f"weights must be strictly decreasing positive: {dw}")
         if kind is BlockKind.SYMPLECTIC:
@@ -181,8 +177,6 @@ class Registry:
                 raise RegistryConflictError(f"duplicate block {b.label}")
             self._blocks[key] = b
         self.bound_doubled = bound_doubled
-        # empty blocks built by lookup, shared by later lookups of the same key
-        self._empty: dict[tuple[BlockKind, tuple[int, ...]], BuildingBlock] = {}
         self._viable: dict[BlockKind, set[int]] = {k: set() for k in BlockKind}
         for b in self._blocks.values():
             if b.cardinality > 0:
@@ -196,21 +190,22 @@ class Registry:
         return list(self._blocks.values())
 
     def lookup(self, kind: BlockKind, doubled_weights: Iterable[int]) -> BuildingBlock:
-        return self._lookup(kind, tuple(sorted(map(_record_int, doubled_weights),
-                                               reverse=True)))
+        """The ingested block, else an empty one built afresh where parity or
+        exhaustive knowledge rules it out; RegistryIncompleteError otherwise."""
+        dw = tuple(sorted(map(_record_int, doubled_weights), reverse=True))
+        block = self._nonzero(kind, dw)
+        return block or self._blocks.get((kind, dw)) or BuildingBlock(kind, dw, 0)
 
-    def _lookup(self, kind: BlockKind, dw: tuple[int, ...]) -> BuildingBlock:
-        # dw is already a descending tuple of ints, as the enumeration makes it
-        key = (kind, dw)
-        block = self._blocks.get(key) or self._empty.get(key)
+    def _nonzero(self, kind: BlockKind, dw: tuple[int, ...]) -> BuildingBlock | None:
+        # lookup's nonzero block, or None; dw is descending ints already
+        block = self._blocks.get((kind, dw))
         if block is not None:
-            return block
-        if not block_parity_ok(kind, dw) or all(x <= self.bound_doubled for x in dw):
-            # setdefault keeps the first of two racing builds
-            return self._empty.setdefault(key, BuildingBlock(kind, dw, 0))
-        raise RegistryIncompleteError(
-            f"block {kind.value} with doubled weights {dw} exceeds the registry "
-            f"bound 2*w_1 <= {self.bound_doubled} and was not ingested")
+            return block if block.cardinality else None
+        if block_parity_ok(kind, dw) and any(x > self.bound_doubled for x in dw):
+            raise RegistryIncompleteError(
+                f"block {kind.value} with doubled weights {dw} exceeds the registry "
+                f"bound 2*w_1 <= {self.bound_doubled} and was not ingested")
+        return None
 
     def center_status(self, kind: BlockKind, doubled_center: int) -> str:
         """'viable' when some nonzero block of this kind contains the weight,
@@ -328,9 +323,7 @@ class ArthurParameter(Record):
         ordered = tuple(sorted(factors,
                                key=lambda bd: (bd[0].doubled_weights, bd[1]),
                                reverse=True))
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "principal", principal)
-        object.__setattr__(self, "factors", ordered)
+        super().__init__(genus, principal, ordered)
         seen = set()
         degree = block0.standard_dimension * d0
         covered = weight_block(block0.kind, block0.doubled_weights, d0)
@@ -455,8 +448,8 @@ def _pool_groupings(kind: BlockKind, centers: tuple[int, ...], registry: Registr
         first, rest = todo[0], todo[1:]
         for size in range(even_sizes, len(rest) + 1, 1 + even_sizes):
             for mates in itertools.combinations(rest, size):
-                block = registry._lookup(kind, (first,) + mates)
-                if block.cardinality == 0:
+                block = registry._nonzero(kind, (first,) + mates)
+                if block is None:
                     continue
                 left = tuple(x for x in rest if x not in mates)
                 recurse(left, acc + (block,))
@@ -482,8 +475,8 @@ def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
         rest &= ~(1 << c)    # the central run {1..c} takes weight c (no weight is 0)
         d0 = 2 * c + 1
         for principal_centers, pools in _run_assignments(rest, d0, registry):
-            principal_block = registry._lookup(BlockKind.ODD_ORTHOGONAL, principal_centers)
-            if principal_block.cardinality == 0:
+            principal_block = registry._nonzero(BlockKind.ODD_ORTHOGONAL, principal_centers)
+            if principal_block is None:
                 continue
             per_pool = []
             # even orthogonal pools (odd d), then symplectic: (kind.value, d) order

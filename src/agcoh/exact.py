@@ -200,6 +200,12 @@ class LaurentPoly:
         object.__setattr__(poly, "_coeffs", {e: c for e, c in coeffs.items() if c})
         return poly
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, nvars: int = 1) -> "LaurentPoly":

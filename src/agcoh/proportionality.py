@@ -29,10 +29,6 @@ class PiScaledRational(Record):
     rational: Fraction
     pi_exponent: int
 
-    def __init__(self, rational: Fraction, pi_exponent: int):
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "pi_exponent", pi_exponent)
-
     def __mul__(self, other):
         if isinstance(other, PiScaledRational):
             return PiScaledRational(self.rational * other.rational,

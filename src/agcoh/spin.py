@@ -58,45 +58,28 @@ BUNDLED_SIGNS: dict[str, tuple[str, ...]] = {
 }
 
 
-class WeightLine(Record):
-    """One inverse pair of weights S^(+-2w) T^(+-e) of a factor's standard
-    representation, stored as (s, t) = (2w, e): these are the doubled
-    exponents of the half-line monomial entering the spin products.
-    Canonical positivity: s > 0, or s = 0 and t >= 0."""
-
-    s: int
-    t: int
-
-    def __init__(self, s: int, t: int):
-        if s < 0 or (s == 0 and t < 0):
-            raise ValueError("line breaks canonical positivity")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-
-def _weight_lines(block: BuildingBlock, d: int) -> tuple[WeightLine, ...]:
-    """Weight lines of the factor's standard representation (the block's
-    standard tensored with the d-dimensional torus string).  The zero
-    weight, present exactly for odd orthogonal blocks, has no line."""
+def _weight_lines(block: BuildingBlock, d: int) -> tuple[tuple[int, int], ...]:
+    """Weight lines (s, t) = (2w, e) of the factor's standard representation
+    (the block's standard tensored with the d-dimensional torus string), one
+    per inverse pair of weights S^(+-2w) T^(+-e): the doubled exponents of a
+    half-line monomial.  The zero weight (odd orthogonal blocks) has no line."""
     check_kind_d(block.kind, d)
-    lines: list[WeightLine] = []
     nu_exps = range(d - 1, -d, -2)
-    for dv in block.doubled_weights:
-        lines.extend(WeightLine(dv, e) for e in nu_exps)
+    lines = [(dv, e) for dv in block.doubled_weights for e in nu_exps]
     if block.kind is BlockKind.ODD_ORTHOGONAL:
-        lines.extend(WeightLine(0, e) for e in nu_exps if e > 0)
+        lines.extend((0, e) for e in nu_exps if e > 0)
     return tuple(lines)
 
 
-def _line_products(lines: Sequence[WeightLine]) -> tuple[LaurentPoly, LaurentPoly]:
+def _line_products(lines: Sequence[tuple[int, int]]) -> tuple[LaurentPoly, LaurentPoly]:
     """(prod (m + 1/m), prod (m - 1/m)) over half-line monomials m; their
     half-sum/difference are the two minus-sign-parity halves, in doubled
     exponents."""
     plus = LaurentPoly.one(2)
     minus = LaurentPoly.one(2)
-    for line in lines:
-        up = LaurentPoly.term(2, (line.s, line.t))
-        down = LaurentPoly.term(2, (-line.s, -line.t))
+    for s, t in lines:
+        up = LaurentPoly.term(2, (s, t))
+        down = LaurentPoly.term(2, (-s, -t))
         plus = plus * (up + down)
         minus = minus * (up - down)
     return plus, minus
@@ -249,27 +232,11 @@ class ShapeVariant(Record):
     s_trivial: bool
     hodge: dict[tuple[int, int], int] | None
 
-    def __init__(self, signs: tuple[str, ...], betti: tuple[int, ...],
-                 nu: tuple[int, ...], primitive: tuple[int, ...], s_trivial: bool,
-                 hodge: dict[tuple[int, int], int] | None):
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "primitive", primitive)
-        object.__setattr__(self, "s_trivial", s_trivial)
-        object.__setattr__(self, "hodge", hodge)
-
 
 class ShapeReport(Record):
     shape: str
     multiplicity: int
     variants: tuple[ShapeVariant, ...]
-
-    def __init__(self, shape: str, multiplicity: int,
-                 variants: tuple[ShapeVariant, ...]):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "variants", variants)
 
 
 class IHResult(Record):
@@ -278,15 +245,6 @@ class IHResult(Record):
     betti: tuple[int, ...] | None   # None when emit-both variants disagree
     per_shape: tuple[ShapeReport, ...]
     warnings: tuple[str, ...]
-
-    def __init__(self, genus: int, lam: tuple[int, ...],
-                 betti: tuple[int, ...] | None, per_shape: tuple[ShapeReport, ...],
-                 warnings: tuple[str, ...]):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "per_shape", per_shape)
-        object.__setattr__(self, "warnings", warnings)
 
     def euler_characteristic(self) -> int:
         if self.betti is None:
@@ -308,14 +266,9 @@ def _variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,
     nus = tuple(_t_strings(betti))
     if min(betti) < 0:
         raise AssertionError("negative graded dimension")
-    return ShapeVariant(
-        signs=signs,
-        betti=tuple(betti),
-        nu=nus,
-        primitive=tuple(primitive_degrees(genus, nus)),
-        s_trivial=s_trivial,
-        hodge=hodge_diamond(char, genus, weight) if include_hodge else None,
-    )
+    hodge = hodge_diamond(char, genus, weight) if include_hodge else None
+    return ShapeVariant(signs, tuple(betti), nus, tuple(primitive_degrees(genus, nus)),
+                        s_trivial, hodge)
 
 
 def ih_betti(hw: HighestWeight, registry: Registry | None = None,
@@ -356,7 +309,7 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
             sign_vectors = [()]
         variants = tuple(_variant(vec, char, genus, hw.weight, include_hodge)
                          for vec, char in _characters(param, sign_vectors))
-        reports.append(ShapeReport(shape=shape, multiplicity=mult, variants=variants))
+        reports.append(ShapeReport(shape, mult, variants))
         bettis = {v.betti for v in variants}
         if len(bettis) > 1:
             ambiguous.append(shape)
@@ -370,5 +323,4 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
         betti: tuple[int, ...] | None = None
     else:
         betti = tuple(total)
-    return IHResult(genus=genus, lam=hw.lam, betti=betti,
-                    per_shape=tuple(reports), warnings=tuple(warnings))
+    return IHResult(genus, hw.lam, betti, tuple(reports), tuple(warnings))

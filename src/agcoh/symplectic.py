@@ -57,8 +57,7 @@ class HighestWeight(Record):
             raise ValueError(f"need {g} weight entries, got {lam}")
         if any(a < b for a, b in zip(lam, lam[1:])) or lam[-1] < 0:
             raise ValueError(f"weight {lam} is not dominant")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lam", lam)
+        super().__init__(g, lam)
 
     @property
     def weight(self) -> int:

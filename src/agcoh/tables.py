@@ -22,11 +22,7 @@ class Bound(Record):
     """A typed table entry: an exact value or a one-sided lower bound."""
 
     value: int
-    exact: bool
-
-    def __init__(self, value: int, exact: bool = True):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "exact", exact)
+    exact: bool = True
 
     def __str__(self):
         return str(self.value) if self.exact else f">={self.value}"
@@ -40,13 +36,6 @@ class ReferenceTable(Record):
     degrees: tuple[int, ...]
     values: tuple
     citation: str
-
-    def __init__(self, identifier: str, degrees: tuple[int, ...], values: tuple,
-                 citation: str):
-        object.__setattr__(self, "identifier", identifier)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "citation", citation)
 
 
 _TABLES: dict[str, ReferenceTable] = {}

@@ -153,6 +153,8 @@ class RingElement:
         object.__setattr__(self, "_coeffs", coeffs)
         return self
 
+    __setattr__, __delattr__ = LaurentPoly.__setattr__, LaurentPoly.__delattr__  # immutable
+
     # -- inspection ---------------------------------------------------------
     def coeff(self, mask: int) -> Fraction:
         return self._coeffs.get(mask, Fraction(0))
@@ -332,11 +334,9 @@ def pairing_matrix(g: int, degree: int) -> list[list[int]]:
              for mr in right] for ml in left]
 
 
-def matrix_rank(rows: list[list[int | Fraction]]) -> int:
-    """Exact rank over Q: each row is scaled to integers by the lcm of its
-    denominators, then eliminated fraction-free by exact.bareiss."""
-    scaled = []
-    for row in rows:
-        den = math.lcm(*(c.denominator for c in row))
-        scaled.append([c.numerator * (den // c.denominator) for c in row])
-    return bareiss(scaled)[0]
+def matrix_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix, such as a pairing matrix, by
+    exact.bareiss on a copy; an entry that is not an int is a TypeError."""
+    if any(type(c) is not int for row in rows for c in row):
+        raise TypeError("matrix entries must be int")
+    return bareiss([list(row) for row in rows])[0]

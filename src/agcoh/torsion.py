@@ -56,7 +56,7 @@ class TorsionClass(Record):
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
+        super().__init__(pairs)
         seen = set()
         for d, m in pairs:
             if d < 1 or m < 1:
@@ -228,11 +228,7 @@ class MassTable(Record):
         for c, m in masses.items():
             if type(m) is not int and type(m) is not Fraction:
                 raise TypeError(f"mass of class {c} must be int or Fraction, got {m!r}")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "missing", missing)
-        object.__setattr__(self, "warnings", warnings)
+        super().__init__(genus, masses, provenance, missing, warnings)
 
     __hash__ = None    # the masses are a dict
 

@@ -9,7 +9,7 @@ the package computes another way, and the tests compare the two:
   `torsion.elliptic_term`;
 * parameter enumeration: runs peeled off a frozenset of weights, run
   centers judged through `Registry.center_status` and every block found by
-  the public `Registry.lookup`, against the bitmask peeling and trusted
+  the public `Registry.lookup`, against the bitmask peeling and nonzero-block
   lookups of `arthur.enumerate_parameters`;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin._factor_spins` specialized at S = 1
@@ -22,7 +22,9 @@ the package computes another way, and the tests compare the two:
   linear extension to formal polynomials, a product that accumulates
   Fraction coefficients, and the all-pairs check of R_g/(u_g) = R_{g-1},
   against the monomials, integer products and generator-level check of
-  `tautring`;
+  `tautring`; and the rank of rational rows, each scaled to integers,
+  against Gauss-Jordan elimination and `tautring.matrix_rank` of the whole
+  matrix scaled to integers;
 * closed forms the tests compare against: the SL2 characters nu_d, and the
   top power u_1^N = N! / prod (2j-1)!! times the socle;
 * the closed forms `exact` and `proportionality` build from integer
@@ -40,8 +42,8 @@ from fractions import Fraction
 from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                           check_kind_d)
 from agcoh.errors import RegistryIncompleteError
-from agcoh.exact import (LaurentPoly, bernoulli, cyclotomic, double_factorial_odd,
-                         euler_phi, zeta_negative)
+from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
+                         double_factorial_odd, euler_phi, zeta_negative)
 from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 from agcoh.tautring import RingElement
@@ -522,6 +524,17 @@ def fraction_product(g: int, a: dict[int, Fraction],
             for mask, c in normal_form_monomial(g, pair_exps(g, m1, m2)):
                 out[mask] = out.get(mask, Fraction(0)) + c1 * c2 * c
     return {m: c for m, c in out.items() if c != 0}
+
+
+def fraction_matrix_rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank over Q of a matrix of Fractions (or ints): each row is
+    scaled to integers by the lcm of its denominators, then eliminated
+    fraction-free by exact.bareiss."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        scaled.append([c.numerator * (den // c.denominator) for c in row])
+    return bareiss(scaled)[0]
 
 
 def quotient_by_top_all_pairs(g: int) -> dict[int, int]:

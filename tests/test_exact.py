@@ -226,6 +226,18 @@ def test_laurent_results_match_naive_dicts(polys, k, scale):
         assert all(type(c) is int and c != 0 for _, c in poly.items())
 
 
+def test_laurent_poly_is_immutable():
+    # values are shared between threads (the spin factor cache), so no
+    # attribute can be assigned or deleted, a stored one included
+    p = LaurentPoly(1, {(1,): 2})
+    for name in ("nvars", "_coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.nvars == 1 and p.items() == [((1,), 2)]
+
+
 def test_laurent_constructor_validates_caller_data():
     with pytest.raises(ValueError, match="wrong arity"):
         LaurentPoly(2, {(1,): 1})

@@ -6,7 +6,7 @@ import pytest
 
 from agcoh.arthur import ArthurParameter, BlockKind, BuildingBlock
 from agcoh.proportionality import PiScaledRational
-from agcoh.spin import IHResult, ShapeReport, ShapeVariant, WeightLine
+from agcoh.spin import IHResult, ShapeReport, ShapeVariant
 from agcoh.symplectic import HighestWeight
 from agcoh.tables import Bound, ReferenceTable
 from agcoh.torsion import MassTable, TorsionClass
@@ -43,7 +43,6 @@ CASES = [
      "'odd_orthogonal'>, doubled_weights=(), cardinality=1, names=('',), "
      "field_degree=1), 3), factors=())",
      {"principal": (SYM2, 1)}),
-    (WeightLine, {"s": 22, "t": 1}, ("s", "t"), "WeightLine(s=22, t=1)", {"t": 3}),
     (ShapeVariant, {"signs": (), "betti": (1, 0, 1), "nu": (2,), "primitive": (0,),
                     "s_trivial": True, "hodge": None},
      ("signs", "betti", "nu", "primitive", "s_trivial", "hodge"),

@@ -49,6 +49,16 @@ def test_bitmasks_are_int():
             tr.RingElement(2, {mask: 1})
 
 
+def test_ring_element_is_immutable():
+    x = tr.u(2, 1)
+    for name in ("g", "_coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x.g == 2 and x == tr.u(2, 1)
+
+
 def test_add_and_mul_refuse_other_operands():
     x = tr.u(2, 1)
     for other in (1, Fraction(1, 2), 0.5, "u1", None):
@@ -111,7 +121,7 @@ def test_normal_form_linearity_rank_certification():
         dim = 1 << g
         mat = [[tr.monomial(g, e).coeff(m) for m in range(dim)]
                for e in rows]
-        assert tr.matrix_rank(mat) == dim
+        assert oracles.fraction_matrix_rank(mat) == dim
 
 
 @settings(max_examples=25, deadline=None)
@@ -330,6 +340,20 @@ def planted_matrices(draw):
 @given(planted_matrices())
 def test_matrix_rank_matches_gauss_jordan(case):
     rows, drawn = case
-    rank = tr.matrix_rank(rows)
+    rank = oracles.fraction_matrix_rank(rows)
     assert rank == gauss_jordan_rank(rows)
     assert rank <= drawn
+    # the whole matrix scaled to integers has the same rank, and
+    # tautring.matrix_rank leaves it as it was
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    ints = [[int(c * den) for c in row] for row in rows]
+    copy = [row[:] for row in ints]
+    assert tr.matrix_rank(ints) == rank
+    assert ints == copy
+
+
+def test_matrix_rank_takes_int_entries_only():
+    assert tr.matrix_rank([[1, 2], [2, 4]]) == 1
+    for bad in (Fraction(1), Fraction(1, 2), 1.0, True, "1"):
+        with pytest.raises(TypeError, match="must be int"):
+            tr.matrix_rank([[1, 2], [bad, 4]])
