@@ -25,14 +25,16 @@ if TYPE_CHECKING:
 # that build a Fraction, bernoulli and zeta_product, so engines that never touch
 # a rational load neither.  The first bernoulli call seeds the cache with B_0.
 _bernoulli_cache: dict[int, Fraction] = {}
+_tangent_column: list[int] = []  # column m of the tangent-number triangle ends in T_m
 _bernoulli_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n in the convention x/(e^x - 1) = sum B_k x^k / k!.
 
-    So B_1 = -1/2 and B_n = 0 for odd n >= 3.  Computed by the recurrence
-    sum_{k=0}^{n} C(n+1, k) B_k = 0 and memoized per process.
+    So B_1 = -1/2, B_n = 0 for odd n >= 3, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the tangent numbers, whose integer triangle (Brent & Harvey 2013) grows in
+    place one column per T_k: O(n^2) int operations in all.  Memoized per process.
     """
     from fractions import Fraction
     if n < 0:
@@ -43,11 +45,19 @@ def bernoulli(n: int) -> Fraction:
         if n in _bernoulli_cache:
             return _bernoulli_cache[n]
         top = max(_bernoulli_cache) + 1
+        column = _tangent_column
+        if not column or len(column) > (top + 1) // 2:  # past the first T_k needed
+            column[:] = [1]
         for m in range(top, n + 1):
-            acc = Fraction(0)
-            for k in range(m):
-                acc += math.comb(m + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache[m] = -acc / (m + 1)
+            k = m // 2
+            while len(column) < k:  # the next column, from the last
+                j = len(column)
+                column.append(0)
+                column[0] *= j
+                for i in range(1, j + 1):
+                    column[i] = (j - i) * column[i] + (j + 2 - i) * column[i - 1]
+            _bernoulli_cache[m] = Fraction(-1 if m == 1 else 0, 2) if m % 2 else \
+                Fraction((-1) ** (k - 1) * 2 * k * column[-1], 4 ** k * (4 ** k - 1))
         return _bernoulli_cache[n]
 
 

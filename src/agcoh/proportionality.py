@@ -47,7 +47,7 @@ def compact_dual_degree(g: int, exponents) -> int:
     """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
     that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer.
     The exponents are ints, never truncated (TypeError), of top degree
-    (InputError); this is their one check, so the normal form is read
+    (InputError); this is their one check, so the socle memo is read
     directly rather than through socle_coefficient."""
     exponents = tuple(exponents)
     if any(type(n) is not int for n in exponents):
@@ -58,7 +58,8 @@ def compact_dual_degree(g: int, exponents) -> int:
     if total != g * (g + 1) // 2:
         raise InputError(
             f"not a top-degree monomial: sum i*n_i = {total} != {g * (g + 1) // 2}")
-    value = tautring._socle_term(g, tautring._normal_form_monomial(g, exponents))
+    ring = tautring._ring(g)
+    value = ring.socle_value(ring.pack(exponents))
     if value < 0:
         raise AssertionError(f"compact dual degree came out negative: {value}")
     return value

@@ -14,12 +14,22 @@ moduli space itself is R_{g-1} (with lambda_i in place of u_i and
 lambda_g = 0), and the tautological ring of any smooth toroidal
 compactification is R_g.  Both facades are a relabeling of this one engine.
 
-The structure constants are integers.  The cached normal form of a monomial
-has int coefficients, and the socle coefficients, the pairing matrices and
-the quotient check read it directly.  Only RingElement, a rational linear
-combination of basis monomials, carries Fraction coefficients; a product
-scales each operand to integer numerators by the lcm of its denominators,
-accumulates ints, and divides once per output coefficient.
+Normal forms run on packed keys: digit i of an exponent vector's key, of
+w = N.bit_length() bits for the top index sum N = g(g+1)/2, is e_{i+1}.  R_g
+is zero above N, so nothing above it is packed; at or below it each entry is
+at most N < 2^w, and rewrites keep the index sum, so no digit overflows.  Each
+of the min(k, g-k) children of u_k^2 adds a precomputed key.  Any rewrite
+order terminates (sum_i e_i * i^2 rises while sum_i e_i * i stays fixed) and
+gives the same form (the square-free monomials are a basis); below the top
+the squared index with the fewest children goes first, ties to the larger k,
+and in the top degree the largest.  The top degree, spanned by the socle and
+closed under rewrites, has its own memo of int socle coefficients; below it
+the memo keeps sorted ((bitmask, int coeff), ...).  Storing past _MEMO_BOUND
+entries in either memo of a genus raises InputError ("work bound").
+
+The structure constants are integers; only RingElement carries Fraction
+coefficients.  A product scales each operand to integer numerators by the lcm
+of its denominators, accumulates ints, and divides once per output coefficient.
 
 R_g/(u_g) = R_{g-1} is checked on generators: the projection that drops
 every basis monomial containing u_g is a ring map onto R_{g-1} once it
@@ -29,52 +39,111 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Mapping
 
+from .errors import InputError
 from .exact import LaurentPoly, bareiss, strict_partition_counts
 
 ExponentVector = tuple[int, ...]
+
+# Per memo and genus: lambda_1^N keeps about 351k at g = 14, 1.1M at g = 15.
+_MEMO_BOUND = 600_000
 
 
 class GenusMismatchError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=None)
+class _Ring(dict):
+    """R_g's packed-key tables and memos; as a dict, bitmask -> (key, index
+    sum) of a basis monomial, filled on first use (no 2^g table at large g)."""
+
+    def __init__(self, g: int):
+        super().__init__()
+        self.g, self.top, self.full = g, g * (g + 1) // 2, (1 << g) - 1
+        self.width = w = self.top.bit_length()
+        self.unit = (0,) + tuple(1 << w * i for i in range(g))  # keys of u_0 = 1, ..., u_g
+        self.high = ((1 << w) - 2) * sum(self.unit)  # a digit >= 2 leaves a bit here
+        # children[k]: (key of u_j u_{2k-j}, 2 (-1)^(j+k+1)) for each j with 2k - j <= g
+        self.children = tuple(tuple((self.unit[j] + self.unit[2 * k - j], 2 if (j + k) % 2 else -2)
+                                    for j in range(max(0, 2 * k - g), k)) for k in range(g + 1))
+        self.forms, self.socle = {}, {}  # key -> normal form below the top, int at it
+
+    def __missing__(self, mask: int) -> tuple[int, int]:
+        subset = mask_to_subset(mask)
+        self[mask] = found = sum(self.unit[i] for i in subset), sum(subset)
+        return found
+
+    @functools.cached_property
+    def by_index_sum(self) -> list[list[int]]:  # entry s: the bitmasks of degree 2s, ascending
+        buckets: list[list[int]] = [[] for _ in range(self.top + 1)]
+        for mask in range(1 << self.g):
+            buckets[self[mask][1]].append(mask)
+        return buckets
+
+    def pack(self, exps: ExponentVector) -> int:
+        return sum(e << self.width * i for i, e in enumerate(exps))
+
+    def _keep(self, memo: dict, key: int, value):
+        if len(memo) >= _MEMO_BOUND:
+            raise InputError(f"work bound: the normal forms of R_{self.g} would keep "
+                             f"more than {_MEMO_BOUND} monomials")
+        memo[key] = value
+        return value
+
+    def socle_value(self, key: int) -> int:
+        """The socle coefficient of a top-degree key."""
+        memo = self.socle
+        if key in memo:
+            return memo[key]
+        squared = key & self.high
+        if not squared:
+            return 1  # the socle, the one square-free monomial of top degree
+        k = (squared.bit_length() - 1) // self.width + 1
+        base = key - 2 * self.unit[k]
+        value = 0
+        for step, coeff in self.children[k]:
+            child = memo.get(base + step)
+            value += coeff * (self.socle_value(base + step) if child is None else child)
+        return self._keep(memo, key, value)
+
+    def form(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The normal form of a key below the top degree."""
+        memo, w = self.forms, self.width
+        if key in memo:
+            return memo[key]
+        squared = key & self.high
+        if not squared:
+            return ((sum(1 << i for i in range(self.g) if key >> w * i & 1), 1),)
+        k, low = ((part.bit_length() - 1) // w + 1 for part in (squared, squared & -squared))
+        k = low if len(self.children[low]) < len(self.children[k]) else k
+        base = key - 2 * self.unit[k]
+        acc: dict[int, int] = {}
+        for step, coeff in self.children[k]:
+            child = memo.get(base + step)
+            for mask, c in self.form(base + step) if child is None else child:
+                acc[mask] = acc.get(mask, 0) + coeff * c
+        return self._keep(memo, key, tuple(sorted([(m, c) for m, c in acc.items() if c])))
+
+
+_ring = functools.lru_cache(maxsize=None)(_Ring)
+
+
+def _packed_form(ring: _Ring, key: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """The normal form of a packed key of index sum `degree` <= ring.top."""
+    if degree < ring.top:
+        return ring.form(key)
+    value = ring.socle_value(key)
+    return ((ring.full, value),) if value else ()
+
+
 def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int], ...]:
-    """Normal form of u_1^{e_1} ... u_g^{e_g} as ((bitmask, int coeff), ...),
-    sorted by bitmask.
-
-    Rewrites are applied to the largest squared index first.  Termination:
-    replacing u_k^2 by u_j u_{2k-j} strictly increases sum_i e_i * i^2 while
-    sum_i e_i * i is constant, and the former is bounded by g * sum_i e_i * i.
-    """
-    k = g
-    while k and exps[k - 1] < 2:
-        k -= 1
-    if not k:
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        return ((mask, 1),)
-
-    base = list(exps)
-    base[k - 1] -= 2
-    acc: dict[int, int] = {}
-    first = max(0, 2 * k - g)  # u_{2k-j} = 0 for j < 2k - g
-    coeff = 2 if (first + k) % 2 else -2  # 2 * (-1)^(j+k+1) at j = first
-    for j in range(first, k):
-        child = base.copy()
-        if j:
-            child[j - 1] += 1
-        child[2 * k - j - 1] += 1
-        for mask, c in _normal_form_monomial(g, tuple(child)):
-            acc[mask] = acc.get(mask, 0) + coeff * c
-        coeff = -coeff
-    return tuple(sorted([(m, c) for m, c in acc.items() if c]))
+    """Normal form of u_1^{e_1} ... u_g^{e_g}, sorted ((bitmask, int coeff), ...): () above
+    the top degree, else the packed key's entry in the socle memo (at the top) or the one below."""
+    degree = sum(i * e for i, e in enumerate(exps, start=1))
+    ring = _ring(g)
+    return () if degree > ring.top else _packed_form(ring, ring.pack(exps), degree)
 
 
 def _check_exps(g: int, exps) -> ExponentVector:
@@ -87,39 +156,11 @@ def _check_exps(g: int, exps) -> ExponentVector:
     return exps
 
 
-@functools.lru_cache(maxsize=None)
-def _mask_exps(g: int, mask: int) -> ExponentVector:
-    """Exponent vector of the basis monomial with the given bitmask."""
-    return tuple(mask >> i & 1 for i in range(g))
-
-
-def _pair_exps(g: int, m1: int, m2: int) -> ExponentVector:
-    """Exponent vector of the product of the basis monomials m1 and m2."""
-    return tuple(map(operator.add, _mask_exps(g, m1), _mask_exps(g, m2)))
-
-
-@functools.lru_cache(maxsize=None)
-def _masks_by_index_sum(g: int) -> tuple[tuple[int, ...], ...]:
-    """The basis bitmasks of R_g bucketed by index sum: entry s lists the
-    masks of the monomials of degree 2s, in increasing order."""
-    buckets: list[list[int]] = [[] for _ in range(g * (g + 1) // 2 + 1)]
-    for mask in range(1 << g):
-        buckets[sum(mask_to_subset(mask))].append(mask)
-    return tuple(map(tuple, buckets))
-
-
 def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
     """The coefficients as (mask, integer numerator) over one common
     denominator, the lcm of theirs."""
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     return [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()], den
-
-
-def _coefficient(c) -> Fraction:
-    """An int (not a bool) or a Fraction, as a Fraction (else TypeError)."""
-    if type(c) is not int and not isinstance(c, Fraction):
-        raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
-    return Fraction(c)
 
 
 class RingElement:
@@ -139,7 +180,9 @@ class RingElement:
                 raise TypeError(f"bitmasks must be int, got {mask!r}")
             if mask < 0 or mask >= (1 << g):
                 raise ValueError(f"bitmask {mask} out of range for genus {g}")
-            c = _coefficient(c)
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+            c = Fraction(c)
             if c != 0:
                 cleaned[mask] = c
         object.__setattr__(self, "g", g)
@@ -192,18 +235,23 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check(other)
-        g = self.g
+        g, ring = self.g, _ring(self.g)
+        top, full = ring.top, ring.full
         left, d1 = _numerators(self._coeffs)
         right, d2 = _numerators(other._coeffs)
+        right = [(m2, c2, *ring[m2]) for m2, c2 in right]
         acc: dict[int, int] = {}
         for m1, c1 in left:
-            for m2, c2 in right:
+            k1, s1 = ring[m1]
+            for m2, c2, k2, s2 in right:  # split by index sum; above the top is zero
                 c = c1 * c2
                 if m1 & m2 == 0:
                     mask = m1 | m2
                     acc[mask] = acc.get(mask, 0) + c
-                else:
-                    for mask, cc in _normal_form_monomial(g, _pair_exps(g, m1, m2)):
+                elif s1 + s2 == top:
+                    acc[full] = acc.get(full, 0) + c * ring.socle_value(k1 + k2)
+                elif s1 + s2 < top:
+                    for mask, cc in ring.form(k1 + k2):
                         acc[mask] = acc.get(mask, 0) + c * cc
         den = d1 * d2
         return RingElement._trusted(g, {m: Fraction(c, den) for m, c in acc.items() if c})
@@ -254,13 +302,7 @@ def monomial(g: int, exps: ExponentVector) -> RingElement:
 def socle_coefficient(g: int, exps: ExponentVector) -> int:
     """Coefficient of the socle u_1 u_2 ... u_g in the normal form of
     u_1^{e_1} ... u_g^{e_g}."""
-    return _socle_term(g, _normal_form_monomial(g, _check_exps(g, exps)))
-
-
-def _socle_term(g: int, form: tuple[tuple[int, int], ...]) -> int:
-    """The socle coefficient of a normal form: its last term, since the
-    socle has the largest bitmask."""
-    return form[-1][1] if form and form[-1][0] == (1 << g) - 1 else 0
+    return dict(_normal_form_monomial(g, _check_exps(g, exps))).get((1 << g) - 1, 0)
 
 
 def poincare_polynomial(g: int) -> LaurentPoly:
@@ -304,20 +346,22 @@ def quotient_by_top(g: int) -> dict[int, int]:
     """
     if g < 2:
         raise ValueError("quotient_by_top needs g >= 2")
-    h = g - 1
-    top_bit = 1 << h
+    h, top_bit = g - 1, 1 << (g - 1)
+    ring, low = _ring(g), _ring(h)
     for mask in range(1 << g):
-        exps = _mask_exps(g, mask)
-        for i in range(g):
-            if not mask >> i & 1:
+        key, index_sum = ring[mask]
+        for i in range(1, g + 1):
+            if not mask >> (i - 1) & 1:
                 continue
-            squared = exps[:i] + (2,) + exps[i + 1:]
-            projected = tuple(item for item in _normal_form_monomial(g, squared)
-                              if not item[0] & top_bit)
-            expected = () if mask & top_bit else _normal_form_monomial(h, squared[:h])
+            degree = index_sum + i  # of u_i * u_S; nothing above a top is packed
+            projected = () if degree > ring.top else tuple(
+                item for item in _packed_form(ring, key + ring.unit[i], degree)
+                if not item[0] & top_bit)
+            expected = () if mask & top_bit or degree > low.top else \
+                _packed_form(low, low[mask][0] + low.unit[i], degree)
             if projected != expected:
                 raise AssertionError(
-                    f"R_{g}/(u_{g}) differs from R_{h} on u_{i + 1} * {mask:b}")
+                    f"R_{g}/(u_{g}) differs from R_{h} on u_{i} * {mask:b}")
     return {m: m for m in range(1 << h)}
 
 
@@ -326,11 +370,10 @@ def pairing_matrix(g: int, degree: int) -> list[list[int]]:
     basis of the complementary degree g(g+1) - degree."""
     if degree % 2 or not 0 <= degree <= g * (g + 1):
         return []
-    by_index_sum = _masks_by_index_sum(g)
-    left = by_index_sum[degree // 2]
-    right = by_index_sum[g * (g + 1) // 2 - degree // 2]
+    ring = _ring(g)
+    left, right = ring.by_index_sum[degree // 2], ring.by_index_sum[ring.top - degree // 2]
     # complementary degrees: a product without a repeated index is the socle
-    return [[1 if not ml & mr else _socle_term(g, _normal_form_monomial(g, _pair_exps(g, ml, mr)))
+    return [[1 if not ml & mr else ring.socle_value(ring[ml][0] + ring[mr][0])
              for mr in right] for ml in left]
 
 

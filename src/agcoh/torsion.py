@@ -54,6 +54,9 @@ class TorsionClass(Record):
     Equality, hashing and order are those of `pairs` alone."""
 
     pairs: tuple[tuple[int, int], ...]
+    # caches, not fields; object.__setattr__ stores them without building __dict__
+    _negation = _charpoly = None
+    _hseries = (1,)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         super().__init__(pairs)
@@ -124,11 +127,11 @@ class TorsionClass(Record):
     def negate(self) -> "TorsionClass":
         """-c, computed once per instance and stored like _charpoly; a
         negation-fixed class returns itself."""
-        neg = self.__dict__.get("_negation")
+        neg = self._negation
         if neg is None:
             pairs = tuple(sorted((negate_cyclotomic_index(d), m) for d, m in self.pairs))
             neg = self if pairs == self.pairs else TorsionClass(pairs)
-            self.__dict__["_negation"] = neg
+            object.__setattr__(self, "_negation", neg)
         return neg
 
     def is_negation_fixed(self) -> bool:
@@ -143,14 +146,14 @@ class TorsionClass(Record):
         """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
         constant term.  It is self-reciprocal with constant term 1, so it is
         also det(1 - z c).  Computed once per instance."""
-        poly = self.__dict__.get("_charpoly")
+        poly = self._charpoly
         if poly is None:
             poly = (1,)
             for d, m in self.pairs:
                 for _ in range(m):
                     poly = poly_mul(poly, cyclotomic(d))
             # stored beside the fields, so equality, hashing and order ignore it
-            self.__dict__["_charpoly"] = poly
+            object.__setattr__(self, "_charpoly", poly)
         return poly
 
     def h_series(self, n: int) -> tuple[int, ...]:
@@ -160,7 +163,7 @@ class TorsionClass(Record):
         extends a copy and replaces the stored tuple whole, so a concurrent
         reader never sees a partial series.  The caller bounds n:
         character_at_torsion checks symplectic.H_SERIES_BOUND first."""
-        series = self.__dict__.get("_hseries", (1,))
+        series = self._hseries
         if len(series) < n:
             poly = self.characteristic_polynomial()
             deg = len(poly) - 1
@@ -168,7 +171,7 @@ class TorsionClass(Record):
             for k in range(len(h), n):
                 h.append(-sum(poly[j] * h[k - j] for j in range(1, min(k, deg) + 1)))
             series = tuple(h)
-            self.__dict__["_hseries"] = series
+            object.__setattr__(self, "_hseries", series)
         return series[:n]
 
     def __str__(self) -> str:

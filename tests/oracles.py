@@ -557,6 +557,16 @@ def quotient_by_top_all_pairs(g: int) -> dict[int, int]:
 
 # -- closed forms as textbook products -------------------------------------------
 
+def bernoulli_table(n: int) -> list[Fraction]:
+    """B_0, ..., B_n from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0,
+    solved for B_m in Fraction over every index, odd ones included."""
+    table = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = sum((math.comb(m + 1, k) * table[k] for k in range(m)), Fraction(0))
+        table.append(-acc / (m + 1))
+    return table
+
+
 def poincare_product(g: int) -> LaurentPoly:
     """prod_{k=1}^{g} (1 + T^{2k}), multiplied out as LaurentPolys."""
     result = LaurentPoly.one(1)

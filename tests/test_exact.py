@@ -11,22 +11,30 @@ from agcoh import exact
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, euler_phi,
                          negate_cyclotomic_index, poly_divmod, poly_mul,
                          zeta_negative)
-from oracles import nu_character, set_var_to_one
-
-
-def bernoulli_by_recurrence(n: int) -> Fraction:
-    """Independent oracle: solve sum_{k<=m} C(m+1,k) B_k = 0 from scratch."""
-    table = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = sum(math.comb(m + 1, k) * table[k] for k in range(m))
-        table.append(-acc / (m + 1))
-    return table[n]
+from oracles import bernoulli_table, nu_character, set_var_to_one
 
 
 def test_bernoulli_examples():
     assert bernoulli(0) == 1
-    assert bernoulli(2) == bernoulli_by_recurrence(2) == Fraction(1, 6)
-    assert bernoulli(12) == bernoulli_by_recurrence(12) == Fraction(-691, 2730)
+    assert bernoulli(1) == Fraction(-1, 2)
+    assert bernoulli(2) == Fraction(1, 6)
+    assert bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_matches_recurrence_to_400(monkeypatch):
+    # ascending from empty memos; from B_0..B_40 cached but no column kept;
+    # and descending from B_0 alone while the column is already at T_200,
+    # so it must restart
+    table = bernoulli_table(400)
+    monkeypatch.setattr(exact, "_bernoulli_cache", {})
+    monkeypatch.setattr(exact, "_tangent_column", [])
+    assert [bernoulli(n) for n in range(401)] == table
+    monkeypatch.setattr(exact, "_bernoulli_cache", dict(enumerate(table[:41])))
+    monkeypatch.setattr(exact, "_tangent_column", [])
+    assert bernoulli(400) == table[400]
+    assert exact._bernoulli_cache == dict(enumerate(table))
+    monkeypatch.setattr(exact, "_bernoulli_cache", {0: table[0]})
+    assert [bernoulli(n) for n in range(400, -1, -1)] == table[::-1]
 
 
 def test_bernoulli_odd_vanish_and_recurrence():
@@ -40,7 +48,7 @@ def test_bernoulli_odd_vanish_and_recurrence():
 def test_bernoulli_cache_seeds_once_under_threads(monkeypatch):
     # an empty cache, as at import: the first call seeds B_0 under the lock
     monkeypatch.setattr(exact, "_bernoulli_cache", {})
-    expected = [bernoulli_by_recurrence(n) for n in range(41)]
+    expected = bernoulli_table(40)
     results = []
 
     def work(order):

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from agcoh import proportionality as pr
+from agcoh import tautring
 from agcoh.errors import InputError
-from oracles import bernoulli_factor, lambda1_power_closed_form, top_power_coefficient
+from oracles import (bernoulli_factor, lambda1_power_closed_form, normal_form_monomial,
+                     top_power_coefficient)
 
 
 def top_monomials(g):
@@ -80,6 +82,26 @@ def test_pure_power_degree_closed_form():
         n = g * (g + 1) // 2
         assert pr.compact_dual_degree(g, (n,) + (0,) * (g - 1)) == \
             top_power_coefficient(g)
+
+
+def test_pure_power_degree_to_genus_12():
+    for g in range(1, 13):
+        n = g * (g + 1) // 2
+        assert pr.compact_dual_degree(g, (n,) + (0,) * (g - 1)) == top_power_coefficient(g)
+    # N = 3 and N = 15 fill their packed digit exactly: u_1^N has every bit set
+    for g, width in ((2, 2), (5, 4)):
+        n = g * (g + 1) // 2
+        assert n == (1 << width) - 1 and tautring._ring(g).width == width
+        assert tautring._ring(g).pack((n,) + (0,) * (g - 1)) == n
+
+
+def test_top_degree_monomials_match_oracle():
+    for g in range(1, 8):
+        full = (1 << g) - 1
+        for exps in top_monomials(g):
+            want = dict(normal_form_monomial(g, exps)).get(full, 0)
+            assert tautring.socle_coefficient(g, exps) == want, exps
+            assert pr.compact_dual_degree(g, exps) == want, exps
 
 
 def test_modular_form_asymptotics():

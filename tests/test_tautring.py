@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from agcoh import cli
+from agcoh import proportionality as pr
 from agcoh import tautring as tr
+from agcoh.errors import InputError
 from agcoh.exact import double_factorial_odd, strict_partition_counts
 
 
@@ -218,9 +224,10 @@ def test_quotient_by_top_matches_all_pairs_oracle():
 
 @pytest.fixture
 def fresh_normal_forms():
-    # a tampered rewrite must not leave wrong entries in the cache
+    # start from empty memos, and leave no tampered or partial entries behind
+    tr._ring.cache_clear()
     yield
-    tr._normal_form_monomial.cache_clear()
+    tr._ring.cache_clear()
 
 
 @pytest.mark.parametrize("g, exps", [
@@ -232,20 +239,54 @@ def fresh_normal_forms():
 def test_quotient_by_top_detects_a_wrong_generator_product(monkeypatch, fresh_normal_forms,
                                                            g, exps):
     # one generator product gains a constant term, which no projection drops
-    real = tr._normal_form_monomial
-    coeffs = dict(real(g, exps))
+    real = tr._packed_form
+    key = tr._ring(g).pack(exps)
+    coeffs = dict(tr._normal_form_monomial(g, exps))
     coeffs[0] = coeffs.get(0, 0) + 1
     wrong = tuple(sorted(coeffs.items()))
 
-    def tampered(gg, ee):
-        return wrong if (gg, ee) == (g, exps) else real(gg, ee)
+    def tampered(ring, kk, degree):
+        return wrong if (ring.g, kk) == (g, key) else real(ring, kk, degree)
 
-    monkeypatch.setattr(tr, "_normal_form_monomial", tampered)
+    monkeypatch.setattr(tr, "_packed_form", tampered)
     with pytest.raises(AssertionError, match=rf"R_{g}/\(u_{g}\) differs"):
         tr.quotient_by_top(g)
     monkeypatch.undo()
-    real.cache_clear()
+    tr._ring.cache_clear()
     assert tr.quotient_by_top(g) == {m: m for m in range(1 << (g - 1))}
+
+
+def test_work_bound_counts_the_entries_kept(monkeypatch, fresh_normal_forms):
+    g, power = 6, (21, 0, 0, 0, 0, 0)
+    want = oracles.top_power_coefficient(g)
+    assert tr.socle_coefficient(g, power) == want
+    kept = len(tr._ring(g).socle)
+    tr._ring.cache_clear()
+    monkeypatch.setattr(tr, "_MEMO_BOUND", kept)  # exactly enough
+    assert pr.compact_dual_degree(g, power) == want
+    tr._ring.cache_clear()
+    monkeypatch.setattr(tr, "_MEMO_BOUND", kept - 1)
+    with pytest.raises(InputError, match=rf"^work bound: .* R_{g} .* {kept - 1} monomials"):
+        pr.compact_dual_degree(g, power)
+    assert len(tr._ring(g).socle) == kept - 1
+    # the memo below the top degree is bounded alike
+    monkeypatch.setattr(tr, "_MEMO_BOUND", 3)
+    with pytest.raises(InputError, match="^work bound"):
+        tr.monomial(g, (12, 0, 0, 0, 0, 0))
+    assert len(tr._ring(g).forms) == 3
+
+
+def test_work_bound_is_a_usage_error(monkeypatch, fresh_normal_forms):
+    monkeypatch.setattr(tr, "_MEMO_BOUND", 50)
+    code, out, err = cli.run(["intersect", "--g", "6", "--exponents", "21,0,0,0,0,0"])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and error["message"].startswith("work bound: ")
+    monkeypatch.undo()
+    tr._ring.cache_clear()
+    code, out, err = cli.run(["intersect", "--g", "6", "--exponents", "21,0,0,0,0,0"])
+    assert code == 0 and json.loads(out)["result"]["compact_dual_degree"] == \
+        str(oracles.top_power_coefficient(6))
 
 
 def test_normal_forms_match_oracle_on_basis_pairs():
@@ -276,6 +317,61 @@ def test_normal_forms_match_oracle_on_random_exponents():
             assert tr.monomial(g, exps).items() == [(m, Fraction(c)) for m, c in want]
             full = (1 << g) - 1
             assert tr.socle_coefficient(g, exps) == dict(want).get(full, 0)
+
+
+def test_memos_shared_by_threads_keep_only_correct_entries(fresh_normal_forms):
+    # eight threads race from empty memos on one genus, each in its own order
+    g = 7
+    pairs = [(m1, m2) for m1 in range(1 << g) for m2 in range(m1, 1 << g)][::4]
+    want = {p: oracles.normal_form_monomial(g, oracles.pair_exps(g, *p)) for p in pairs}
+    errors = []
+
+    def work(seed):
+        order = random.Random(seed).sample(pairs, len(pairs))
+        for m1, m2 in order:
+            if tr._normal_form_monomial(g, oracles.pair_exps(g, m1, m2)) != want[m1, m2]:
+                errors.append((seed, m1, m2))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # every stored entry, intermediate vectors included, is the oracle's
+    ring = tr._ring(g)
+    digit = (1 << ring.width) - 1
+
+    def oracle(key):
+        return oracles.normal_form_monomial(g, tuple(key >> ring.width * i & digit
+                                                     for i in range(g)))
+
+    assert ring.forms and ring.socle
+    assert all(form == oracle(key) for key, form in ring.forms.items())
+    assert all(dict(oracle(key)).get(ring.full, 0) == value for key, value in ring.socle.items())
+
+
+def test_normal_forms_match_oracle_on_sampled_pairs_at_genus_8():
+    # g <= 7 is exhaustive above; here index sums fall above, at and below N
+    g, top = 8, 36
+    rng = random.Random(8)
+    sides = {-1: 0, 0: 0, 1: 0}
+    for _ in range(500):
+        m1, m2 = rng.randrange(1 << g), rng.randrange(1 << g)
+        exps = oracles.pair_exps(g, m1, m2)
+        want = oracles.normal_form_monomial(g, exps)
+        assert tr._normal_form_monomial(g, exps) == want, (m1, m2)
+        product = tr.RingElement(g, {m1: 1}) * tr.RingElement(g, {m2: 1})
+        assert product.items() == [(m, Fraction(c)) for m, c in want], (m1, m2)
+        index_sum = sum(tr.mask_to_subset(m1)) + sum(tr.mask_to_subset(m2))
+        sides[(index_sum > top) - (index_sum < top)] += 1
+    assert all(sides.values()), sides
 
 
 @st.composite
