@@ -6,8 +6,6 @@ graded pieces rewrite every square u_k^2 into square-free monomials.  The
 square-free monomials u_S therefore form a basis; the socle is u_1 ... u_g,
 and complementary monomials pair perfectly.
 """
-from fractions import Fraction
-
 from agcoh import tautring as tr
 
 g = 3
@@ -25,9 +23,10 @@ print("u_1^6 (socle): ->", tr.monomial(g, (6, 0, 0)))
 
 print("\n== socle pairing ==")
 u1, u2, u3 = (tr.u(g, i) for i in (1, 2, 3))
-print("<u_1, u_2 u_3> =", tr.socle_pairing(u1, u2 * u3))
-print("<u_1, u_1^2>   =", tr.socle_pairing(u1, u1 * u1), "  (via u_1^3 = 2 u_1 u_2 + ...)")
-print("<u_1 u_2, u_3> =", tr.socle_pairing(u1 * u2, u3))
+socle = (1 << g) - 1  # the bitmask of u_1 u_2 u_3
+print("<u_1, u_2 u_3> =", (u1 * (u2 * u3)).coeff(socle))
+print("<u_1, u_1^2>   =", (u1 * (u1 * u1)).coeff(socle), "  (via u_1^3 = 2 u_1 u_2 + ...)")
+print("<u_1 u_2, u_3> =", (u1 * u2 * u3).coeff(socle))
 
 print("\nperfect pairing: ranks of the degree-paired matrices")
 for deg in range(0, g * (g + 1) + 1, 2):

@@ -32,13 +32,11 @@ for report in res.per_shape:
         print("  Hodge diamond diagonal?", all(p == q for p, q in v.hodge))
 
 print("\n== rank 7: the worked two-variable decomposition ==")
-param = next(p for p, _ in ar.enumerate_parameters(HighestWeight(7, (0,) * 7), reg)
-             if p.canonical_shape() == "D11[4]+[7]")
-char = sp.rho_psi(param, ("+",))
-print("shape:", param.canonical_shape(), " dimension:", char.evaluate_all_ones())
-print("q - p values present:", sorted({a for (a, b) in char.support()}))
-(variant,) = next(r for r in sp.ih_betti(HighestWeight(7, (0,) * 7), reg).per_shape
-                  if r.shape == param.canonical_shape()).variants
+both = sp.ih_betti(HighestWeight(7, (0,) * 7), reg, signs="both", include_hodge=True)
+report = next(r for r in both.per_shape if r.shape == "D11[4]+[7]")
+variant = next(v for v in report.variants if v.signs == ("+",))
+print("shape:", report.shape, " dimension:", sum(variant.betti))
+print("q - p values present:", sorted({q - p for p, q in variant.hodge}))
 print("strings at S=1:", list(variant.nu))
 
 print("\n== rank 8 needs sign input: emit-both mode ==")
@@ -53,10 +51,8 @@ for report in both.per_shape:
 print("\n== local systems: vanishing and a Saito-Kurokawa-type diamond ==")
 print("rank 3, weights (1,1,0):",
       list(sp.ih_betti(HighestWeight(3, (1, 1, 0)), reg).betti))
-hw = HighestWeight(2, (4, 4))
-(param, _), = ar.enumerate_parameters(hw, reg)
-print(f"rank 2, weights (4,4): shape {param.canonical_shape()}")
-for sign in ("+", "-"):
-    char = sp.rho_psi(param, (sign,))
-    diamond = sp.hodge_diamond(char, hw.g, hw.weight)
-    print(f"  sign {sign}: Hodge diamond {sorted(diamond.items())}")
+(report,) = sp.ih_betti(HighestWeight(2, (4, 4)), reg, signs="both",
+                        include_hodge=True).per_shape
+print(f"rank 2, weights (4,4): shape {report.shape}")
+for variant in report.variants:
+    print(f"  sign {variant.signs[0]}: Hodge diamond {sorted(variant.hodge.items())}")

@@ -30,7 +30,7 @@ print("\n== stable series ==")
 for space in ("ag", "sat"):
     data = tb.stable_series(space, 14)
     print(f"{space:4s}: {data['coefficients']}  ({data['validity']})")
-data = tb.stable_series("universal", 8, n=2)
-print("universal(2):", data["coefficients"])
-print("ih_sat:", tb.stable_ih_series(14)["coefficients"],
+data = tb.stable_series("universal:2", 8)
+print(f"{data['space']}:", data["coefficients"])
+print("ih_sat:", tb.stable_series("ih_sat", 14)["coefficients"],
       " (identical to the open-space series)")

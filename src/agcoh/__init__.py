@@ -5,7 +5,7 @@ Submodules:
   exact            Bernoulli/zeta values, cyclotomic and integer Laurent
                    polynomial arithmetic, fraction-free elimination
   tautring         the 2^g-dimensional graded ring on the tautological Chern
-                   classes, with socle pairing and rank-reduction quotient
+                   classes, its pairing matrices and rank-reduction quotient
   proportionality  exact top intersection numbers of the Hodge classes and
                    modular-form dimension asymptotics
   symplectic       irreducible symplectic representations: dimensions and
@@ -32,10 +32,8 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _EXPORTS = {
-    "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index",
-              "zeta_negative"),
-    "tautring": ("RingElement", "poincare_polynomial", "quotient_by_top",
-                 "socle_pairing"),
+    "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index"),
+    "tautring": ("RingElement", "poincare_polynomial", "quotient_by_top"),
     "proportionality": ("PiScaledRational", "compact_dual_degree",
                         "lambda1_power", "lambda_intersection",
                         "modular_form_asymptotics", "siegel_volume"),
@@ -44,8 +42,8 @@ _EXPORTS = {
                 "enumerate_torsion_classes", "parse_mass_table"),
     "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
                "enumerate_parameters", "ingest_cardinalities", "weight_block"),
-    "spin": ("IHResult", "hodge_diamond", "ih_betti", "rho_psi"),
-    "tables": ("reference_table", "stable_ih_series", "stable_series"),
+    "spin": ("IHResult", "hodge_diamond", "ih_betti"),
+    "tables": ("reference_table", "stable_series"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -344,7 +344,6 @@ class ArthurParameter(Record):
                 f"degree identity fails: {degree} != {2 * genus + 1}")
         if len(covered) != count or len(covered) != genus:
             raise ValueError("weight blocks are not disjoint or do not fill rank")
-        object.__setattr__(self, "_tau_set", frozenset(covered))
 
     @property
     def r(self) -> int:
@@ -356,10 +355,6 @@ class ArthurParameter(Record):
         for block, _ in self.factors:
             m *= block.cardinality
         return m
-
-    @property
-    def tau_set(self) -> frozenset[int]:
-        return self._tau_set  # type: ignore[attr-defined]
 
     @property
     def field_degree(self) -> int | None:

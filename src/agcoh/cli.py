@@ -205,7 +205,7 @@ def _cmd_euler(args):
     warnings = list(table.warnings)
     if hw.weight % 2:
         warnings.append("odd weight: the elliptic term vanishes identically")
-    value = torsion.elliptic_term(hw, table, strict=not args.lenient)
+    value = torsion.elliptic_term(hw, table)
     return {
         "genus": g,
         "lambda": list(hw.lam),
@@ -290,23 +290,9 @@ def _cmd_tables(args):
 
 def _cmd_stable(args):
     from . import tables
-    space = args.space.lower()
-    n = None
-    if space.startswith("universal"):
-        tail = space[len("universal"):]
-        if tail[:1] not in (":", "("):
-            raise InputError("use --space universal:N")
-        try:
-            n = int(tail.strip(":()"))
-        except ValueError:
-            raise InputError(f"bad universal fibre power in {args.space!r}")
-        space = "universal"
-    if space == "ih_sat":
-        data = tables.stable_ih_series(args.max_degree)
-    else:
-        data = tables.stable_series(space, args.max_degree, n=n)
-    return data, ["stable graded dimensions: free graded-commutative algebra "
-                  "on even-degree generators, by partition counting"], []
+    return tables.stable_series(args.space, args.max_degree), [
+        "stable graded dimensions: free graded-commutative algebra "
+        "on even-degree generators, by partition counting"], []
 
 
 # -- plumbing ------------------------------------------------------------------

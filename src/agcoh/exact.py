@@ -61,13 +61,6 @@ def bernoulli(n: int) -> Fraction:
         return _bernoulli_cache[n]
 
 
-def zeta_negative(j: int) -> Fraction:
-    """zeta(1 - 2j) = -B_{2j} / (2j) for j >= 1."""
-    if j < 1:
-        raise ValueError("zeta_negative expects j >= 1 (returns zeta(1-2j))")
-    return -bernoulli(2 * j) / (2 * j)
-
-
 def zeta_product(g: int) -> Fraction:
     """prod_{j=1}^{g} zeta(1-2j) = prod_j -B_{2j}/(2j), as one Fraction of
     two integer products (1 for g = 0)."""

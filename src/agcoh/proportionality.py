@@ -48,7 +48,7 @@ def compact_dual_degree(g: int, exponents) -> int:
     that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer.
     The exponents are ints, never truncated (TypeError), of top degree
     (InputError); this is their one check, so the socle memo is read
-    directly rather than through socle_coefficient."""
+    directly rather than through tautring.monomial."""
     exponents = tuple(exponents)
     if any(type(n) is not int for n in exponents):
         raise TypeError(f"exponents must be integers, got {exponents!r}")

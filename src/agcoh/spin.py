@@ -151,14 +151,6 @@ def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | No
         yield signs, result
 
 
-def rho_psi(param: ArthurParameter, signs: Sequence[str | None] = ()
-            ) -> LaurentPoly:
-    """Product of the principal spin character with the chosen half-spin of
-    every factor; total dimension 2^(g - r).  `signs` aligns with
-    param.factors and needs '+' or '-' for every factor."""
-    return next(_characters(param, [signs]))[1]
-
-
 def _t_strings(coeffs: list[int]) -> list[int]:
     """Decompose a torus character, given as the dense list of its
     coefficients of T^-n .. T^n (c_k, the coefficient of T^k, at
@@ -245,11 +237,6 @@ class IHResult(Record):
     betti: tuple[int, ...] | None   # None when emit-both variants disagree
     per_shape: tuple[ShapeReport, ...]
     warnings: tuple[str, ...]
-
-    def euler_characteristic(self) -> int:
-        if self.betti is None:
-            raise ValueError("Betti numbers are ambiguous under emit-both")
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
 def _variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,

@@ -119,8 +119,6 @@ def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[
     generators starts the series from these binomials; every other
     generator multiplies it by 1/(1 - t^d) in one pass.  So the N(N+1)/2
     degree-2 generators of universal:N cost one pass, not one each."""
-    if any(d <= 0 for d in counts):
-        raise ValueError("generator degrees must be positive")
     groups = sorted(counts.items(), key=lambda item: -item[1])
     coeffs = [1] + [0] * max_degree
     if groups:
@@ -136,48 +134,44 @@ def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[
     return coeffs
 
 
-def _lambda_degrees(max_degree: int) -> list[int]:
-    """Degrees 2, 6, 10, ... of the odd Chern classes of the Hodge bundle."""
-    return list(range(2, max_degree + 1, 4))
-
-
-def stable_series(space: str, max_degree: int, n: int | None = None
-                  ) -> dict:
+def stable_series(space: str, max_degree: int) -> dict:
     """Stable (rank-independent) graded cohomology dimensions in degrees
     0..max_degree.
 
     space 'ag': freely generated by the odd Hodge classes (degrees 4i+2).
     space 'sat': the minimal compactification; polynomial on x-classes in
     degrees 4i+2 (i >= 0) and y-classes in degrees 4j+2 (j >= 1).
-    space 'universal': the n-th fibre power of the universal family; the
-    'ag' algebra with n theta classes and C(n,2) normalized Poincare classes,
-    all of degree 2.
+    space 'ih_sat': its intersection cohomology, the 'ag' algebra.
+    space 'universal:N' or 'universal(N)': the N-th fibre power of the
+    universal family; the 'ag' algebra with N theta classes and C(N,2)
+    normalized Poincare classes, all of degree 2.
 
-    The validity range (degree < rank) is reported as metadata only.
+    Space names are case-insensitive.  The validity range (degree < rank)
+    is reported as metadata only.
     """
+    name = space.lower()
+    if name.startswith("universal"):
+        tail = name[len("universal"):]
+        if tail[:1] not in (":", "("):
+            raise InputError("use --space universal:N")
+        try:
+            n = int(tail.strip(":()"))
+        except ValueError:
+            raise InputError(f"bad universal fibre power in {space!r}")
+        name = f"universal({n})"
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
-    space = space.lower()
-    gens = Counter(_lambda_degrees(max_degree))
-    if space == "sat":
+    gens = Counter(range(2, max_degree + 1, 4))  # the odd Chern classes of the Hodge bundle
+    if name == "sat":
         gens.update(range(6, max_degree + 1, 4))
-    elif space == "universal":
-        if n is None or n < 0:
+    elif name.startswith("universal"):
+        if n < 0:
             raise InputError("space 'universal' needs a fibre power n >= 0")
         gens[2] += n + n * (n - 1) // 2
-    elif space != "ag":
-        raise InputError(f"unknown stable space {space!r}")
+    elif name not in ("ag", "ih_sat"):
+        raise InputError(f"unknown stable space {name!r}")
     return {
-        "space": space if space != "universal" else f"universal({n})",
+        "space": name,
         "coefficients": _series_from_generators(gens, max_degree),
         "validity": "valid in degrees below the rank",
     }
-
-
-def stable_ih_series(max_degree: int) -> dict:
-    """Stable intersection-cohomology series of the minimal
-    compactification: identical to the 'ag' series (the stable intersection
-    cohomology is the polynomial algebra on the odd Hodge classes)."""
-    out = stable_series("ag", max_degree)
-    out["space"] = "ih_sat"
-    return out

@@ -24,8 +24,9 @@ gives the same form (the square-free monomials are a basis); below the top
 the squared index with the fewest children goes first, ties to the larger k,
 and in the top degree the largest.  The top degree, spanned by the socle and
 closed under rewrites, has its own memo of int socle coefficients; below it
-the memo keeps sorted ((bitmask, int coeff), ...).  Storing past _MEMO_BOUND
-entries in either memo of a genus raises InputError ("work bound").
+the memo keeps sorted ((bitmask, int coeff), ...).  A miss descends on an
+explicit stack, so no rewrite chain is too deep; when a memo's entries plus
+the keys waiting on its stack would pass _MEMO_BOUND, InputError ("work bound").
 
 The structure constants are integers; only RingElement carries Fraction
 coefficients.  A product scales each operand to integer numerators by the lcm
@@ -68,7 +69,8 @@ class _Ring(dict):
         # children[k]: (key of u_j u_{2k-j}, 2 (-1)^(j+k+1)) for each j with 2k - j <= g
         self.children = tuple(tuple((self.unit[j] + self.unit[2 * k - j], 2 if (j + k) % 2 else -2)
                                     for j in range(max(0, 2 * k - g), k)) for k in range(g + 1))
-        self.forms, self.socle = {}, {}  # key -> normal form below the top, int at it
+        # key -> normal form below the top, int at it, where the socle's own key has 1
+        self.forms, self.socle = {}, {sum(self.unit): 1}
 
     def __missing__(self, mask: int) -> tuple[int, int]:
         subset = mask_to_subset(mask)
@@ -85,46 +87,79 @@ class _Ring(dict):
     def pack(self, exps: ExponentVector) -> int:
         return sum(e << self.width * i for i, e in enumerate(exps))
 
-    def _keep(self, memo: dict, key: int, value):
-        if len(memo) >= _MEMO_BOUND:
+    def _check_room(self, memo: dict, waiting: int) -> None:
+        """Refuse a key past _MEMO_BOUND, counting the memo and `waiting` stack keys."""
+        if len(memo) + waiting >= _MEMO_BOUND:
             raise InputError(f"work bound: the normal forms of R_{self.g} would keep "
                              f"more than {_MEMO_BOUND} monomials")
-        memo[key] = value
-        return value
+
+    def _mask(self, key: int) -> int:  # of a square-free key
+        return sum(1 << i for i in range(self.g) if key >> self.width * i & 1)
 
     def socle_value(self, key: int) -> int:
         """The socle coefficient of a top-degree key."""
-        memo = self.socle
-        if key in memo:
-            return memo[key]
-        squared = key & self.high
-        if not squared:
-            return 1  # the socle, the one square-free monomial of top degree
-        k = (squared.bit_length() - 1) // self.width + 1
-        base = key - 2 * self.unit[k]
-        value = 0
-        for step, coeff in self.children[k]:
-            child = memo.get(base + step)
-            value += coeff * (self.socle_value(base + step) if child is None else child)
-        return self._keep(memo, key, value)
+        memo, high = self.socle, self.high
+        value = memo.get(key)
+        if value is not None:
+            return value
+        stack: list = []  # (key, base, children left, partial sum, coeff of the child)
+        while True:  # enter `key`: rewrite its largest squared index
+            self._check_room(memo, len(stack))
+            k = ((key & high).bit_length() - 1) // self.width + 1
+            base, kids, value = key - 2 * self.unit[k], iter(self.children[k]), 0
+            while True:  # the children left, resumed after each descent
+                for step, coeff in kids:
+                    child = base + step
+                    c = memo.get(child)
+                    if c is None:
+                        break  # not kept yet: descend into it
+                    value += coeff * c
+                else:  # all children kept: keep the value, resume the parent
+                    memo[key] = value
+                    if not stack:
+                        return value
+                    key, base, kids, partial, coeff = stack.pop()
+                    value = partial + coeff * value
+                    continue
+                break
+            stack.append((key, base, kids, value, coeff))
+            key = child
 
     def form(self, key: int) -> tuple[tuple[int, int], ...]:
         """The normal form of a key below the top degree."""
-        memo, w = self.forms, self.width
-        if key in memo:
-            return memo[key]
-        squared = key & self.high
-        if not squared:
-            return ((sum(1 << i for i in range(self.g) if key >> w * i & 1), 1),)
-        k, low = ((part.bit_length() - 1) // w + 1 for part in (squared, squared & -squared))
-        k = low if len(self.children[low]) < len(self.children[k]) else k
-        base = key - 2 * self.unit[k]
-        acc: dict[int, int] = {}
-        for step, coeff in self.children[k]:
-            child = memo.get(base + step)
-            for mask, c in self.form(base + step) if child is None else child:
-                acc[mask] = acc.get(mask, 0) + coeff * c
-        return self._keep(memo, key, tuple(sorted([(m, c) for m, c in acc.items() if c])))
+        memo = self.forms
+        value = memo.get(key)
+        if value is not None:
+            return value
+        high, w = self.high, self.width
+        if not key & high:
+            return ((self._mask(key), 1),)
+        stack: list = []  # (key, base, children left, partial sums, coeff of the child)
+        while True:  # enter `key`: rewrite the squared index with the fewest children
+            self._check_room(memo, len(stack))
+            squared = key & high
+            k, low = ((part.bit_length() - 1) // w + 1 for part in (squared, squared & -squared))
+            k = low if len(self.children[low]) < len(self.children[k]) else k
+            base, kids, acc = key - 2 * self.unit[k], iter(self.children[k]), {}
+            while True:  # the children left, resumed after each descent
+                for step, coeff in kids:
+                    child = base + step
+                    terms = memo.get(child) if child & high else ((self._mask(child), 1),)
+                    if terms is None:
+                        break  # not kept yet: descend into it
+                    for mask, c in terms:
+                        acc[mask] = acc.get(mask, 0) + coeff * c
+                else:  # all children kept or square-free: keep the form, resume the parent
+                    memo[key] = value = tuple(sorted([(m, c) for m, c in acc.items() if c]))
+                    if not stack:
+                        return value
+                    key, base, kids, acc, coeff = stack.pop()
+                    for mask, c in value:
+                        acc[mask] = acc.get(mask, 0) + coeff * c
+                    continue
+                break
+            stack.append((key, base, kids, acc, coeff))
+            key = child
 
 
 _ring = functools.lru_cache(maxsize=None)(_Ring)
@@ -299,12 +334,6 @@ def monomial(g: int, exps: ExponentVector) -> RingElement:
     return RingElement(g, dict(_normal_form_monomial(g, _check_exps(g, exps))))
 
 
-def socle_coefficient(g: int, exps: ExponentVector) -> int:
-    """Coefficient of the socle u_1 u_2 ... u_g in the normal form of
-    u_1^{e_1} ... u_g^{e_g}."""
-    return dict(_normal_form_monomial(g, _check_exps(g, exps))).get((1 << g) - 1, 0)
-
-
 def poincare_polynomial(g: int) -> LaurentPoly:
     """sum_k dim R_g^{2k} T^{2k} = prod_{k=1}^{g} (1 + T^{2k}).
 
@@ -322,12 +351,6 @@ def graded_dimension(g: int, degree: int) -> int:
     if degree % 2 == 1 or degree < 0 or degree > g * (g + 1):
         return 0
     return strict_partition_counts(degree // 2, g)[-1]
-
-
-def socle_pairing(a: RingElement, b: RingElement) -> Fraction:
-    """Coefficient of the socle u_1 u_2 ... u_g in a * b."""
-    a._check(b)
-    return (a * b).coeff((1 << a.g) - 1)
 
 
 def quotient_by_top(g: int) -> dict[int, int]:

@@ -222,16 +222,14 @@ class MassTable(Record):
     genus: int
     masses: dict[TorsionClass, Fraction]
     provenance: str
-    missing: frozenset[TorsionClass]
     warnings: tuple[str, ...]
 
     def __init__(self, genus: int, masses: dict[TorsionClass, Fraction],
-                 provenance: str = "", missing: frozenset[TorsionClass] = frozenset(),
-                 warnings: tuple[str, ...] = ()):
+                 provenance: str = "", warnings: tuple[str, ...] = ()):
         for c, m in masses.items():
             if type(m) is not int and type(m) is not Fraction:
                 raise TypeError(f"mass of class {c} must be int or Fraction, got {m!r}")
-        super().__init__(genus, masses, provenance, missing, warnings)
+        super().__init__(genus, masses, provenance, warnings)
 
     __hash__ = None    # the masses are a dict
 
@@ -323,8 +321,7 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
         for c in missing:
             masses[c] = Fraction(0)
         warnings.append(f"{len(missing)} classes missing from mass table, treated as zero")
-    return MassTable(genus=g, masses=masses, provenance=provenance,
-                     missing=frozenset(missing), warnings=tuple(warnings))
+    return MassTable(g, masses, provenance, tuple(warnings))
 
 
 def load_mass_table(path, g: int, strict: bool = True) -> MassTable:
@@ -332,7 +329,7 @@ def load_mass_table(path, g: int, strict: bool = True) -> MassTable:
         return parse_mass_table(fh, g, strict=strict, provenance=str(path))
 
 
-def elliptic_term(hw, masses: MassTable, strict: bool = True) -> Fraction:
+def elliptic_term(hw, masses: MassTable) -> Fraction:
     """T_ell = sum over the full torsion class set of m_c tr(c | V_lambda);
     equals the compactly supported Euler characteristic e(A_g, V_lambda).
 
@@ -344,10 +341,6 @@ def elliptic_term(hw, masses: MassTable, strict: bool = True) -> Fraction:
     denominator, and one Fraction is built at the end."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
-    if strict and masses.missing:
-        raise MassTableError(
-            f"mass table incomplete ({len(masses.missing)} classes); "
-            "parse leniently or supply the missing masses")
     sign = -1 if hw.weight % 2 else 1
     table = masses.masses
     sums: dict[int, int] = {}

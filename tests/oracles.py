@@ -14,6 +14,9 @@ the package computes another way, and the tests compare the two:
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin._factor_spins` specialized at S = 1
   (`set_var_to_one`); both in true exponents;
+* one sign vector's IH character (`rho_psi`): `spin._characters` asked for
+  that vector alone, against the sign-prefix products that `ih_betti`
+  shares between the vectors of a shape;
 * IH sign variants: specialize the character at S = 1 to a sparse
   one-variable LaurentPoly (`set_var_to_one`), decompose it into torus
   strings by a dict walk and read the graded dimensions with `coeff_list`,
@@ -30,7 +33,8 @@ the package computes another way, and the tests compare the two:
 * the closed forms `exact` and `proportionality` build from integer
   products, by their textbook products of Fractions and LaurentPolys: the
   g-fold product prod (1 + T^{2k}) for the Poincare polynomial, the
-  zeta(1-2j) product for the central mass, the sign, power of 2 and zeta
+  zeta(1-2j) = -B_{2j}/(2j) values (`zeta_negative`) and their product for
+  the central mass, the sign, power of 2 and zeta
   terms of lambda_1^N, and the per-term B_{2j} product of the Siegel volume
   and the modular-form asymptotics.
 """
@@ -43,8 +47,8 @@ from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                           check_kind_d)
 from agcoh.errors import RegistryIncompleteError
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
-                         double_factorial_odd, euler_phi, zeta_negative)
-from agcoh.spin import ShapeVariant, hodge_diamond, primitive_degrees
+                         double_factorial_odd, euler_phi)
+from agcoh.spin import ShapeVariant, _characters, hodge_diamond, primitive_degrees
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 from agcoh.tautring import RingElement
 
@@ -391,6 +395,12 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
 
 # -- IH sign variants through one-variable characters ------------------------------
 
+def rho_psi(param: ArthurParameter, signs=()) -> LaurentPoly:
+    """The principal spin character times the chosen half-spin of every
+    factor, total dimension 2^(g - r); `signs` aligns with param.factors."""
+    return next(_characters(param, [signs]))[1]
+
+
 def set_var_to_one(poly: LaurentPoly, var: int) -> LaurentPoly:
     """Specialize one variable of a two-variable polynomial to 1."""
     if poly.nvars != 2:
@@ -573,6 +583,13 @@ def poincare_product(g: int) -> LaurentPoly:
     for k in range(1, g + 1):
         result = result * (LaurentPoly.one(1) + LaurentPoly.t_power(2 * k))
     return result
+
+
+def zeta_negative(j: int) -> Fraction:
+    """zeta(1 - 2j) = -B_{2j} / (2j) for j >= 1."""
+    if j < 1:
+        raise ValueError("zeta_negative expects j >= 1 (returns zeta(1-2j))")
+    return -bernoulli(2 * j) / (2 * j)
 
 
 def zeta_negative_product(g: int) -> Fraction:

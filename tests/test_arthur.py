@@ -226,7 +226,8 @@ def test_parameter_structure():
     params = dict((p.canonical_shape(), p) for p, _ in ar.enumerate_parameters(hw))
     p = params["D11[2]+[9]"]
     assert p.r == 1 and p.multiplicity == 1 and p.field_degree == 1
-    assert p.tau_set == set(hw.tau)
+    assert set().union(*(ar.weight_block(b.kind, b.doubled_weights, d)
+                         for b, d in (p.principal, *p.factors))) == set(hw.tau)
     block, d = p.factors[0]
     assert block.label == "D11" and d == 2
     assert p.principal[0].is_trivial and p.principal[1] == 9

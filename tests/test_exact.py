@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from agcoh import exact
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, euler_phi,
-                         negate_cyclotomic_index, poly_divmod, poly_mul,
-                         zeta_negative)
-from oracles import bernoulli_table, nu_character, set_var_to_one
+                         negate_cyclotomic_index, poly_divmod, poly_mul)
+from oracles import bernoulli_table, nu_character, set_var_to_one, zeta_negative
 
 
 def test_bernoulli_examples():

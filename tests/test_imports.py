@@ -25,7 +25,7 @@ ERROR_HOMES = {
 
 
 def test_every_public_name_resolves_to_its_submodule():
-    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 37
+    assert len(agcoh.__all__) == len(set(agcoh.__all__)) == 33
     for name in agcoh.__all__:
         module = importlib.import_module(f"agcoh.{agcoh._MODULE_OF[name]}")
         assert getattr(agcoh, name) is getattr(module, name), name
@@ -39,12 +39,13 @@ def test_star_import():
 
 
 def test_unknown_attribute():
-    # five moved to the tests as oracles; Rational (an alias of Fraction),
-    # nu_decompose and spin_character were deleted; standard_weight_lines
-    # became private
+    # seven moved to the tests as oracles; Rational (an alias of Fraction),
+    # nu_decompose, spin_character, socle_pairing and stable_ih_series were
+    # deleted; standard_weight_lines became private
     for name in ("no_such_name", "WeightSystem", "weight_multiplicities",
                  "closed_form_oracle", "nu_character", "normal_form", "Rational",
-                 "nu_decompose", "spin_character", "standard_weight_lines"):
+                 "nu_decompose", "spin_character", "standard_weight_lines",
+                 "rho_psi", "socle_pairing", "zeta_negative", "stable_ih_series"):
         with pytest.raises(AttributeError, match=name):
             getattr(agcoh, name)
 

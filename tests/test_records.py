@@ -26,10 +26,10 @@ CASES = [
     (TorsionClass, {"pairs": ((3, 1),)}, ("pairs",),
      "TorsionClass(pairs=((3, 1),))", {"pairs": ((6, 1),)}),
     (MassTable, {"genus": 1, "masses": {C3: Fraction(1, 3)}, "provenance": "",
-                 "missing": frozenset(), "warnings": ()},
-     ("genus", "masses", "provenance", "missing", "warnings"),
+                 "warnings": ()},
+     ("genus", "masses", "provenance", "warnings"),
      "MassTable(genus=1, masses={TorsionClass(pairs=((3, 1),)): Fraction(1, 3)}, "
-     "provenance='', missing=frozenset(), warnings=())",
+     "provenance='', warnings=())",
      {"masses": {C3: Fraction(1, 2)}}),
     (BuildingBlock, {"kind": S, "doubled_weights": (11,), "cardinality": 1,
                      "names": ("D11",), "field_degree": 1},
@@ -118,7 +118,7 @@ def test_fields_are_read_only(cls, fields, compared, text, changed):
 
 def test_defaults():
     table = MassTable(genus=1, masses={C3: 1})
-    assert (table.provenance, table.missing, table.warnings) == ("", frozenset(), ())
+    assert (table.provenance, table.warnings) == ("", ())
     block = BuildingBlock(OE, (4, 2), 0)
     assert (block.names, block.field_degree) == ((), None)
     assert Bound(3).exact is True

@@ -62,8 +62,9 @@ def test_torsion_counts_cross_module():
 def test_stable_series_examples():
     assert tb.stable_series("ag", 6)["coefficients"] == [1, 0, 1, 0, 1, 0, 2]
     assert tb.stable_series("sat", 6)["coefficients"][6] == 3
-    assert tb.stable_series("universal", 2, n=1)["coefficients"][2] == 2
-    assert tb.stable_ih_series(6)["coefficients"] == [1, 0, 1, 0, 1, 0, 2]
+    assert tb.stable_series("universal:1", 2)["coefficients"][2] == 2
+    ih = tb.stable_series("ih_sat", 6)
+    assert (ih["space"], ih["coefficients"]) == ("ih_sat", [1, 0, 1, 0, 1, 0, 2])
     with pytest.raises(InputError):
         tb.stable_series("nowhere", 4)
     with pytest.raises(InputError):
@@ -80,7 +81,7 @@ def test_stable_series_more_degrees():
     sat = tb.stable_series("sat", 10)["coefficients"]
     assert sat[8] == 3       # x2^4, x2*x6, x2*y6
     assert sat[10] == 5      # x2^5, x2^2*x6, x2^2*y6, x10, y10
-    uni = tb.stable_series("universal", 4, n=2)["coefficients"]
+    uni = tb.stable_series("universal(2)", 4)["coefficients"]
     # generators: lambda_1, T_1, T_2, P_12 in degree 2: dim in degree 2 is 4
     assert uni[2] == 4
 
@@ -110,9 +111,9 @@ def _series_by_generator(degrees, max_degree):
 def test_stable_series_matches_per_generator_oracle():
     for max_degree in (0, 1, 2, 3, 7, 18, 31, 60):
         lam = list(range(2, max_degree + 1, 4))
-        cases = [("ag", None, lam), ("sat", None, lam + list(range(6, max_degree + 1, 4)))]
-        cases += [("universal", n, lam + [2] * (n + n * (n - 1) // 2))
+        cases = [("ag", lam), ("sat", lam + list(range(6, max_degree + 1, 4)))]
+        cases += [(f"universal:{n}", lam + [2] * (n + n * (n - 1) // 2))
                   for n in (0, 1, 2, 5, 40)]
-        for space, n, degrees in cases:
-            got = tb.stable_series(space, max_degree, n=n)["coefficients"]
-            assert got == _series_by_generator(degrees, max_degree), (space, n, max_degree)
+        for space, degrees in cases:
+            got = tb.stable_series(space, max_degree)["coefficients"]
+            assert got == _series_by_generator(degrees, max_degree), (space, max_degree)

@@ -100,11 +100,12 @@ def test_graded_dimensions_are_strict_partition_counts():
 
 
 def test_socle_pairing_examples():
-    assert tr.socle_pairing(tr.u(2, 1), tr.u(2, 1) * tr.u(2, 2)) == 0
-    assert tr.socle_pairing(tr.u(2, 1), tr.u(2, 2)) == 1
+    # the socle pairing <a, b> is the socle coefficient of the product a * b
+    assert (tr.u(2, 1) * (tr.u(2, 1) * tr.u(2, 2))).coeff(0b11) == 0
+    assert (tr.u(2, 1) * tr.u(2, 2)).coeff(0b11) == 1
     for g in (1, 2, 3, 5):
-        assert tr.socle_pairing(tr.one(g), tr.socle(g)) == 1
-    assert tr.socle_pairing(tr.u(2, 1), tr.monomial(2, (2, 0))) == 2
+        assert (tr.one(g) * tr.socle(g)).coeff((1 << g) - 1) == 1
+    assert (tr.u(2, 1) * tr.monomial(2, (2, 0))).coeff(0b11) == 2
 
 
 def test_normal_form_linearity_rank_certification():
@@ -162,7 +163,7 @@ def test_pairing_matrices_nonsingular():
             m = tr.pairing_matrix(g, deg)
             assert len(m) == len(m[0])
             assert tr.matrix_rank(m) == len(m)
-            assert m == [[tr.socle_pairing(a, b) for b in basis(top - deg)]
+            assert m == [[(a * b).coeff((1 << g) - 1) for b in basis(top - deg)]
                          for a in basis(deg)], (g, deg)
             assert all(type(c) is int for row in m for c in row)
 
@@ -171,21 +172,20 @@ def test_socle_coefficient():
     for g in range(1, 6):
         full = (1 << g) - 1
         for exps in [(0,) * g, (1,) * g, (g * (g + 1) // 2,) + (0,) * (g - 1)]:
-            got = tr.socle_coefficient(g, exps)
-            assert type(got) is int
-            assert got == tr.monomial(g, exps).coeff(full)
-    assert tr.socle_coefficient(2, (1, 1)) == 1
-    assert tr.socle_coefficient(2, (3, 0)) == 2
+            want = dict(oracles.normal_form_monomial(g, exps)).get(full, 0)
+            assert tr.monomial(g, exps).coeff(full) == want
+    assert tr.monomial(2, (1, 1)).coeff(0b11) == 1
+    assert tr.monomial(2, (3, 0)).coeff(0b11) == 2
     with pytest.raises(ValueError):
-        tr.socle_coefficient(2, (1, 1, 0))
+        tr.monomial(2, (1, 1, 0))
     with pytest.raises(ValueError):
-        tr.socle_coefficient(2, (-1, 2))
+        tr.monomial(2, (-1, 2))
     # exponents are exactly ints: a float or a bool is never truncated
     for exps in ((1.5, 0), (True, 0), (1.0, 1.0)):
         with pytest.raises(TypeError, match="exponents must be integers"):
             tr.monomial(2, exps)
         with pytest.raises(TypeError, match="exponents must be integers"):
-            tr.socle_coefficient(2, exps)
+            pr.compact_dual_degree(2, exps)
 
 
 def test_duality_shape():
@@ -195,7 +195,7 @@ def test_duality_shape():
         for mask in range(1 << g):
             a = tr.RingElement(g, {mask: Fraction(1)})
             b = tr.RingElement(g, {full ^ mask: Fraction(1)})
-            assert tr.socle_pairing(a, b) != 0, (g, mask)
+            assert (a * b).coeff(full) != 0, (g, mask)
 
 
 def test_top_power_identity():
@@ -259,7 +259,7 @@ def test_quotient_by_top_detects_a_wrong_generator_product(monkeypatch, fresh_no
 def test_work_bound_counts_the_entries_kept(monkeypatch, fresh_normal_forms):
     g, power = 6, (21, 0, 0, 0, 0, 0)
     want = oracles.top_power_coefficient(g)
-    assert tr.socle_coefficient(g, power) == want
+    assert tr.monomial(g, power).coeff((1 << g) - 1) == want
     kept = len(tr._ring(g).socle)
     tr._ring.cache_clear()
     monkeypatch.setattr(tr, "_MEMO_BOUND", kept)  # exactly enough
@@ -268,12 +268,14 @@ def test_work_bound_counts_the_entries_kept(monkeypatch, fresh_normal_forms):
     monkeypatch.setattr(tr, "_MEMO_BOUND", kept - 1)
     with pytest.raises(InputError, match=rf"^work bound: .* R_{g} .* {kept - 1} monomials"):
         pr.compact_dual_degree(g, power)
-    assert len(tr._ring(g).socle) == kept - 1
+    # kept entries and keys waiting on the stack count together, so the
+    # refusal comes before the memo itself reaches the bound
+    assert len(tr._ring(g).socle) < kept - 1
     # the memo below the top degree is bounded alike
     monkeypatch.setattr(tr, "_MEMO_BOUND", 3)
     with pytest.raises(InputError, match="^work bound"):
         tr.monomial(g, (12, 0, 0, 0, 0, 0))
-    assert len(tr._ring(g).forms) == 3
+    assert len(tr._ring(g).forms) < 3
 
 
 def test_work_bound_is_a_usage_error(monkeypatch, fresh_normal_forms):
@@ -287,6 +289,22 @@ def test_work_bound_is_a_usage_error(monkeypatch, fresh_normal_forms):
     code, out, err = cli.run(["intersect", "--g", "6", "--exponents", "21,0,0,0,0,0"])
     assert code == 0 and json.loads(out)["result"]["compact_dual_degree"] == \
         str(oracles.top_power_coefficient(6))
+
+
+@pytest.mark.parametrize("g", [60, 100, 200])
+def test_deep_rewrite_chains_reach_the_work_bound(monkeypatch, fresh_normal_forms, g):
+    # lambda_1^N rewrites through a chain far deeper than Python's recursion
+    # limit; the explicit stack reaches the work bound instead (exit 2, not 5)
+    n = g * (g + 1) // 2
+    monkeypatch.setattr(tr, "_MEMO_BOUND", 2000)
+    code, out, err = cli.run(["intersect", "--g", str(g), "--exponents",
+                              ",".join([str(n)] + ["0"] * (g - 1))])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and error["message"].startswith("work bound: ")
+    with pytest.raises(InputError, match="^work bound"):  # below the top degree
+        tr.monomial(g, (n - 1,) + (0,) * (g - 1))
+    assert len(tr._ring(g).socle) < 2000 and len(tr._ring(g).forms) < 2000
 
 
 def test_normal_forms_match_oracle_on_basis_pairs():
@@ -315,8 +333,6 @@ def test_normal_forms_match_oracle_on_random_exponents():
             want = oracles.normal_form_monomial(g, exps)
             assert tr._normal_form_monomial(g, exps) == want, (g, exps)
             assert tr.monomial(g, exps).items() == [(m, Fraction(c)) for m, c in want]
-            full = (1 << g) - 1
-            assert tr.socle_coefficient(g, exps) == dict(want).get(full, 0)
 
 
 def test_memos_shared_by_threads_keep_only_correct_entries(fresh_normal_forms):
