@@ -31,11 +31,19 @@ every character after it is a plain two-variable LaurentPoly in its true
 exponents, with integer coefficients by type (the half-spins are exact
 halves, LaurentPoly.halve).  A factor's spin data depends only on its
 (kind, doubled weights, d), so it is built once per process and shared by
-every parameter and every call; parameters differ only in the per-sign-vector
-products, of which vectors with a common sign prefix share the prefix's.  A
-variant is read in one pass over its product into a dense int list of its
-coefficients of T^-n .. T^n at S = 1, n = g(g+1)/2: the graded dimensions,
-whose torus strings and primitive degrees follow from that list alone.
+every parameter and every call.
+
+Only the Hodge diamonds need those two-variable characters.  Setting S = 1
+is a ring homomorphism, and a line's T exponent depends on d alone, so at
+S = 1 a factor's spin data depends only on its type (kind, weight count,
+d): each type's dense T-lists, one per spin or half-spin, with a flag
+saying that the half has no monomial with a nonzero S exponent, are built
+once per process.  A variant's T-list is the convolution of its sign
+prefix's with one more half-spin, and its graded dimensions, torus strings
+and primitive degrees are read from that list and checked once, then kept
+per (factor types, signs).  The sign vectors and the weight runs of a
+parameter are checked on every call.  With Hodge data asked for, the
+two-variable products are formed per call, each sign prefix's once.
 """
 from __future__ import annotations
 
@@ -85,6 +93,19 @@ def _line_products(lines: Sequence[tuple[int, int]]) -> tuple[LaurentPoly, Laure
     return plus, minus
 
 
+#: A factor's type: (kind, weight count, d).
+_FactorType = tuple[BlockKind, int, int]
+
+
+def _factor_type(block: BuildingBlock, d: int) -> _FactorType:
+    """The factor's type, after the check that a half-spin factor's weight
+    runs stay positive (2 w_min > d - 1), which the type cannot record."""
+    if block.kind is not BlockKind.ODD_ORTHOGONAL and block.doubled_weights[-1] <= d - 1:
+        raise ValueError(f"weight run for 2w={block.doubled_weights[-1]}, d={d} "
+                         "leaves the positive integers")
+    return block.kind, len(block.doubled_weights), d
+
+
 #: Spin data per factor (kind, doubled weights, d).  The kind is part of the
 #: key because BuildingBlock equality compares the weights only.  Entries are
 #: immutable, so threads racing on a miss at worst build one twice.
@@ -95,21 +116,16 @@ def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     """Spin data of one factor, built once per process per (kind, doubled
     weights, d) and halved there to true exponents: (full,) for an odd
     standard piece, the labeled (plus, minus) half-spin pair for an even
-    one, whose plus half is the even minus-sign half.  A half-spin factor
-    needs every weight run to stay positive (2 w_min > d - 1), as for the
-    factors of a parameter."""
+    one, whose plus half is the even minus-sign half."""
     key = (block.kind, block.doubled_weights, d)
     spins = _FACTOR_SPINS.get(key)
     if spins is not None:
         return spins
     lines = _weight_lines(block, d)
+    _factor_type(block, d)    # the weight-run check
     if block.kind is BlockKind.ODD_ORTHOGONAL:
         doubled = (_line_products(lines)[0],)
     else:
-        low = block.doubled_weights[-1]
-        if low <= d - 1:
-            raise ValueError(
-                f"weight run for 2w={low}, d={d} leaves the positive integers")
         p, q = _line_products(lines)
         doubled = ((p + q).halve(), (p - q).halve())
     spins = tuple(char.scale_exponents(1, 2) for char in doubled)
@@ -117,29 +133,103 @@ def _factor_spins(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
     return spins
 
 
+#: Spin data at S = 1 per factor type, shared like _FACTOR_SPINS.
+_TYPE_T_LISTS: dict[_FactorType, tuple[tuple[list[int], bool], ...]] = {}
+
+
+def _type_t_lists(ftype: _FactorType, block: BuildingBlock, d: int
+                  ) -> tuple[tuple[list[int], bool], ...]:
+    """Spin data at S = 1 of ftype = _factor_type(block, d), ordered as in
+    _factor_spins: one (T-list, flag) per character.  A T-list is centered
+    (coefficients of T^-k .. T^k, nonzero at both ends); the flag says that
+    the character has no monomial with a nonzero S exponent."""
+    t_lists = _TYPE_T_LISTS.get(ftype)
+    if t_lists is not None:
+        return t_lists
+    kind, m, _ = ftype
+    # Sign choices (one monomial per line) counted by the parity of their
+    # down monomials, in doubled T exponents.  A line with t < 0 is counted
+    # reversed, up at T^-t, which moves every choice to the other parity.
+    even, odd, flips = [1], [0], 0
+    for _, t in _weight_lines(block, d):
+        flips += t < 0
+        pad = [0] * (2 * abs(t))
+        even, odd = ([a + b for a, b in zip(pad + even, odd + pad)],
+                     [a + b for a, b in zip(pad + odd, even + pad)])
+    if flips % 2:
+        even, odd = odd, even
+    # The S-trivial halves.  A coefficient counts the sign choices of the
+    # half's parity, so a half is S-trivial iff each such choice has S-sum 0.
+    # The full spin is S-trivial iff no line has s = 2w > 0.  A half-spin
+    # factor has at least two lines, each with s > 0: its all-up choice
+    # (even) has a positive S-sum, and with three lines or more, so does one
+    # of a one-down choice and that choice with two more lines flipped.  Of
+    # the two-line factors only D_w[2], a one-weight symplectic block at
+    # d = 2, has two equal s, and so an S-trivial minus half.
+    if kind is BlockKind.ODD_ORTHOGONAL:
+        halves = (([a + b for a, b in zip(even, odd)], m == 0),)
+    else:
+        halves = ((even, False), (odd, kind is BlockKind.SYMPLECTIC and m == 1 and d == 2))
+    t_lists = tuple((_true_exponents(half), flag) for half, flag in halves)
+    _TYPE_T_LISTS[ftype] = t_lists
+    return t_lists
+
+
+def _true_exponents(doubled: list[int]) -> list[int]:
+    """A factor's self-dual T-list in doubled exponents, halved to true
+    exponents, with its zero ends cut."""
+    if any(doubled[1::2]):
+        raise AssertionError("a factor has a monomial with an odd doubled exponent")
+    t_list = doubled[::2]
+    cut = 0
+    while not t_list[cut]:
+        cut += 1
+    return t_list[cut:len(t_list) - cut]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two centered T-lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for i, c in enumerate(b):
+        if c:
+            part = a if c == 1 else [c * x for x in a]
+            out[i:i + width] = [x + y for x, y in zip(out[i:i + width], part)]
+    return out
+
+
+def _signed(param: ArthurParameter, signs: Sequence[str | None]) -> tuple[str, ...]:
+    """The sign vector cut to param's factors, each of which needs a '+' or
+    a '-'."""
+    signs = tuple(signs)[:param.r]
+    for (block, d), sign in itertools.zip_longest(param.factors, signs):
+        if sign is None:
+            raise SignPolicyError(
+                f"factor {block.label}[{d}] of {param.canonical_shape()} has "
+                "distinct half-spins; provide an explicit sign or use emit-both")
+        if sign not in ("+", "-"):
+            raise SignPolicyError(f"invalid sign {sign!r}")
+    return signs
+
+
 def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]
                 ) -> Iterator[tuple[tuple[str, ...], LaurentPoly]]:
-    """(signs, character) for each sign vector (aligned with param.factors,
-    extra entries cut off): the principal spin character and each factor's
-    half-spin pair come from the per-process factor cache, then are
-    multiplied per vector: each sign prefix's product is formed once per
-    call, shared by every vector that starts with it (2 + 4 + ... + 2^r
-    products under emit-both, not r 2^r).  Every vector is checked."""
+    """(signs, two-variable character) for each sign vector, checked by
+    _signed: the principal spin character and each factor's half-spin pair
+    come from the per-process factor cache, then are multiplied per vector:
+    each sign prefix's product is formed once per call, shared by every
+    vector that starts with it (2 + 4 + ... + 2^r products under emit-both,
+    not r 2^r)."""
     block0, d0 = param.principal
     (principal,) = _factor_spins(block0, d0)
     pairs = [_factor_spins(block, d) for block, d in param.factors]
     prefixes: dict[tuple[str, ...], LaurentPoly] = {}
     for signs in sign_vectors:
-        signs = tuple(signs)[:param.r]
+        signs = _signed(param, signs)
         result = principal
-        for i, ((block, d), (plus, minus), sign) in enumerate(itertools.zip_longest(
-                param.factors, pairs, signs)):
-            if sign is None:
-                raise SignPolicyError(
-                    f"factor {block.label}[{d}] of {param.canonical_shape()} has "
-                    "distinct half-spins; provide an explicit sign or use emit-both")
-            if sign not in ("+", "-"):
-                raise SignPolicyError(f"invalid sign {sign!r}")
+        for i, ((plus, minus), sign) in enumerate(zip(pairs, signs)):
             product = prefixes.get(signs[:i + 1])
             if product is None:
                 product = prefixes[signs[:i + 1]] = result * (plus if sign == "+" else minus)
@@ -239,23 +329,70 @@ class IHResult(Record):
     warnings: tuple[str, ...]
 
 
-def _variant(signs: tuple[str, ...], char: LaurentPoly, genus: int, weight: int,
-             include_hodge: bool) -> ShapeVariant:
+def _betti_data(t_list: list[int], genus: int
+                ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(betti, nu, primitive) of a variant from its centered T-list: the
+    graded dimensions are its coefficients of T^-n .. T^n, n = g(g+1)/2.
+    A nonzero coefficient beyond T^(+-n) (it never wraps round) or a
+    negative dimension is an AssertionError; a list that is not a genuine
+    torus character is a ValueError (_t_strings)."""
     n = genus * (genus + 1) // 2
-    betti = [0] * (2 * n + 1)
-    s_trivial = True
-    for (a, b), c in char.terms():
-        if not -n <= b <= n:
-            raise AssertionError(f"T^{b} lies outside the degrees of genus {genus}")
-        betti[n + b] += c
-        if a:
-            s_trivial = False
+    extra = len(t_list) // 2 - n
+    if extra > 0:
+        if any(t_list[:extra]) or any(t_list[-extra:]):
+            raise AssertionError(
+                f"T-coefficients {t_list} reach outside the degrees of genus {genus}")
+        betti = t_list[extra:-extra]
+    else:
+        betti = [0] * -extra + t_list + [0] * -extra
     nus = tuple(_t_strings(betti))
     if min(betti) < 0:
         raise AssertionError("negative graded dimension")
-    hodge = hodge_diamond(char, genus, weight) if include_hodge else None
-    return ShapeVariant(signs, tuple(betti), nus, tuple(primitive_degrees(genus, nus)),
-                        s_trivial, hodge)
+    return tuple(betti), nus, tuple(primitive_degrees(genus, nus))
+
+
+#: (T-list, S-trivial flag) of the sign prefixes of the variants built so
+#: far, keyed by (types of the pairs, principal first; signs).  Shared like
+#: _FACTOR_SPINS.
+_T_PRODUCTS: dict[tuple[tuple[_FactorType, ...], tuple[str, ...]], tuple[list[int], bool]] = {}
+
+
+def _t_product(types: tuple[_FactorType, ...], signs: tuple[str, ...],
+               pairs: Sequence[tuple[BuildingBlock, int]]) -> tuple[list[int], bool]:
+    """(T-list, S-trivial flag) of the principal spin times the signed
+    half-spins of the first len(signs) factors; `pairs` are the (block, d)
+    pairs, principal first, whose leading types are `types`.  The flag is
+    the AND of the factors': every factor character has nonnegative
+    coefficients and is self-dual under (a, b) -> (-a, -b), so no product
+    cancels a monomial with a nonzero S exponent."""
+    if not signs:
+        return _type_t_lists(types[0], *pairs[0])[0]
+    key = (types[:-1], signs[:-1])
+    head = _T_PRODUCTS.get(key)
+    if head is None:
+        head = _T_PRODUCTS[key] = _t_product(*key, pairs)
+    half, flag = _type_t_lists(types[-1], *pairs[len(signs)])[signs[-1] == "-"]
+    return _convolve(head[0], half), head[1] and flag
+
+
+#: Variants without Hodge data, keyed like _T_PRODUCTS by all the pairs of
+#: a parameter, which fix its genus (the degree identity).
+_VARIANTS: dict[tuple[tuple[_FactorType, ...], tuple[str, ...]], ShapeVariant] = {}
+
+
+def _betti_variant(types: tuple[_FactorType, ...], signs: tuple[str, ...],
+                   genus: int, pairs: Sequence[tuple[BuildingBlock, int]]) -> ShapeVariant:
+    """The variant, without Hodge data, of checked signs of a parameter
+    with these pairs and types.  Its checks run once, when it is built."""
+    key = (types, signs)
+    variant = _VARIANTS.get(key)
+    if variant is None:
+        t_list, s_trivial = _t_product(types, signs, pairs)
+        if sum(t_list) != 2 ** (genus - len(signs)):
+            raise AssertionError("assembled character has the wrong dimension")
+        variant = _VARIANTS[key] = ShapeVariant(signs, *_betti_data(t_list, genus),
+                                                s_trivial, None)
+    return variant
 
 
 def ih_betti(hw: HighestWeight, registry: Registry | None = None,
@@ -294,9 +431,18 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
                 "use emit-both mode")
         else:
             sign_vectors = [()]
-        variants = tuple(_variant(vec, char, genus, hw.weight, include_hodge)
-                         for vec, char in _characters(param, sign_vectors))
-        reports.append(ShapeReport(shape, mult, variants))
+        pairs = (param.principal,) + param.factors
+        types = tuple(_factor_type(block, d) for block, d in pairs)
+        variants = []
+        for vec, char in (_characters(param, sign_vectors) if include_hodge else
+                          ((_signed(param, vec), None) for vec in sign_vectors)):
+            variant = _betti_variant(types, vec, genus, pairs)
+            if char is not None:
+                variant = ShapeVariant(vec, variant.betti, variant.nu, variant.primitive,
+                                       variant.s_trivial,
+                                       hodge_diamond(char, genus, hw.weight))
+            variants.append(variant)
+        reports.append(ShapeReport(shape, mult, tuple(variants)))
         bettis = {v.betti for v in variants}
         if len(bettis) > 1:
             ambiguous.append(shape)

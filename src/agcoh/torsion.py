@@ -324,9 +324,10 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     return MassTable(g, masses, provenance, tuple(warnings))
 
 
-def load_mass_table(path, g: int, strict: bool = True) -> MassTable:
+def load_mass_table(path, g: int) -> MassTable:
+    """The complete mass table of rank g in the file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_mass_table(fh, g, strict=strict, provenance=str(path))
+        return parse_mass_table(fh, g, provenance=str(path))
 
 
 def elliptic_term(hw, masses: MassTable) -> Fraction:

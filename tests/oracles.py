@@ -17,10 +17,11 @@ the package computes another way, and the tests compare the two:
 * one sign vector's IH character (`rho_psi`): `spin._characters` asked for
   that vector alone, against the sign-prefix products that `ih_betti`
   shares between the vectors of a shape;
-* IH sign variants: specialize the character at S = 1 to a sparse
-  one-variable LaurentPoly (`set_var_to_one`), decompose it into torus
-  strings by a dict walk and read the graded dimensions with `coeff_list`,
-  against the single dense pass of `spin._variant`;
+* IH sign variants: specialize the two-variable character of
+  `spin._characters` at S = 1 to a sparse one-variable LaurentPoly
+  (`set_var_to_one`), decompose it into torus strings by a dict walk and
+  read the graded dimensions with `coeff_list`, against the convolved
+  factor-type T-lists of `spin._betti_variant`;
 * the tautological ring: the straightforward rewrite recursion and its
   linear extension to formal polynomials, a product that accumulates
   Fraction coefficients, and the all-pairs check of R_g/(u_g) = R_{g-1},

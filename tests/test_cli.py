@@ -330,6 +330,7 @@ def test_internal_invariant_failure_is_structured(monkeypatch):
     def broken(coeffs):
         raise AssertionError("string decomposition failed to re-expand")
     monkeypatch.setattr(spin, "_t_strings", broken)
+    monkeypatch.setattr(spin, "_VARIANTS", {})    # variants are checked when built
     code, out, err = run(["ih", "--g", "2"])
     assert code == EXIT_INTERNAL and out == ""
     error = json.loads(err)["error"]
@@ -352,6 +353,7 @@ def test_engine_exceptions_are_internal(monkeypatch, exc, module, name, argv):
     def broken(*args, **kwargs):
         raise exc
     monkeypatch.setattr(module, name, broken)
+    monkeypatch.setattr(spin, "_VARIANTS", {})    # variants are checked when built
     code, out, err = run(argv)
     assert code == EXIT_INTERNAL and out == ""
     assert json.loads(err) == {"error": {

@@ -6,7 +6,9 @@ import pytest
 from agcoh import arthur as ar
 from agcoh import spin as sp
 from agcoh.exact import LaurentPoly
+from agcoh.records import Record
 from agcoh.symplectic import HighestWeight
+from test_arthur import _synthetic_registry
 from oracles import (betti_from_char, closed_form_oracle, exponent_range, nu_character,
                      rho_psi, set_var_to_one, sparse_variant)
 
@@ -377,28 +379,41 @@ def test_t_strings_refuses_non_characters():
         sp._t_strings([1, 0, 0, 0, 0, 0, 1])             # T^3 + T^-3
 
 
+def centered_t_list(char):
+    """The T-list at S = 1 of a two-variable character: its coefficients of
+    T^-k .. T^k, k the largest |T exponent|."""
+    t_char = set_var_to_one(char, 0)
+    k = max(map(abs, exponent_range(t_char)))
+    return t_char.coeff_list(-k, k)
+
+
 def test_variant_refuses_t_degree_out_of_range():
     # genus 1 has degrees T^-1 .. T^1; nothing beyond may wrap round to the
     # other end of the list: T^-3 alone would land on T^0, a genuine 1-string
     for terms in ({(0, 2): 1, (0, -2): 1}, {(0, 5): 1, (0, -5): 1}, {(0, -3): 1},
                   {(0, -2): 1, (0, 1): 1}, {(1, 3): 2}):
         with pytest.raises(AssertionError, match="outside"):
-            sp._variant((), LaurentPoly(2, terms), 1, 0, False)
-    ok = sp._variant((), LaurentPoly(2, {(0, 1): 1, (0, -1): 1}), 1, 0, False)
-    assert (ok.betti, ok.nu, ok.primitive, ok.s_trivial) == ((1, 0, 1), (2,), (0,), True)
+            sp._betti_data(centered_t_list(LaurentPoly(2, terms)), 1)
+    ok = sp._betti_data(centered_t_list(LaurentPoly(2, {(0, 1): 1, (0, -1): 1})), 1)
+    assert ok == ((1, 0, 1), (2,), (0,))
+    # zero coefficients beyond T^(+-n) are no fault
+    assert sp._betti_data([0, 1, 0, 1, 0], 1) == ok
     with pytest.raises(ValueError, match="genuine"):
-        sp._variant((), LaurentPoly(2, {(1, 1): 1, (0, 0): 1}), 1, 0, False)
+        sp._betti_data(centered_t_list(LaurentPoly(2, {(1, 1): 1, (0, 0): 1})), 1)
 
 
-@pytest.mark.parametrize("include_hodge", [False, True])
-def test_ih_betti_matches_sparse_oracle(include_hodge):
+def assert_matches_sparse_oracle(reg, max_rank, include_hodge):
     # every field of every variant, against the route through one-variable
-    # characters, on every weight with lambda_1 + g <= 11
-    for g in range(1, 12):
-        for lam in dominant_weights(g, 11 - g):
+    # characters of the two-variable products, on every weight with
+    # lambda_1 + g <= max_rank that the registry can enumerate
+    for g in range(1, max_rank + 1):
+        for lam in dominant_weights(g, max_rank - g):
             hw = HighestWeight(g, lam)
-            res = sp.ih_betti(hw, REG, signs="both", include_hodge=include_hodge)
-            params = ar.enumerate_parameters(hw, REG)
+            try:
+                params = ar.enumerate_parameters(hw, reg)
+            except ar.RegistryIncompleteError:
+                continue
+            res = sp.ih_betti(hw, reg, signs="both", include_hodge=include_hodge)
             assert [r.shape for r in res.per_shape] == \
                 [p.canonical_shape() for p, _ in params]
             for report, (param, _) in zip(res.per_shape, params):
@@ -406,6 +421,101 @@ def test_ih_betti_matches_sparse_oracle(include_hodge):
                              for signs, char in sp._characters(
                                  param, all_sign_choices(param)))
                 assert report.variants == want, (g, lam, report.shape)
+
+
+@pytest.mark.parametrize("include_hodge", [False, True])
+def test_ih_betti_matches_sparse_oracle(include_hodge):
+    assert_matches_sparse_oracle(REG, 11, include_hodge)
+
+
+@pytest.mark.parametrize("include_hodge", [False, True])
+def test_ih_betti_matches_sparse_oracle_bound30(include_hodge):
+    # the synthetic registry adds S(23), of the type of D11, and an even
+    # orthogonal block, whose halves coincide at S = 1
+    assert_matches_sparse_oracle(_synthetic_registry(), 13, include_hodge)
+
+
+def factor_pieces(blocks, max_d):
+    """Every (block, d) with d <= max_d valid for the block's kind whose
+    weight runs stay positive."""
+    for block in blocks:
+        for d in range(1, max_d + 1):
+            if (block.kind is S) != (d % 2 == 0):
+                continue
+            try:
+                sp._factor_type(block, d)
+            except ValueError:
+                continue
+            yield block, d
+
+
+def test_type_t_lists_and_s_trivial_flags():
+    # each T-list is its half's S = 1 specialization, and each flag says
+    # that no monomial of the half has a nonzero S exponent
+    extra = [b for b in _synthetic_registry().blocks() if b not in REG.blocks()]
+    assert len(extra) == 3
+    trivial_halves = set()
+    for block, d in factor_pieces(REG.blocks() + extra, 8):
+        spins = sp._factor_spins(block, d)
+        t_lists = sp._type_t_lists(sp._factor_type(block, d), block, d)
+        assert len(t_lists) == len(spins)
+        for half, char, (t_list, flag) in zip("+-", spins, t_lists):
+            assert t_list == centered_t_list(char), (block.label, d, half)
+            assert flag == (exponent_range(char, 0) == (0, 0)), (block.label, d, half)
+            if flag and block.kind is not OO:
+                trivial_halves.add((block.label, d, half))
+    # the minus half of D_w[2] (lines (2w, 1) and (2w, -1)) is S-trivial; no
+    # other half of a half-spin factor is
+    assert trivial_halves == {(b.label, 2, "-") for b in REG.blocks() + extra
+                              if b.kind is S and len(b.doubled_weights) == 1}
+    assert ("D11", 2, "-") in trivial_halves
+    assert sp._type_t_lists((S, 1, 2), D11, 2)[1] == ([1, 0, 1], True)
+
+
+def test_warm_memos_skip_no_check(monkeypatch):
+    hw = HighestWeight(8, (0,) * 8)
+    warm = [sp.ih_betti(hw, REG, signs="both", include_hodge=h) for h in (False, True)]
+    good = {"D11[6]+[5]": ("+",), "D15[2]+D11[2]+[9]": ("-", "-"), "D15[2]+[13]": ("+",)}
+    for shape, bad, message in (("D11[6]+[5]", (None,), "distinct half-spins"),
+                                ("D11[6]+[5]", ("x",), "invalid sign"),
+                                ("D11[6]+[5]", (), "distinct half-spins"),
+                                ("D15[2]+D11[2]+[9]", ("-",), "distinct half-spins"),
+                                ("D15[2]+D11[2]+[9]", ("-", "x"), "invalid sign")):
+        for include_hodge in (False, True):
+            with pytest.raises(sp.SignPolicyError, match=message):
+                sp.ih_betti(hw, REG, signs=good | {shape: bad}, include_hodge=include_hodge)
+    # D11[2] and D15[2] share the type (symplectic, one weight, d = 2): the
+    # same Betti data, each with its own Hodge diamond
+    d11, d15 = (sp.ih_betti(HighestWeight(2, lam), REG, signs="both", include_hodge=True)
+                for lam in ((4, 4), (6, 6)))
+    (r11,), (r15,) = d11.per_shape, d15.per_shape
+    assert (r11.shape, r15.shape) == ("D11[2]+[1]", "D15[2]+[1]")
+    for v11, v15 in zip(r11.variants, r15.variants):
+        assert (v11.signs, v11.betti, v11.nu, v11.primitive, v11.s_trivial) == \
+            (v15.signs, v15.betti, v15.nu, v15.primitive, v15.s_trivial)
+        assert v11.hodge != v15.hodge
+    (p15, _), = ar.enumerate_parameters(HighestWeight(2, (6, 6)), REG)
+    assert [v.hodge for v in r15.variants] == \
+        [sp.hodge_diamond(rho_psi(p15, signs), 2, 12) for signs in (("+",), ("-",))]
+    # a factor of that warm type whose run leaves the positive integers
+    low = ar.BuildingBlock(S, (1,), 0)
+    assert (S, 1, 2) in sp._TYPE_T_LISTS
+    with pytest.raises(ValueError, match="leaves the positive integers"):
+        sp._factor_type(low, 2)
+    bad = ar.ArthurParameter.__new__(ar.ArthurParameter)
+    Record.__init__(bad, 2, (TRIV, 1), ((low, 2),))    # unchecked
+    monkeypatch.setattr(sp, "enumerate_parameters", lambda hw, registry=None: [(bad, 1)])
+    for include_hodge in (False, True):
+        with pytest.raises(ValueError, match="leaves the positive integers"):
+            sp.ih_betti(HighestWeight(2, (4, 4)), REG, signs="both",
+                        include_hodge=include_hodge)
+    monkeypatch.undo()
+    # cold memos give the same results
+    for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS", "_T_PRODUCTS", "_VARIANTS"):
+        monkeypatch.setattr(sp, name, {})
+    assert [sp.ih_betti(hw, REG, signs="both", include_hodge=h) for h in (False, True)] == warm
+    assert sp.ih_betti(HighestWeight(2, (4, 4)), REG, signs="both",
+                       include_hodge=True) == d11
 
 
 # -- ih_betti ----------------------------------------------------------------------
