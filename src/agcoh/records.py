@@ -14,8 +14,8 @@ with `__hash__ = None`).
 
 Two classes write their own __eq__ and __hash__: TorsionClass, which is
 hashed and compared tens of thousands of times per elliptic-term sweep,
-reads its one field directly and is ordered by it; BuildingBlock compares
-its doubled weights only.
+reads its one field directly; BuildingBlock compares its doubled weights
+only.
 """
 
 

@@ -36,19 +36,20 @@ every parameter and every call.
 Only the Hodge diamonds need those two-variable characters.  Setting S = 1
 is a ring homomorphism, and a line's T exponent depends on d alone, so at
 S = 1 a factor's spin data depends only on its type (kind, weight count,
-d): each type's dense T-lists, one per spin or half-spin, with a flag
-saying that the half has no monomial with a nonzero S exponent, are built
-once per process.  A variant's T-list is the convolution of its sign
-prefix's with one more half-spin, and its graded dimensions, torus strings
-and primitive degrees are read from that list and checked once, then kept
-per (factor types, signs).  The sign vectors and the weight runs of a
-parameter are checked on every call.  With Hodge data asked for, the
-two-variable products are formed per call, each sign prefix's once.
+d): the characters of each type's first factor, summed over S into dense
+T-lists, each flagged when it has no monomial with a nonzero S exponent,
+are kept once per process.  One loop forms each sign prefix's product once
+per call: over the T-lists (convolved) for the graded dimensions, torus
+strings and primitive degrees of the variants, checked once and then kept
+per (factor types, signs), and over the two-variable characters when Hodge
+data is asked for.  A parameter's sign vectors and weight runs are checked
+on every call.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
@@ -95,6 +96,8 @@ def _line_products(lines: Sequence[tuple[int, int]]) -> tuple[LaurentPoly, Laure
 
 #: A factor's type: (kind, weight count, d).
 _FactorType = tuple[BlockKind, int, int]
+#: A factor character or product: a LaurentPoly, or a (T-list, flag) at S = 1.
+_P = TypeVar("_P")
 
 
 def _factor_type(block: BuildingBlock, d: int) -> _FactorType:
@@ -139,52 +142,25 @@ _TYPE_T_LISTS: dict[_FactorType, tuple[tuple[list[int], bool], ...]] = {}
 
 def _type_t_lists(ftype: _FactorType, block: BuildingBlock, d: int
                   ) -> tuple[tuple[list[int], bool], ...]:
-    """Spin data at S = 1 of ftype = _factor_type(block, d), ordered as in
-    _factor_spins: one (T-list, flag) per character.  A T-list is centered
-    (coefficients of T^-k .. T^k, nonzero at both ends); the flag says that
-    the character has no monomial with a nonzero S exponent."""
+    """Spin data at S = 1 of ftype = _factor_type(block, d), read off the
+    _factor_spins characters of the first factor of the type: one
+    (T-list, flag) per character (_at_s_one)."""
     t_lists = _TYPE_T_LISTS.get(ftype)
-    if t_lists is not None:
-        return t_lists
-    kind, m, _ = ftype
-    # Sign choices (one monomial per line) counted by the parity of their
-    # down monomials, in doubled T exponents.  A line with t < 0 is counted
-    # reversed, up at T^-t, which moves every choice to the other parity.
-    even, odd, flips = [1], [0], 0
-    for _, t in _weight_lines(block, d):
-        flips += t < 0
-        pad = [0] * (2 * abs(t))
-        even, odd = ([a + b for a, b in zip(pad + even, odd + pad)],
-                     [a + b for a, b in zip(pad + odd, even + pad)])
-    if flips % 2:
-        even, odd = odd, even
-    # The S-trivial halves.  A coefficient counts the sign choices of the
-    # half's parity, so a half is S-trivial iff each such choice has S-sum 0.
-    # The full spin is S-trivial iff no line has s = 2w > 0.  A half-spin
-    # factor has at least two lines, each with s > 0: its all-up choice
-    # (even) has a positive S-sum, and with three lines or more, so does one
-    # of a one-down choice and that choice with two more lines flipped.  Of
-    # the two-line factors only D_w[2], a one-weight symplectic block at
-    # d = 2, has two equal s, and so an S-trivial minus half.
-    if kind is BlockKind.ODD_ORTHOGONAL:
-        halves = (([a + b for a, b in zip(even, odd)], m == 0),)
-    else:
-        halves = ((even, False), (odd, kind is BlockKind.SYMPLECTIC and m == 1 and d == 2))
-    t_lists = tuple((_true_exponents(half), flag) for half, flag in halves)
-    _TYPE_T_LISTS[ftype] = t_lists
+    if t_lists is None:
+        t_lists = _TYPE_T_LISTS[ftype] = tuple(map(_at_s_one, _factor_spins(block, d)))
     return t_lists
 
 
-def _true_exponents(doubled: list[int]) -> list[int]:
-    """A factor's self-dual T-list in doubled exponents, halved to true
-    exponents, with its zero ends cut."""
-    if any(doubled[1::2]):
-        raise AssertionError("a factor has a monomial with an odd doubled exponent")
-    t_list = doubled[::2]
-    cut = 0
-    while not t_list[cut]:
-        cut += 1
-    return t_list[cut:len(t_list) - cut]
+def _at_s_one(char: LaurentPoly) -> tuple[list[int], bool]:
+    """A factor character's centered T-list (coefficients of T^-k .. T^k
+    summed over the S exponent, nonzero at both ends, as none is negative)
+    and a flag saying that no monomial has a nonzero S exponent."""
+    terms = char.terms()
+    k = max(abs(t) for (_, t), _ in terms)
+    t_list = [0] * (2 * k + 1)
+    for (_, t), c in terms:
+        t_list[k + t] += c
+    return t_list, not any(s for (s, _), _ in terms)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -214,31 +190,39 @@ def _signed(param: ArthurParameter, signs: Sequence[str | None]) -> tuple[str, .
     return signs
 
 
-def _characters(param: ArthurParameter, sign_vectors: Iterable[Sequence[str | None]]
-                ) -> Iterator[tuple[tuple[str, ...], LaurentPoly]]:
-    """(signs, two-variable character) for each sign vector, checked by
-    _signed: the principal spin character and each factor's half-spin pair
-    come from the per-process factor cache, then are multiplied per vector:
-    each sign prefix's product is formed once per call, shared by every
-    vector that starts with it (2 + 4 + ... + 2^r products under emit-both,
-    not r 2^r)."""
-    block0, d0 = param.principal
-    (principal,) = _factor_spins(block0, d0)
-    pairs = [_factor_spins(block, d) for block, d in param.factors]
-    prefixes: dict[tuple[str, ...], LaurentPoly] = {}
-    for signs in sign_vectors:
-        signs = _signed(param, signs)
-        result = principal
-        for i, ((plus, minus), sign) in enumerate(zip(pairs, signs)):
+def _signed_products(first: _P, pairs: Sequence[Sequence[_P]],
+                     checked_vectors: Iterable[tuple[str, ...]],
+                     mul: Callable[[_P, _P], _P]) -> Iterator[tuple[tuple[str, ...], _P]]:
+    """(signs, product) for each sign vector checked by _signed: `first`
+    times, through `mul`, the half pairs[i][0] for a '+' and pairs[i][1]
+    for a '-'.  Each sign prefix's product is formed once per call, shared
+    by every vector that starts with it (2 + 4 + ... + 2^r products under
+    emit-both, not r 2^r)."""
+    prefixes: dict[tuple[str, ...], _P] = {}
+    for signs in checked_vectors:
+        result = first
+        for i, (pair, sign) in enumerate(zip(pairs, signs)):
             product = prefixes.get(signs[:i + 1])
             if product is None:
-                product = prefixes[signs[:i + 1]] = result * (plus if sign == "+" else minus)
+                product = prefixes[signs[:i + 1]] = mul(result, pair[sign == "-"])
             result = product
-        if result.evaluate_all_ones() != 2 ** (param.genus - param.r):
-            raise AssertionError("assembled character has the wrong dimension")
-        if not result.is_symmetric():
-            raise AssertionError("assembled character is not self-dual")
         yield signs, result
+
+
+def _characters(param: ArthurParameter, checked_vectors: Iterable[tuple[str, ...]]
+                ) -> Iterator[tuple[tuple[str, ...], LaurentPoly]]:
+    """(signs, two-variable character) for each sign vector checked by
+    _signed: the principal spin character and each factor's half-spin pair
+    come from the per-process factor cache and are multiplied in
+    _signed_products."""
+    (principal,) = _factor_spins(*param.principal)
+    pairs = [_factor_spins(block, d) for block, d in param.factors]
+    for signs, char in _signed_products(principal, pairs, checked_vectors, operator.mul):
+        if char.evaluate_all_ones() != 2 ** (param.genus - param.r):
+            raise AssertionError("assembled character has the wrong dimension")
+        if not char.is_symmetric():
+            raise AssertionError("assembled character is not self-dual")
+        yield signs, char
 
 
 def _t_strings(coeffs: list[int]) -> list[int]:
@@ -351,48 +335,30 @@ def _betti_data(t_list: list[int], genus: int
     return tuple(betti), nus, tuple(primitive_degrees(genus, nus))
 
 
-#: (T-list, S-trivial flag) of the sign prefixes of the variants built so
-#: far, keyed by (types of the pairs, principal first; signs).  Shared like
-#: _FACTOR_SPINS.
-_T_PRODUCTS: dict[tuple[tuple[_FactorType, ...], tuple[str, ...]], tuple[list[int], bool]] = {}
-
-
-def _t_product(types: tuple[_FactorType, ...], signs: tuple[str, ...],
-               pairs: Sequence[tuple[BuildingBlock, int]]) -> tuple[list[int], bool]:
-    """(T-list, S-trivial flag) of the principal spin times the signed
-    half-spins of the first len(signs) factors; `pairs` are the (block, d)
-    pairs, principal first, whose leading types are `types`.  The flag is
-    the AND of the factors': every factor character has nonnegative
-    coefficients and is self-dual under (a, b) -> (-a, -b), so no product
-    cancels a monomial with a nonzero S exponent."""
-    if not signs:
-        return _type_t_lists(types[0], *pairs[0])[0]
-    key = (types[:-1], signs[:-1])
-    head = _T_PRODUCTS.get(key)
-    if head is None:
-        head = _T_PRODUCTS[key] = _t_product(*key, pairs)
-    half, flag = _type_t_lists(types[-1], *pairs[len(signs)])[signs[-1] == "-"]
-    return _convolve(head[0], half), head[1] and flag
-
-
-#: Variants without Hodge data, keyed like _T_PRODUCTS by all the pairs of
-#: a parameter, which fix its genus (the degree identity).
+#: Variants without Hodge data, keyed by (types of all the pairs of a parameter,
+#: principal first, which fix its genus; signs).  Shared like _FACTOR_SPINS.
 _VARIANTS: dict[tuple[tuple[_FactorType, ...], tuple[str, ...]], ShapeVariant] = {}
 
 
-def _betti_variant(types: tuple[_FactorType, ...], signs: tuple[str, ...],
-                   genus: int, pairs: Sequence[tuple[BuildingBlock, int]]) -> ShapeVariant:
-    """The variant, without Hodge data, of checked signs of a parameter
-    with these pairs and types.  Its checks run once, when it is built."""
-    key = (types, signs)
-    variant = _VARIANTS.get(key)
-    if variant is None:
-        t_list, s_trivial = _t_product(types, signs, pairs)
-        if sum(t_list) != 2 ** (genus - len(signs)):
-            raise AssertionError("assembled character has the wrong dimension")
-        variant = _VARIANTS[key] = ShapeVariant(signs, *_betti_data(t_list, genus),
-                                                s_trivial, None)
-    return variant
+def _betti_variants(types: tuple[_FactorType, ...], checked: Sequence[tuple[str, ...]],
+                    genus: int, pairs: Sequence[tuple[BuildingBlock, int]]
+                    ) -> list[ShapeVariant]:
+    """The variants, without Hodge data, of the checked sign vectors of a
+    parameter with these (block, d) pairs, principal first, and types; only
+    the misses of _VARIANTS are built and checked.  The S-trivial flag is
+    the AND of the factors': every factor character has nonnegative
+    coefficients and is self-dual under (a, b) -> (-a, -b), so no product
+    cancels a monomial with a nonzero S exponent."""
+    misses = [signs for signs in checked if (types, signs) not in _VARIANTS]
+    if misses:
+        (first,), *halves = (_type_t_lists(ftype, *pair) for ftype, pair in zip(types, pairs))
+        for signs, (t_list, s_trivial) in _signed_products(
+                first, halves, misses, lambda a, b: (_convolve(a[0], b[0]), a[1] and b[1])):
+            if sum(t_list) != 2 ** (genus - len(signs)):
+                raise AssertionError("assembled character has the wrong dimension")
+            _VARIANTS[types, signs] = ShapeVariant(signs, *_betti_data(t_list, genus),
+                                                   s_trivial, None)
+    return [_VARIANTS[types, signs] for signs in checked]
 
 
 def ih_betti(hw: HighestWeight, registry: Registry | None = None,
@@ -433,15 +399,12 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
             sign_vectors = [()]
         pairs = (param.principal,) + param.factors
         types = tuple(_factor_type(block, d) for block, d in pairs)
-        variants = []
-        for vec, char in (_characters(param, sign_vectors) if include_hodge else
-                          ((_signed(param, vec), None) for vec in sign_vectors)):
-            variant = _betti_variant(types, vec, genus, pairs)
-            if char is not None:
-                variant = ShapeVariant(vec, variant.betti, variant.nu, variant.primitive,
-                                       variant.s_trivial,
-                                       hodge_diamond(char, genus, hw.weight))
-            variants.append(variant)
+        checked = [_signed(param, vec) for vec in sign_vectors]
+        variants = _betti_variants(types, checked, genus, pairs)
+        if include_hodge:
+            variants = [ShapeVariant(v.signs, v.betti, v.nu, v.primitive, v.s_trivial,
+                                     hodge_diamond(char, genus, hw.weight))
+                        for v, (_, char) in zip(variants, _characters(param, checked))]
         reports.append(ShapeReport(shape, mult, tuple(variants)))
         bettis = {v.betti for v in variants}
         if len(bettis) > 1:

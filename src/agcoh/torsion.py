@@ -81,26 +81,6 @@ class TorsionClass(Record):
     def __hash__(self):
         return hash((self.pairs,))
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs < other.pairs
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs <= other.pairs
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs > other.pairs
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs >= other.pairs
-        return NotImplemented
-
     def multiplicity(self, d: int) -> int:
         for dd, m in self.pairs:
             if dd == d:

@@ -15,13 +15,13 @@ the package computes another way, and the tests compare the two:
   weight-line characters of `spin._factor_spins` specialized at S = 1
   (`set_var_to_one`); both in true exponents;
 * one sign vector's IH character (`rho_psi`): `spin._characters` asked for
-  that vector alone, against the sign-prefix products that `ih_betti`
-  shares between the vectors of a shape;
+  that vector alone, against the sign-prefix products that
+  `spin._signed_products` shares between the vectors of a shape;
 * IH sign variants: specialize the two-variable character of
   `spin._characters` at S = 1 to a sparse one-variable LaurentPoly
   (`set_var_to_one`), decompose it into torus strings by a dict walk and
   read the graded dimensions with `coeff_list`, against the convolved
-  factor-type T-lists of `spin._betti_variant`;
+  factor-type T-lists of `spin._betti_variants`;
 * the tautological ring: the straightforward rewrite recursion and its
   linear extension to formal polynomials, a product that accumulates
   Fraction coefficients, and the all-pairs check of R_g/(u_g) = R_{g-1},
@@ -49,7 +49,8 @@ from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
 from agcoh.errors import RegistryIncompleteError
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
                          double_factorial_odd, euler_phi)
-from agcoh.spin import ShapeVariant, _characters, hodge_diamond, primitive_degrees
+from agcoh.spin import (ShapeVariant, _characters, _signed, hodge_diamond,
+                        primitive_degrees)
 from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
 from agcoh.tautring import RingElement
 
@@ -398,8 +399,9 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
 
 def rho_psi(param: ArthurParameter, signs=()) -> LaurentPoly:
     """The principal spin character times the chosen half-spin of every
-    factor, total dimension 2^(g - r); `signs` aligns with param.factors."""
-    return next(_characters(param, [signs]))[1]
+    factor, total dimension 2^(g - r); `signs` aligns with param.factors
+    and is checked by `spin._signed`."""
+    return next(_characters(param, [_signed(param, signs)]))[1]
 
 
 def set_var_to_one(poly: LaurentPoly, var: int) -> LaurentPoly:

@@ -141,16 +141,6 @@ def test_torsion_class_ignores_its_stored_data():
     assert repr(used) == repr(fresh)
 
 
-def test_torsion_class_order_is_that_of_pairs():
-    classes = [TorsionClass.parse(text) for text in ("6^1", "1^2", "3^1", "4^1", "2^2")]
-    assert sorted(classes) == sorted(classes, key=lambda c: c.pairs)
-    a, b = TorsionClass.parse("1^2"), TorsionClass.parse("3^1")
-    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
-    assert not (a < a or a > a)
-    with pytest.raises(TypeError):
-        a < ((1, 2),)
-
-
 def test_shape_variant_with_a_hodge_diamond_is_unhashable():
     variant = ShapeVariant((), (1, 0, 1), (2,), (0,), True, {(0, 0): 1, (1, 1): 1})
     assert variant == ShapeVariant((), (1, 0, 1), (2,), (0,), True, {(0, 0): 1, (1, 1): 1})

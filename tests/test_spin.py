@@ -279,9 +279,8 @@ def test_rho_psi_missing_sign():
             rho_psi(param, signs)
     assert rho_psi(param, ("+",)).evaluate_all_ones() == 2 ** 7
     # entries beyond the factors are cut off
-    (signs, char), = sp._characters(param, [("-", "+")])
-    assert signs == ("-",)
-    assert char == rho_psi(param, ("-",))
+    assert sp._signed(param, ("-", "+")) == ("-",)
+    assert rho_psi(param, ("-", "+")) == rho_psi(param, ("-",))
 
 
 def test_shared_sign_prefixes_match_separate_products():
@@ -296,16 +295,48 @@ def test_shared_sign_prefixes_match_separate_products():
                                for signs in all_sign_choices(param)]
 
 
-def test_shared_sign_prefixes_still_check_every_vector():
+def test_sign_prefixes_are_shared(monkeypatch):
+    # emit-both over three factors: each route forms 2 + 4 + 8 prefix
+    # products, not 3 * 8, with every memo cold
+    hw = HighestWeight(10, (0,) * 10)
+    param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
+                 if p.canonical_shape() == "D19[2]+D15[2]+D11[2]+[9]")
+    checked = list(all_sign_choices(param))
+    pairs = (param.principal,) + param.factors
+    types = tuple(sp._factor_type(block, d) for block, d in pairs)
+    for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS", "_VARIANTS"):
+        monkeypatch.setattr(sp, name, {})
+    calls = []
+    convolve = sp._convolve
+    monkeypatch.setattr(sp, "_convolve", lambda a, b: calls.append("T") or convolve(a, b))
+    assert [v.signs for v in sp._betti_variants(types, checked, 10, pairs)] == checked
+    assert calls == ["T"] * 14
+    calls.clear()
+    for block, d in pairs:    # D15[2] and D11[2] took their T-lists from D19[2]
+        sp._factor_spins(block, d)
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append("ST") or mul(a, b))
+    assert [signs for signs, _ in sp._characters(param, checked)] == checked
+    assert calls == ["ST"] * 14
+
+
+def test_shared_sign_prefixes_still_check_every_vector(monkeypatch):
+    # ih_betti checks each sign vector before either route forms a product
     hw = HighestWeight(8, (0,) * 8)
     param = next(p for p, _ in ar.enumerate_parameters(hw, REG)
                  if p.canonical_shape() == "D15[2]+D11[2]+[9]")
+    monkeypatch.setattr(sp, "enumerate_parameters", lambda hw, registry=None: [(param, 1)])
+    monkeypatch.setattr(sp, "_VARIANTS", {})
+
+    def unchecked(*args):
+        raise AssertionError("a product was formed before the signs were checked")
+    monkeypatch.setattr(sp, "_signed_products", unchecked)
     for bad, message in ((("+", "x"), "invalid sign"), (("+",), "distinct half-spins"),
                          (("+", None), "distinct half-spins")):
-        chars = sp._characters(param, [("+", "+"), bad])
-        assert next(chars) == (("+", "+"), rho_psi(param, ("+", "+")))
-        with pytest.raises(sp.SignPolicyError, match=message):
-            next(chars)
+        for include_hodge in (False, True):
+            with pytest.raises(sp.SignPolicyError, match=message):
+                sp.ih_betti(hw, REG, signs={"D15[2]+D11[2]+[9]": bad},
+                            include_hodge=include_hodge)
 
 
 # -- structural invariants over everything enumerable -----------------------------
@@ -449,13 +480,21 @@ def factor_pieces(blocks, max_d):
             yield block, d
 
 
-def test_type_t_lists_and_s_trivial_flags():
-    # each T-list is its half's S = 1 specialization, and each flag says
-    # that no monomial of the half has a nonzero S exponent
+def test_type_t_lists_and_s_trivial_flags(monkeypatch):
+    # with cold memos, each type's T-lists are read off its first factor, so
+    # every factor is checked against those: each T-list is the S = 1
+    # specialization of the factor's own half, and each flag says that no
+    # monomial of that half has a nonzero S exponent
+    for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS"):
+        monkeypatch.setattr(sp, name, {})
     extra = [b for b in _synthetic_registry().blocks() if b not in REG.blocks()]
     assert len(extra) == 3
+    pieces = list(factor_pieces(REG.blocks() + extra, 8))
+    shared = {(b.label, d) for b, d in pieces if sp._factor_type(b, d) == (S, 1, 2)}
+    assert shared >= {("D11", 2), ("D15", 2), ("D17", 2), ("D19", 2), ("D21", 2),
+                      ("S(23)", 2)}
     trivial_halves = set()
-    for block, d in factor_pieces(REG.blocks() + extra, 8):
+    for block, d in pieces:
         spins = sp._factor_spins(block, d)
         t_lists = sp._type_t_lists(sp._factor_type(block, d), block, d)
         assert len(t_lists) == len(spins)
@@ -511,7 +550,7 @@ def test_warm_memos_skip_no_check(monkeypatch):
                         include_hodge=include_hodge)
     monkeypatch.undo()
     # cold memos give the same results
-    for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS", "_T_PRODUCTS", "_VARIANTS"):
+    for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS", "_VARIANTS"):
         monkeypatch.setattr(sp, name, {})
     assert [sp.ih_betti(hw, REG, signs="both", include_hodge=h) for h in (False, True)] == warm
     assert sp.ih_betti(HighestWeight(2, (4, 4)), REG, signs="both",

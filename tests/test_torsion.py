@@ -236,7 +236,7 @@ def test_elliptic_term_evaluates_one_character_per_weighted_orbit(monkeypatch):
                         weights[orbit] = m * (1 + sign) / 2
                     else:
                         weights[orbit] = weights.get(orbit, 0) + \
-                            (m if c == min(orbit) else sign * m)
+                            (m if c == min(orbit, key=lambda x: x.pairs) else sign * m)
                 calls.clear()
                 to.elliptic_term(hw, table)
                 assert len(calls) == len(set(calls)) == sum(1 for w in weights.values() if w)
@@ -312,7 +312,7 @@ def test_memo_leaves_equality_hash_and_order_alone():
     a.negate()
     a.characteristic_polynomial()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert not a < b and not b < a
+    assert a.encode() == b.encode()     # the order of enumerate_torsion_classes
     assert {b: 1}[a] == 1
     assert a.negate() == b.negate() and a.negate() is a.negate()
     fixed = to.TorsionClass.parse("4^1")
