@@ -23,10 +23,12 @@ w = lambda + rho.
 Enumeration peels maximal-element-anchored consecutive runs off the weight
 set for every admissible central run length, pruning as soon as a run center
 cannot belong to any nonzero registered block; the weights are an int
-bitmask, so a run comes off with one mask operation.  The multiplicity of a
-shape is the product of its block cardinalities; two factors can never share
-the same (weight vector, d) since their runs would collide, so the product
-needs no binomial corrections.
+bitmask, so a run comes off with one mask operation.  The run assignments of
+a mask and the groupings of a pool of run centers into blocks are memoized
+on the `Registry`, so every enumeration on one registry shares them.  The
+multiplicity of a shape is the product of its block cardinalities; two
+factors can never share the same (weight vector, d) since their runs would
+collide, so the product needs no binomial corrections.
 """
 from __future__ import annotations
 
@@ -166,7 +168,13 @@ def _record_names(value) -> tuple[str, ...]:
 
 class Registry:
     """Known building blocks plus the bound up to which knowledge is
-    exhaustive.  Immutable; extensions return a new registry."""
+    exhaustive.  Immutable; extensions return a new registry.
+
+    Every enumeration on one registry shares its two memos: the run
+    assignments of `_run_assignments` by d0, then mask, and the pool
+    groupings of `_pool_groupings` by (kind, centers).  Each holds at most one entry
+    per key visited, every entry is an immutable tuple stored only once it
+    is complete, and an extension starts with both empty."""
 
     def __init__(self, blocks: Iterable[BuildingBlock] = _BUILTIN_BLOCKS,
                  bound_doubled: int = BUILTIN_BOUND_DOUBLED):
@@ -181,6 +189,9 @@ class Registry:
         for b in self._blocks.values():
             if b.cardinality > 0:
                 self._viable[b.kind].update(b.doubled_weights)
+        self._runs: dict[int, dict[int, tuple[_Assignment, ...]]] = {}
+        self._groupings: dict[tuple[BlockKind, tuple[int, ...]],
+                              tuple[tuple[BuildingBlock, ...], ...]] = {}
 
     @classmethod
     def builtin(cls) -> "Registry":
@@ -210,19 +221,12 @@ class Registry:
     def center_status(self, kind: BlockKind, doubled_center: int) -> str:
         """'viable' when some nonzero block of this kind contains the weight,
         'dead' when exhaustive knowledge rules it out, 'unknown' otherwise."""
-        known = self._center_known(self._viable[kind], self.bound_doubled, doubled_center)
-        return "unknown" if known is None else "viable" if known else "dead"
-
-    @staticmethod
-    def _center_known(viable: set[int], bound_doubled: int, doubled_center: int
-                      ) -> bool | None:
-        # center_status as True (viable), False (dead) or None (unknown);
-        # `viable` holds the centers of the kind's nonzero blocks
-        if doubled_center in viable:
-            return True
-        if doubled_center <= bound_doubled:
-            return False
-        return None
+        try:
+            viable = _run_center_viable(self._viable[kind], self.bound_doubled,
+                                        doubled_center)
+        except RegistryIncompleteError:
+            return "unknown"
+        return "viable" if viable else "dead"
 
     def with_records(self, records: Iterable[dict]) -> "Registry":
         merged = dict(self._blocks)
@@ -378,79 +382,110 @@ class ArthurParameter(Record):
         return self.canonical_shape()
 
 
-def _run_assignments(rest: int, d0: int, registry: Registry
-                     ) -> list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]:
-    """Peel runs off the weight bitmask `rest` (bit w for weight w; a top run
+_Assignment = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+_EMPTY_MASK: tuple[_Assignment, ...] = (((), ()),)    # nothing left: one empty assignment
+_NO_ASSIGNMENTS: tuple[_Assignment, ...] = ()          # every dead mask's entry
+
+
+def _run_center_viable(viable: set[int], bound_doubled: int, doubled_center: int
+                       ) -> bool:
+    # whether a run center lies in a nonzero block, `viable` holding the
+    # centers of the kind's nonzero blocks; past exhaustive knowledge it raises
+    if doubled_center in viable:
+        return True
+    if doubled_center <= bound_doubled:
+        return False
+    raise RegistryIncompleteError(
+        f"run centered at weight {doubled_center}/2 exceeds the registry "
+        "bound; ingest cardinalities to enumerate")
+
+
+def _pooled(pools: tuple[tuple[int, tuple[int, ...]], ...], d: int, doubled_center: int
+            ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # `pools` with the center put first in the pool of run length d; pools
+    # stay in enumeration order, odd d (even orthogonal) then even d
+    # (symplectic), each ascending
+    order = (d % 2 == 0, d)
+    for i, (e, centers) in enumerate(pools):
+        if e == d:
+            return pools[:i] + ((d, (doubled_center,) + centers),) + pools[i + 1:]
+        if (e % 2 == 0, e) > order:
+            return pools[:i] + ((d, (doubled_center,)),) + pools[i:]
+    return pools + ((d, (doubled_center,)),)
+
+
+def _run_assignments(mask: int, d0: int, registry: Registry) -> tuple[_Assignment, ...]:
+    """Peel runs off the weight bitmask `mask` (bit w for weight w; a top run
     of length k comes off by keeping the bits below top - k + 1), assigning
     each either to the principal block (length exactly d0, center in some
     nonzero odd orthogonal block) or to the factor pool of its length d,
     symplectic for even d and even orthogonal for odd d.  Returns all
-    (principal_doubled_centers, {d: doubled_centers}) assignments, centers
-    descending, memoized per call by mask; raises RegistryIncompleteError
-    when a run center is beyond registry knowledge."""
-    memo: dict[int, list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]] = {}
-    odd_orth = registry._viable[BlockKind.ODD_ORTHOGONAL]
-    even_orth = registry._viable[BlockKind.EVEN_ORTHOGONAL]
-    symplectic = registry._viable[BlockKind.SYMPLECTIC]
-    bound, center_known = registry.bound_doubled, Registry._center_known
+    (principal_doubled_centers, ((d, doubled_centers), ...)) assignments,
+    centers descending and pools in `_pooled` order; raises
+    RegistryIncompleteError when a run center is beyond registry knowledge,
+    checking a run's principal center before its pooled one.
 
-    def viable(centers: set[int], doubled_center: int) -> bool:
-        known = center_known(centers, bound, doubled_center)
-        if known is not None:
-            return known
-        raise RegistryIncompleteError(
-            f"run centered at weight {doubled_center}/2 exceeds the registry "
-            "bound; ingest cardinalities to enumerate")
-
-    def recurse(remaining: int) -> list[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]]:
-        if not remaining:
-            return [((), {})]
-        if remaining in memo:
-            return memo[remaining]
-        out = []
-        top = remaining.bit_length() - 1
-        run_len = 0
-        while top > run_len and remaining >> (top - run_len) & 1:
-            run_len += 1
-            doubled_center = 2 * top - run_len + 1
-            principal = run_len == d0 and viable(odd_orth, doubled_center)    # d0 is odd
-            pooled = viable(even_orth if run_len % 2 else symplectic, doubled_center)
-            if not (principal or pooled):
-                continue
-            sub = recurse(remaining & ((1 << (top - run_len + 1)) - 1))
-            if principal:
-                out += [((doubled_center,) + centers, pools) for centers, pools in sub]
-            if pooled:
-                out += [(centers, {**pools, run_len: (doubled_center,) + pools.get(run_len, ())})
-                        for centers, pools in sub]
-        memo[remaining] = out
-        return out
-
-    return recurse(rest)
+    Memoized on the registry by d0, then mask: one entry per key visited,
+    an immutable tuple stored only once complete (every dead mask shares
+    one empty tuple), so an error leaves no entry for the mask it was
+    raised under."""
+    if not mask:
+        return _EMPTY_MASK
+    runs = registry._runs.get(d0)
+    if runs is None:
+        runs = registry._runs[d0] = {}
+    found = runs.get(mask)
+    if found is not None:
+        return found
+    viable, bound = registry._viable, registry.bound_doubled
+    out: list[_Assignment] = []
+    top = mask.bit_length() - 1
+    run_len = 0
+    while top > run_len and mask >> (top - run_len) & 1:
+        run_len += 1
+        doubled_center = 2 * top - run_len + 1
+        principal = run_len == d0 and _run_center_viable(    # d0 is odd
+            viable[BlockKind.ODD_ORTHOGONAL], bound, doubled_center)
+        pooled = _run_center_viable(
+            viable[BlockKind.EVEN_ORTHOGONAL if run_len % 2 else BlockKind.SYMPLECTIC],
+            bound, doubled_center)
+        if not (principal or pooled):
+            continue
+        sub = _run_assignments(mask & ((1 << (top - run_len + 1)) - 1), d0, registry)
+        if principal:
+            out += [((doubled_center,) + centers, pools) for centers, pools in sub]
+        if pooled:
+            out += [(centers, _pooled(pools, run_len, doubled_center))
+                    for centers, pools in sub]
+    found = runs[mask] = tuple(out) if out else _NO_ASSIGNMENTS
+    return found
 
 
 def _pool_groupings(kind: BlockKind, centers: tuple[int, ...], registry: Registry
-                    ) -> list[tuple[BuildingBlock, ...]]:
-    """All ways to split a pool of run centers into nonzero blocks of the
-    given kind (even group sizes for the even orthogonal kind)."""
+                    ) -> tuple[tuple[BuildingBlock, ...], ...]:
+    """All ways to split a pool of run centers (descending) into nonzero
+    blocks of the given kind (even group sizes for the even orthogonal
+    kind), the block holding the first center first.  Memoized on the
+    registry by (kind, centers), sub-pools included, an entry stored only
+    once complete: a RegistryIncompleteError from `_nonzero` partway through
+    a pool leaves no entry for it."""
+    if not centers:
+        return ((),)
+    found = registry._groupings.get((kind, centers))
+    if found is not None:
+        return found
+    first, rest = centers[0], centers[1:]
     even_sizes = kind is BlockKind.EVEN_ORTHOGONAL    # first plus an odd number of mates
-    results: list[tuple[BuildingBlock, ...]] = []
-
-    def recurse(todo: tuple[int, ...], acc: tuple[BuildingBlock, ...]):
-        if not todo:
-            results.append(acc)
-            return
-        first, rest = todo[0], todo[1:]
-        for size in range(even_sizes, len(rest) + 1, 1 + even_sizes):
-            for mates in itertools.combinations(rest, size):
-                block = registry._nonzero(kind, (first,) + mates)
-                if block is None:
-                    continue
+    out: list[tuple[BuildingBlock, ...]] = []
+    for size in range(even_sizes, len(rest) + 1, 1 + even_sizes):
+        for mates in itertools.combinations(rest, size):
+            block = registry._nonzero(kind, (first,) + mates)
+            if block is not None:
                 left = tuple(x for x in rest if x not in mates)
-                recurse(left, acc + (block,))
-
-    recurse(centers, ())
-    return results
+                out += [(block,) + grouping
+                        for grouping in _pool_groupings(kind, left, registry)]
+    found = registry._groupings[kind, centers] = tuple(out)
+    return found
 
 
 def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
@@ -459,7 +494,11 @@ def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
     {w_1, ..., w_g}, w = lambda + rho, each with multiplicity equal to the
     product of the referenced block cardinalities.  Shapes touching any
     empty block are dropped; shapes needing blocks beyond the registry's
-    knowledge raise RegistryIncompleteError."""
+    knowledge raise RegistryIncompleteError.
+
+    Calls share work only through a shared `registry`, whose memos hold the
+    run assignments and pool groupings; without one, each call builds a
+    fresh `Registry.builtin()` and starts cold."""
     registry = registry or Registry.builtin()
     g = hw.g
     rest = sum(1 << w for w in hw.tau)
@@ -474,10 +513,9 @@ def enumerate_parameters(hw: HighestWeight, registry: Registry | None = None
             if principal_block is None:
                 continue
             per_pool = []
-            # even orthogonal pools (odd d), then symplectic: (kind.value, d) order
-            for d in sorted(pools, key=lambda d: (d % 2 == 0, d)):
+            for d, centers in pools:    # even orthogonal (odd d), then symplectic
                 kind = BlockKind.EVEN_ORTHOGONAL if d % 2 else BlockKind.SYMPLECTIC
-                groupings = _pool_groupings(kind, pools[d], registry)
+                groupings = _pool_groupings(kind, centers, registry)
                 if not groupings:
                     break
                 per_pool.append([(d, grouping) for grouping in groupings])

@@ -373,7 +373,11 @@ def ih_betti(hw: HighestWeight, registry: Registry | None = None,
     `signs` is 'bundled' (known assignments only), 'both' (emit every sign
     choice), or a mapping from canonical shape strings to sign vectors
     (explicit assignments win over bundled ones).  Every shape with at least
-    one factor needs a sign vector unless `signs` is 'both'."""
+    one factor needs a sign vector unless `signs` is 'both'.
+
+    Calls share parameter enumeration only through a shared `registry`
+    (see `enumerate_parameters`); without one, each call enumerates on a
+    fresh `Registry.builtin()`."""
     warnings: list[str] = []
     if hw.weight % 2:
         warnings.append("odd weight: all cohomology of the local system vanishes")

@@ -7,10 +7,12 @@ the package computes another way, and the tests compare the two:
 * the elliptic term: one character per class of the table, c and -c alike,
   summed as Fractions, against the negation-orbit pairing of
   `torsion.elliptic_term`;
-* parameter enumeration: runs peeled off a frozenset of weights, run
-  centers judged through `Registry.center_status` and every block found by
-  the public `Registry.lookup`, against the bitmask peeling and nonzero-block
-  lookups of `arthur.enumerate_parameters`;
+* parameter enumeration: runs peeled off a frozenset of weights with a
+  memo that lives for one call, run centers judged through
+  `Registry.center_status` and every block found by the public
+  `Registry.lookup`, against the bitmask peeling and nonzero-block lookups
+  of `arthur.enumerate_parameters`, whose run assignments and pool
+  groupings are memoized on the registry and shared by every call on it;
 * spin data: closed-form one-variable Laurent products, against the
   weight-line characters of `spin._factor_spins` specialized at S = 1
   (`set_var_to_one`); both in true exponents;

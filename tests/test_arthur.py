@@ -348,6 +348,82 @@ def test_incompleteness_message_matches_set_oracle(registry, g, lam):
     assert "exceeds the registry bound" in str(got.value)
 
 
+# -- the enumeration memos on the registry ---------------------------------------
+
+def _sweep(reg, max_rank, enumerate_parameters=ar.enumerate_parameters):
+    return {(g, lam): _enumeration_or_error(enumerate_parameters, HighestWeight(g, lam), reg)
+            for g in range(1, max_rank + 1) for lam in dominant_weights(g, max_rank - g)}
+
+
+def test_warm_registry_still_raises_the_oracle_message():
+    # no entry is stored for a mask whose build raised, so a registry warmed
+    # over the whole exhaustive range raises again, and with the same text
+    reg = ar.Registry.builtin()
+    _sweep(reg, 11)
+    for hw in (HighestWeight(12, (0,) * 12), HighestWeight(1, (12,))):
+        want = _enumeration_or_error(set_enumerate_parameters, hw, ar.Registry.builtin())
+        assert "exceeds the registry bound" in want
+        for _ in range(2):
+            assert _enumeration_or_error(ar.enumerate_parameters, hw, reg) == want
+
+
+def _registry_with_s25_s23():
+    return ar.Registry.builtin().with_records([
+        {"kind": "symplectic", "doubled_weights": [25], "cardinality": 1},
+        {"kind": "symplectic", "doubled_weights": [23], "cardinality": 1}])
+
+
+def test_pool_grouping_error_leaves_no_entry():
+    # the pool (25, 23) finds S(25) + S(23), then raises at the pair (25, 23):
+    # the finished sub-pool (23,) is kept, the pool itself is not
+    reg = _registry_with_s25_s23()
+    for _ in range(2):
+        with pytest.raises(ar.RegistryIncompleteError, match=r"\(25, 23\) exceeds"):
+            ar._pool_groupings(S, (25, 23), reg)
+    assert (S, (23,)) in reg._groupings and (S, (25, 23)) not in reg._groupings
+    assert _sweep(reg, 11) == _sweep(_registry_with_s25_s23(), 11, set_enumerate_parameters)
+
+
+def test_extensions_start_with_empty_memos():
+    # a warm base and two registries built from it, each agreeing with the
+    # oracle; the synthetic blocks come in through with_records (bound 22)
+    # and through the constructor at bound 30, where the base's errors past
+    # weight 11 are results, so a memo read across registries would show
+    base = ar.Registry.builtin()
+    before = _sweep(base, 13)
+    assert before == _sweep(ar.Registry.builtin(), 13, set_enumerate_parameters)
+    records = [{"kind": "symplectic", "doubled_weights": [23], "cardinality": 2},
+               {"kind": "odd_orthogonal", "doubled_weights": [26], "cardinality": 3},
+               {"kind": "even_orthogonal", "doubled_weights": [26, 8], "cardinality": 5}]
+    extended = base.with_records(records)
+    bound30 = ar.Registry(extended.blocks(), bound_doubled=30)
+    assert not (extended._runs or extended._groupings or bound30._runs or bound30._groupings)
+    assert _sweep(extended, 13) == _sweep(
+        ar.Registry.builtin().with_records(records), 13, set_enumerate_parameters)
+    assert _sweep(bound30, 13) == _sweep(_synthetic_registry(), 13, set_enumerate_parameters)
+    assert _sweep(base, 13) == before
+
+
+def test_run_assignments_are_shared(monkeypatch):
+    # every enumeration on one registry shares the run-assignment memo: over
+    # g <= 8, lambda = 0 the cold pass stores 36 (d0, mask) entries in 93
+    # calls, and a second pass makes only the 44 top-level calls (one per
+    # central run length c = 0..g), each a hit
+    reg = ar.Registry.builtin()
+    calls = []
+    run_assignments = ar._run_assignments
+    monkeypatch.setattr(ar, "_run_assignments", lambda mask, d0, registry: (
+        calls.append((mask, d0)) or run_assignments(mask, d0, registry)))
+    weights = [HighestWeight(g, (0,) * g) for g in range(1, 9)]
+    for hw in weights:
+        ar.enumerate_parameters(hw, reg)
+    assert (len(calls), sum(map(len, reg._runs.values()))) == (93, 36)
+    calls.clear()
+    for hw in weights:
+        ar.enumerate_parameters(hw, reg)
+    assert (len(calls), sum(map(len, reg._runs.values()))) == (44, 36)
+
+
 # -- independent brute-force oracle ---------------------------------------------
 
 def _cover(kind, doubled_weights, d):
