@@ -16,10 +16,13 @@ integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
 class's characteristic polynomial (self-reciprocal, constant term 1).  Each
 class computes that series once and keeps it (TorsionClass.h_series),
 extending it only when a longer lambda_1 + l(lambda) asks for more terms,
-so the characters of one class over a range of lambda share one series.  The
-determinant is taken by fraction-free Bareiss elimination with row
-pivoting, because zero pivots do occur at torsion points, so the trace is
-an integer by construction and no weight system is built.
+so the characters of one class over a range of lambda share one series.
+Each weight likewise keeps the part of M that depends on lambda alone, the
+h-index of every entry, so the characters of one lambda over many classes
+only fill those entries from each class's series.  The determinant is
+taken by fraction-free Bareiss elimination with row pivoting, because zero
+pivots do occur at torsion points, so the trace is an integer by
+construction and no weight system is built.
 
 The tests check the determinant against an independent oracle: the
 Freudenthal weight system of V_lambda, evaluated as a weight sum in
@@ -48,6 +51,9 @@ class HighestWeight(Record):
 
     g: int
     lam: tuple[int, ...]
+    # cache, not a field, as on TorsionClass: the Jacobi-Trudi index rows
+    # of character_at_torsion
+    _jacobi_trudi = None
 
     def __init__(self, g: int, lam: tuple[int, ...]):
         lam = tuple(lam)
@@ -94,23 +100,42 @@ def weyl_dimension(hw: HighestWeight) -> int:
 
 def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     """Exact trace of a torsion class on V_lambda, by the symplectic
-    Jacobi-Trudi determinant (see the module docstring).  Raises
-    WeightBudgetError when the h-series would exceed H_SERIES_BOUND terms."""
+    Jacobi-Trudi determinant (see the module docstring).  Checks, in order:
+    the class degree against the rank, on every call; lambda = 0 gives 1;
+    WeightBudgetError when the h-series would exceed H_SERIES_BOUND terms.
+    The entry indices are built on the first call for hw that passes the
+    bound and kept on hw, so an over-bound weight raises on every call."""
     if len(cls.characteristic_polynomial()) != 2 * hw.g + 1:
         raise ValueError(
             f"class degree {cls.degree} does not match group rank {2 * hw.g}")
+    plan = hw._jacobi_trudi
+    if plan is None:
+        plan = _jacobi_trudi_rows(hw)
+        object.__setattr__(hw, "_jacobi_trudi", plan)
+    length, pad, rows = plan
+    if not rows:
+        return 1
+    h = (0,) * pad + cls.h_series(length)
+    return bareiss([[h[first]] + [h[a] + h[b] for a, b in rest] for first, rest in rows])[1]
+
+
+def _jacobi_trudi_rows(hw: HighestWeight) -> tuple[int, int, tuple]:
+    """(n, pad, rows) for the determinant of character_at_torsion: it reads
+    h_0..h_{n-1}, n = lambda_1 + l(lambda), from a series padded in front by
+    `pad` zeros (h_k = 0 for k < 0, down to k = 3 - 2 l(lambda)); row i is
+    (index of M_{i,1}, the index pairs of M_{i,j} for j >= 2) in that padded
+    series.  lambda = 0 gives no rows.  Raises WeightBudgetError past
+    H_SERIES_BOUND, before building anything."""
     lam = [part for part in hw.lam if part]
     if not lam:
-        return 1
+        return 0, 0, ()
     length = lam[0] + len(lam)
     if length > H_SERIES_BOUND:
         raise WeightBudgetError(
             f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
-    # h_k = 0 for k < 0: the matrix reads h_k down to k = 3 - 2 l(lambda)
     pad = 2 * len(lam)
-    h = (0,) * pad + cls.h_series(length)
     rows = []
     for i, part in enumerate(lam, start=1):
         a = pad + part - i
-        rows.append([h[a + 1]] + [h[a + j] + h[a - j + 2] for j in range(2, len(lam) + 1)])
-    return bareiss(rows)[1]
+        rows.append((a + 1, tuple((a + j, a - j + 2) for j in range(2, len(lam) + 1))))
+    return length, pad, tuple(rows)

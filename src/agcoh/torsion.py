@@ -25,10 +25,14 @@ Because -1 acts on V_lambda by (-1)^{|lambda|},
 so elliptic_term evaluates one character per negation orbit, weighted by
 m_c + (-1)^{|lambda|} m_{-c}.  The identity holds for any table, symmetric
 or not; a class with c = -c has trace zero at odd |lambda|, so on a
-symmetric table no odd-weight character is evaluated at all.  Each class
-stores its negation, its characteristic polynomial and the longest h-series
-prefix asked for so far (TorsionClass.h_series), so a sweep over many
-lambda builds each series once.
+symmetric table no odd-weight character is evaluated at all.  A MassTable
+copies the masses it is given and, on the first elliptic_term for each
+parity of |lambda|, refuses any class of the wrong degree and stores the
+nonzero orbit weights as integer numerators over one denominator; each
+class stores its negation, its characteristic polynomial and the longest
+h-series prefix asked for so far (TorsionClass.h_series).  So a sweep over
+many lambda walks each table once per parity and builds each series once,
+and a call costs one character per weighted orbit.
 """
 from __future__ import annotations
 
@@ -59,19 +63,24 @@ class TorsionClass(Record):
     _hseries = (1,)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple(map(tuple, pairs))
         super().__init__(pairs)
         seen = set()
+        odd = 0     # the first of the indices 1, 2 with odd multiplicity
         for d, m in pairs:
+            if type(d) is not int or type(m) is not int:
+                raise TypeError(f"class entries must be integers, got {pairs!r}")
             if d < 1 or m < 1:
                 raise ValueError(f"invalid pair ({d}, {m})")
             if d in seen:
                 raise ValueError(f"repeated index {d}; merge multiplicities")
             seen.add(d)
+            if d <= 2 and m % 2 and not odd:
+                odd = d
         if list(pairs) != sorted(pairs):
             raise ValueError("indices must be ascending")
-        for d in (1, 2):
-            if self.multiplicity(d) % 2:
-                raise ValueError(f"index {d} must have even multiplicity")
+        if odd:
+            raise ValueError(f"index {odd} must have even multiplicity")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -80,12 +89,6 @@ class TorsionClass(Record):
 
     def __hash__(self):
         return hash((self.pairs,))
-
-    def multiplicity(self, d: int) -> int:
-        for dd, m in self.pairs:
-            if dd == d:
-                return m
-        return 0
 
     @property
     def degree(self) -> int:
@@ -197,15 +200,21 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
 
 class MassTable(Record):
     """Masses m_c for the full torsion class set of one rank.  Every mass is
-    an int or a Fraction (TypeError otherwise, a bool included)."""
+    an int or a Fraction (TypeError otherwise, a bool included).  The table
+    keeps its own copy of `masses`, so a later edit to the caller's dict
+    changes nothing here."""
 
     genus: int
     masses: dict[TorsionClass, Fraction]
     provenance: str
     warnings: tuple[str, ...]
+    # caches, not fields, as on TorsionClass: the weighted orbits at even and
+    # at odd |lambda| (_orbit_weights)
+    _even_orbits = _odd_orbits = None
 
     def __init__(self, genus: int, masses: dict[TorsionClass, Fraction],
                  provenance: str = "", warnings: tuple[str, ...] = ()):
+        masses = dict(masses)
         for c, m in masses.items():
             if type(m) is not int and type(m) is not Fraction:
                 raise TypeError(f"mass of class {c} must be int or Fraction, got {m!r}")
@@ -219,6 +228,46 @@ class MassTable(Record):
     def total(self) -> Fraction:
         """sum_c m_c over the full class set; equals e(A_g) for correct data."""
         return sum(self.masses.values(), Fraction(0))
+
+    def _orbit_weights(self, parity: int) -> tuple[int, tuple[tuple[TorsionClass, int], ...]]:
+        """(L, ((c, n_c), ...)): one class c per negation orbit whose weight
+        n_c / L = m_c + (-1)^parity m_{-c} is nonzero, L the lcm of the
+        weights' denominators (see elliptic_term for the rules).  Built on
+        the first call for each parity, after refusing any class whose
+        degree is not 2 * genus, and stored whole, so a concurrent reader
+        never sees a partial list."""
+        name = ("_even_orbits", "_odd_orbits")[parity]
+        orbits = getattr(self, name)
+        if orbits is None:
+            table = self.masses
+            sign = -1 if parity else 1
+            weights = []
+            for c, m in table.items():
+                _check_rank(c, self.genus)
+                neg = c.negate()
+                if neg is c:
+                    if sign < 0:
+                        continue            # tr(c) = tr(-c) = -tr(c) = 0
+                elif neg in table:
+                    if neg.pairs < c.pairs:
+                        continue            # counted with its partner -c
+                    m += sign * table[neg]
+                if m:
+                    weights.append((c, m))
+            den = math.lcm(*(m.denominator for _, m in weights))
+            orbits = den, tuple((c, m.numerator * (den // m.denominator)) for c, m in weights)
+            object.__setattr__(self, name, orbits)
+        return orbits
+
+
+def _check_rank(c: TorsionClass, g: int) -> None:
+    """MassTableError unless c has degree 2g.  An index too large for rank g
+    is refused before its totient is computed."""
+    if c.pairs and c.pairs[-1][0] > _index_bound(g):
+        raise MassTableError(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
+                             f"{_index_bound(g)}, so its degree exceeds {2 * g}")
+    if c.degree != 2 * g:
+        raise MassTableError(f"class {c} has degree {c.degree}, expected {2 * g}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -273,11 +322,7 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     masses: dict[TorsionClass, Fraction] = {}
     covered_orbits: set[TorsionClass] = set()
     for c, mass in records:
-        if c.pairs[-1][0] > _index_bound(g):    # before its totient is computed
-            raise MassTableError(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
-                                 f"{_index_bound(g)}, so its degree exceeds {2 * g}")
-        if c.degree != 2 * g:
-            raise MassTableError(f"class {c} has degree {c.degree}, expected {2 * g}")
+        _check_rank(c, g)
         if c not in full_set:
             raise MassTableError(f"class {c} is not a torsion class of rank {g}")
         rep = c.orbit_representative()
@@ -318,31 +363,10 @@ def elliptic_term(hw, masses: MassTable) -> Fraction:
     m_c + (-1)^{|lambda|} m_{-c} (m_{-c} = 0 when -c is not in the table),
     and only when that weight is nonzero.  A class with c = -c is weighted
     by m_c at even |lambda| and skipped at odd |lambda|, where its trace is
-    zero.  The products numerator * trace are summed as integers per mass
-    denominator, and one Fraction is built at the end."""
+    zero.  The table keeps these weights per parity of |lambda| as integers
+    over one common denominator, built on the first call for that parity;
+    a call sums numerator * trace as integers and builds one Fraction."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
-    sign = -1 if hw.weight % 2 else 1
-    table = masses.masses
-    sums: dict[int, int] = {}
-    for c, m in table.items():
-        neg = c.negate()
-        if neg is c:
-            if sign < 0:
-                continue                # tr(c) = tr(-c) = -tr(c) = 0
-            m_neg = 0
-        else:
-            m_neg = table.get(neg)
-            if m_neg is None:
-                m_neg = 0
-            elif neg.pairs < c.pairs:
-                continue                # counted with its partner -c
-        p, q = m.numerator, m.denominator
-        pn, qn = sign * m_neg.numerator, m_neg.denominator
-        if p == -pn and q == qn:
-            continue                    # m_c + sign m_{-c} = 0
-        trace = character_at_torsion(hw, c)
-        sums[q] = sums.get(q, 0) + p * trace
-        sums[qn] = sums.get(qn, 0) + pn * trace
-    den = math.lcm(*sums)
-    return Fraction(sum(num * (den // q) for q, num in sums.items()), den)
+    den, orbits = masses._orbit_weights(hw.weight % 2)
+    return Fraction(sum(n * character_at_torsion(hw, c) for c, n in orbits), den)

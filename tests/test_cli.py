@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -94,6 +96,38 @@ def test_closed_form_output_bytes_pinned():
                 digest.update(f"{code}|{out}|{err}".encode())
     assert digest.hexdigest() == \
         "61dcdec7ee041d7558c3303a11117da311cfd977470cf61ef3f549e55ce425c5"
+
+
+def test_euler_output_bytes_pinned(tmp_path, monkeypatch):
+    """sha256 over every code, stdout and stderr of euler in each format: the
+    bundled rank-1 table at every even k < 60, and rank-2 and rank-3 tables
+    written here from a fixed seed at every dominant lambda of size <= 6 and
+    <= 4, odd sizes included.  Recorded before the elliptic term kept its
+    orbit weights per table and its Jacobi-Trudi index rows per weight.  The
+    tables are named relative to the working directory, so the documents do
+    not depend on where the checkout lives."""
+    from agcoh.torsion import enumerate_torsion_classes
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g1.tsv").write_text((DEMO_MASSES / "g1.tsv").read_text())
+    invocations = [("1", str(k)) for k in range(0, 60, 2)]
+    rng = random.Random(2025)
+    for g, size in ((2, 6), (3, 4)):
+        lines = [f"genus: {g}"] + [
+            f"{c.encode()}\t{rng.randint(-99, 99)}/{rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 45))}"
+            for c in enumerate_torsion_classes(g, mod_negation=True)]
+        (tmp_path / f"g{g}.tsv").write_text("\n".join(lines) + "\n")
+        invocations += [(str(g), ",".join(map(str, lam)))
+                        for lam in itertools.product(range(size + 1), repeat=g)
+                        if list(lam) == sorted(lam, reverse=True) and sum(lam) <= size]
+    digest = hashlib.sha256()
+    for g, lam in invocations:
+        for fmt in ("json", "tsv", "latex"):
+            code, out, err = run(["euler", "--g", g, "--lambda", lam,
+                                  "--masses", f"g{g}.tsv", "--format", fmt])
+            digest.update(f"{code}|{out}|{err}".encode())
+    assert digest.hexdigest() == \
+        "c28b9adb2ae422131e7a8c7ef509ea94599bab142d816cdab78b0c186b4d565f"
 
 
 def test_ih_expected_betti():

@@ -9,7 +9,7 @@ from agcoh.proportionality import PiScaledRational
 from agcoh.spin import IHResult, ShapeReport, ShapeVariant
 from agcoh.symplectic import HighestWeight
 from agcoh.tables import Bound, ReferenceTable
-from agcoh.torsion import MassTable, TorsionClass
+from agcoh.torsion import MassTable, TorsionClass, elliptic_term
 
 OO, OE, S = BlockKind.ODD_ORTHOGONAL, BlockKind.EVEN_ORTHOGONAL, BlockKind.SYMPLECTIC
 TRIVIAL = BuildingBlock(OO, (), 1, ("",), 1)
@@ -139,6 +139,22 @@ def test_torsion_class_ignores_its_stored_data():
     used.h_series(6)
     assert used == fresh and hash(used) == hash(fresh) == hash((((3, 1),),))
     assert repr(used) == repr(fresh)
+
+
+def test_highest_weight_and_mass_table_ignore_their_stored_data():
+    fresh_hw, used_hw = HighestWeight(1, (4,)), HighestWeight(1, (4,))
+    fresh, used = MassTable(genus=1, masses={C3: 1}), MassTable(genus=1, masses={C3: 1})
+    elliptic_term(used_hw, used)            # the even-parity orbit weights
+    elliptic_term(HighestWeight(1, (3,)), used)     # and the odd ones
+    assert {"_even_orbits", "_odd_orbits"} <= set(vars(used))
+    assert "_jacobi_trudi" in vars(used_hw)
+    assert used_hw == fresh_hw and hash(used_hw) == hash(fresh_hw) == hash((1, (4,)))
+    assert repr(used_hw) == repr(fresh_hw) == "HighestWeight(g=1, lam=(4,))"
+    assert used == fresh and repr(used) == repr(fresh) == \
+        "MassTable(genus=1, masses={TorsionClass(pairs=((3, 1),)): 1}, " \
+        "provenance='', warnings=())"
+    with pytest.raises(TypeError):
+        hash(used)
 
 
 def test_shape_variant_with_a_hodge_diamond_is_unhashable():

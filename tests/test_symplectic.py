@@ -157,6 +157,35 @@ def test_h_series_bound_guard(monkeypatch):
         character_at_torsion(HighestWeight(2, (6, 0)), cls)
 
 
+def test_h_series_bound_raises_on_every_call(monkeypatch):
+    # an over-bound weight stores nothing, so a second call checks again
+    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    hw = HighestWeight(2, (5, 2))
+    for cls in (TorsionClass(((1, 4),)), TorsionClass(((3, 1), (4, 1)))):
+        for _ in range(2):
+            with pytest.raises(WeightBudgetError, match="h-series bound 6"):
+                character_at_torsion(hw, cls)
+    assert "_jacobi_trudi" not in hw.__dict__
+    # the degree check still comes first, on every call
+    with pytest.raises(ValueError, match="does not match group rank"):
+        character_at_torsion(hw, TorsionClass(((4, 1),)))
+
+
+def test_index_rows_shared_by_classes_match_fresh_weights():
+    # one weight instance serves every class of its rank, in both orders
+    # of a sweep, and gives the values of a weight built for each call
+    for g, lams in ((1, [(0,), (1,), (6,)]), (2, [(0, 0), (3, 1), (4, 4)]),
+                    (3, [(2, 1, 1), (5, 0, 0), (3, 3, 2)])):
+        classes = enumerate_torsion_classes(g)
+        for lam in lams:
+            shared = HighestWeight(g, lam)
+            for cls in classes + classes[::-1]:
+                assert character_at_torsion(shared, cls) == \
+                    character_at_torsion(HighestWeight(g, lam), cls), (lam, cls.encode())
+            with pytest.raises(ValueError, match="does not match group rank"):
+                character_at_torsion(shared, TorsionClass(((1, 2 * g + 2),)))
+
+
 @pytest.mark.parametrize("g,max_size", [(1, 8), (2, 8), (3, 8), (4, 4), (5, 3)])
 def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
     classes = enumerate_torsion_classes(g)

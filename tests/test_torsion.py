@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -295,6 +297,115 @@ def test_h_series_memo_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def _seeded_table_text(g, seed):
+    rng = random.Random(seed)
+    lines = [f"genus: {g}"] + [f"{c.encode()}\t{_random_mass(rng)}"
+                               for c in to.enumerate_torsion_classes(g, mod_negation=True)]
+    return "\n".join(lines) + "\n"
+
+
+def test_orbit_weights_and_index_rows_under_threads():
+    # threads share one table and one weight per lambda, so the table's
+    # orbit weights (both parities) and each weight's index rows are built
+    # by whichever thread gets there first; every value must equal the one
+    # computed from a fresh table and a fresh weight
+    text = _seeded_table_text(3, 41)
+    lams = [lam for lam in itertools.product(range(5), repeat=3)
+            if list(lam) == sorted(lam, reverse=True) and sum(lam) <= 6]
+    want = {lam: to.elliptic_term(HighestWeight(3, lam), to.parse_mass_table(text, 3))
+            for lam in lams}
+    assert any(sum(lam) % 2 for lam in lams) and any(want.values())
+    errors = []
+
+    def worker(seed, table, weights, barrier):
+        order = weights[:]
+        random.Random(seed).shuffle(order)
+        try:
+            barrier.wait(timeout=60)
+            for hw in order:
+                if to.elliptic_term(hw, table) != want[hw.lam]:
+                    errors.append((seed, hw.lam))
+        except Exception as exc:    # a thread's exception fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(4):
+            table = to.parse_mass_table(text, 3)
+            weights = [HighestWeight(3, lam) for lam in lams]
+            barrier = threading.Barrier(6)
+            threads = [threading.Thread(target=worker,
+                                        args=(6 * rnd + i, table, weights, barrier))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+def test_mass_table_keeps_its_own_masses():
+    c, d = to.TorsionClass.parse("3^1"), to.TorsionClass.parse("4^1")
+    hw = HighestWeight(1, (2,))
+    given = {c: Fraction(1, 3), d: Fraction(1, 2)}
+    table = to.MassTable(genus=1, masses=given)
+    before = to.elliptic_term(hw, table)
+    given[c] = Fraction(5)
+    del given[d]
+    given[to.TorsionClass.parse("6^1")] = Fraction(7)
+    assert table.masses == {c: Fraction(1, 3), d: Fraction(1, 2)}
+    assert to.elliptic_term(hw, table) == before
+    # the same holds when the edit comes before the first elliptic_term
+    table = to.MassTable(genus=1, masses=given)
+    given.clear()
+    assert to.elliptic_term(hw, table) == \
+        5 * character_at_torsion(hw, c) + 7 * character_at_torsion(hw, c.negate())
+
+
+def test_mass_table_refuses_a_class_of_the_wrong_rank():
+    # such a class was once skipped when its weight was zero or when it was
+    # negation-fixed at odd weight, and the call gave an answer
+    right = to.TorsionClass.parse("1^4")
+    for wrong, mass, lam in (("3^1", 0, (2, 0)),            # weight zero
+                             ("4^1", 1, (1, 0)),            # fixed, odd weight
+                             ("1^2,4^2", 2, (2, 2))):       # degree 6
+        c = to.TorsionClass.parse(wrong)
+        table = to.MassTable(genus=2, masses={right: 1, c: mass})
+        for _ in range(2):      # refused on every call: nothing is stored
+            with pytest.raises(ValueError,
+                               match=f"class {re.escape(wrong)} has degree {c.degree}, "
+                                     "expected 4"):
+                to.elliptic_term(HighestWeight(2, lam), table)
+    # an index too large for the rank is refused before its totient is computed
+    huge = to.TorsionClass(((1000000000000000003, 1),))
+    with pytest.raises(ValueError, match="class 1000000000000000003\\^1 has cyclotomic index"):
+        to.elliptic_term(HighestWeight(1, (1,)), to.MassTable(genus=1, masses={huge: 0}))
+
+
+@pytest.mark.parametrize("pairs", [((3.0, 1),), ((4, True),), ((True, 2),),
+                                   ((3, 1.0),), (("3", 1),), ((3, Fraction(1)),)])
+def test_torsion_class_refuses_entries_that_are_not_ints(pairs):
+    # `3.0^1` was once encoded, which parse refuses, and `4^True`
+    with pytest.raises(TypeError, match="class entries must be integers"):
+        to.TorsionClass(pairs)
+
+
+def test_torsion_class_stores_its_pairs_as_a_tuple():
+    # a list of pairs was once kept as given: unequal to its tuple twin,
+    # and unhashable
+    for given in ([(3, 1)], [[3, 1]], iter([(3, 1)])):
+        c = to.TorsionClass(given)
+        assert c.pairs == ((3, 1),) and type(c.pairs) is tuple
+        assert type(c.pairs[0]) is tuple
+        assert c == to.TorsionClass(((3, 1),))
+        assert hash(c) == hash(to.TorsionClass(((3, 1),)))
+        assert c.encode() == "3^1" and to.TorsionClass.parse(c.encode()) == c
 
 
 def test_h_series_bound_leaves_memo_short(monkeypatch):
