@@ -14,14 +14,18 @@ with h_k = 0 for k < 0 and the empty determinant (lambda = 0) equal to 1.
 The h_k are the complete symmetric functions of the eigenvalues of c: the
 integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
 class's characteristic polynomial (self-reciprocal, constant term 1).  Each
-class computes that series once and keeps it (TorsionClass.h_series),
-extending it only when a longer lambda_1 + l(lambda) asks for more terms,
-so the characters of one class over a range of lambda share one series.
+class computes that series once and keeps it behind 2g leading zeros
+(TorsionClass.padded_h_series), so h_k for k < 0 is read in place; it is
+extended only when a longer lambda_1 + l(lambda) asks for more terms, so
+the characters of one class over a range of lambda share one series.
 Each weight likewise keeps the part of M that depends on lambda alone, the
-h-index of every entry, so the characters of one lambda over many classes
-only fill those entries from each class's series.  The determinant is
-taken by fraction-free Bareiss elimination with row pivoting, because zero
-pivots do occur at torsion points, so the trace is an integer by
+index of every entry in that padded series, so the characters of one
+lambda over many classes only fill those entries from each class's series.
+The determinant is the entry itself for l(lambda) = 1 and exact.determinant
+otherwise: closed forms up to 4x4 (ad - bc, the cofactor expansion, the
+Laplace expansion over the 2x2 minors of the first two rows) and
+fraction-free Bareiss elimination with row pivoting from 5x5 up, since zero
+pivots do occur at torsion points.  So the trace is an integer by
 construction and no weight system is built.
 
 The tests check the determinant against an independent oracle: the
@@ -33,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import WeightBudgetError
-from .exact import bareiss
+from .exact import determinant
 from .records import Record
 
 if TYPE_CHECKING:
@@ -112,30 +116,33 @@ def character_at_torsion(hw: HighestWeight, cls: TorsionClass) -> int:
     if plan is None:
         plan = _jacobi_trudi_rows(hw)
         object.__setattr__(hw, "_jacobi_trudi", plan)
-    length, pad, rows = plan
+    size, rows = plan
     if not rows:
         return 1
-    h = (0,) * pad + cls.h_series(length)
-    return bareiss([[h[first]] + [h[a] + h[b] for a, b in rest] for first, rest in rows])[1]
+    h = cls.padded_h_series(size)
+    if len(rows) == 1:      # l(lambda) = 1: the entry h_{lambda_1}, the trace on Sym^{lambda_1}
+        return h[rows[0][0][0]]
+    return determinant([[h[a] + h[b] for a, b in row] for row in rows])
 
 
-def _jacobi_trudi_rows(hw: HighestWeight) -> tuple[int, int, tuple]:
-    """(n, pad, rows) for the determinant of character_at_torsion: it reads
-    h_0..h_{n-1}, n = lambda_1 + l(lambda), from a series padded in front by
-    `pad` zeros (h_k = 0 for k < 0, down to k = 3 - 2 l(lambda)); row i is
-    (index of M_{i,1}, the index pairs of M_{i,j} for j >= 2) in that padded
-    series.  lambda = 0 gives no rows.  Raises WeightBudgetError past
+def _jacobi_trudi_rows(hw: HighestWeight) -> tuple[int, tuple]:
+    """(size, rows) for the determinant of character_at_torsion, as indices
+    into TorsionClass.padded_h_series, where h_k sits at 2g + k, so its 2g
+    leading zeros are the h_k of k < 0 (an entry reads k >= 3 - 2 l(lambda)).
+    size = 2g + lambda_1 + l(lambda) covers every index.  Row i holds one
+    index pair per entry, M_{i,j} = h[a] + h[b]; for j = 1, b = 0, a
+    leading zero.  lambda = 0 gives no rows.  Raises WeightBudgetError past
     H_SERIES_BOUND, before building anything."""
     lam = [part for part in hw.lam if part]
     if not lam:
-        return 0, 0, ()
+        return 0, ()
     length = lam[0] + len(lam)
     if length > H_SERIES_BOUND:
         raise WeightBudgetError(
             f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
-    pad = 2 * len(lam)
+    pad = 2 * hw.g
     rows = []
     for i, part in enumerate(lam, start=1):
         a = pad + part - i
-        rows.append((a + 1, tuple((a + j, a - j + 2) for j in range(2, len(lam) + 1))))
-    return length, pad, tuple(rows)
+        rows.append(((a + 1, 0),) + tuple((a + j, a - j + 2) for j in range(2, len(lam) + 1)))
+    return pad + length, tuple(rows)

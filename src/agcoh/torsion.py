@@ -28,11 +28,14 @@ or not; a class with c = -c has trace zero at odd |lambda|, so on a
 symmetric table no odd-weight character is evaluated at all.  A MassTable
 copies the masses it is given and, on the first elliptic_term for each
 parity of |lambda|, refuses any class of the wrong degree and stores the
-nonzero orbit weights as integer numerators over one denominator; each
-class stores its negation, its characteristic polynomial and the longest
-h-series prefix asked for so far (TorsionClass.h_series).  So a sweep over
-many lambda walks each table once per parity and builds each series once,
-and a call costs one character per weighted orbit.
+nonzero orbit weights as integer numerators over one denominator.  Each
+class stores its negation (and a new -c stores c as its own, so the
+partners a parsed table holds are linked both ways and the orbit walk
+builds no class), its characteristic polynomial, and the longest h-series
+asked for so far behind deg P_c = 2g leading zeros, the h_k of negative k
+(TorsionClass.padded_h_series).  So a sweep over many lambda walks each
+table once per parity and builds each series once, and a call costs one
+character per weighted orbit.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ import io
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .errors import MassTableError
@@ -60,7 +64,7 @@ class TorsionClass(Record):
     pairs: tuple[tuple[int, int], ...]
     # caches, not fields; object.__setattr__ stores them without building __dict__
     _negation = _charpoly = None
-    _hseries = (1,)
+    _hseries = ()
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         pairs = tuple(map(tuple, pairs))
@@ -109,16 +113,18 @@ class TorsionClass(Record):
 
     def negate(self) -> "TorsionClass":
         """-c, computed once per instance and stored like _charpoly; a
-        negation-fixed class returns itself."""
+        negation-fixed class returns itself.  A new -c stores this instance
+        as its own negation, so -(-c) is c and builds nothing."""
         neg = self._negation
         if neg is None:
             pairs = tuple(sorted((negate_cyclotomic_index(d), m) for d, m in self.pairs))
-            neg = self if pairs == self.pairs else TorsionClass(pairs)
+            if pairs == self.pairs:
+                neg = self
+            else:
+                neg = TorsionClass(pairs)
+                object.__setattr__(neg, "_negation", self)
             object.__setattr__(self, "_negation", neg)
         return neg
-
-    def is_negation_fixed(self) -> bool:
-        return self.negate() == self
 
     def orbit_representative(self) -> "TorsionClass":
         """Lexicographically smallest encoding among {c, -c}."""
@@ -141,21 +147,31 @@ class TorsionClass(Record):
 
     def h_series(self, n: int) -> tuple[int, ...]:
         """The first n coefficients h_0, ..., h_{n-1} of 1/P_c(z): the
-        complete symmetric functions of the eigenvalues of c.  The longest
-        prefix asked for so far is stored on the instance; a longer request
-        extends a copy and replaces the stored tuple whole, so a concurrent
-        reader never sees a partial series.  The caller bounds n:
-        character_at_torsion checks symplectic.H_SERIES_BOUND first."""
+        complete symmetric functions of the eigenvalues of c.  A slice of
+        padded_h_series, which holds what the instance stores."""
+        deg = len(self.characteristic_polynomial()) - 1
+        return self.padded_h_series(deg + n)[deg:deg + n]
+
+    def padded_h_series(self, size: int) -> tuple[int, ...]:
+        """The stored series: deg P_c zeros, then h_0, h_1, ... (so entry i
+        is h_{i - deg P_c}, zero for a negative index), at least `size`
+        entries long.  The longest series asked for so far is kept on the
+        instance; a longer request extends a copy by the recurrence
+        h_k = -sum_{j=1..deg} P_j h_{k-j} and replaces the stored tuple
+        whole, so a concurrent reader never sees a partial series.  The
+        caller bounds size: character_at_torsion checks
+        symplectic.H_SERIES_BOUND first."""
         series = self._hseries
-        if len(series) < n:
+        if len(series) < size:
             poly = self.characteristic_polynomial()
             deg = len(poly) - 1
-            h = list(series)
-            for k in range(len(h), n):
-                h.append(-sum(poly[j] * h[k - j] for j in range(1, min(k, deg) + 1)))
+            h = list(series) or [0] * deg + [1]
+            tail = poly[:0:-1]      # P_deg, ..., P_1, against h_{k-deg}, ..., h_{k-1}
+            for k in range(len(h), size):
+                h.append(-sum(map(mul, tail, h[k - deg:k])))
             series = tuple(h)
             object.__setattr__(self, "_hseries", series)
-        return series[:n]
+        return series
 
     def __str__(self) -> str:
         return self.encode()
@@ -333,8 +349,8 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
         masses[c.negate()] = mass
 
     warnings: list[str] = []
-    for d in (1, 2):
-        central = TorsionClass(((d, 2 * g),))
+    one = TorsionClass(((1, 2 * g),))
+    for central in (one, one.negate()):     # 1^{2g} and 2^{2g}, linked
         if central not in masses:
             masses[central] = zeta_product(g)
 

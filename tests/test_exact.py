@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcoh import exact
-from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, euler_phi,
-                         negate_cyclotomic_index, poly_divmod, poly_mul)
+from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic, determinant,
+                         euler_phi, negate_cyclotomic_index, poly_divmod, poly_mul)
 from oracles import bernoulli_table, nu_character, set_var_to_one, zeta_negative
 
 
@@ -294,3 +294,24 @@ def test_bareiss_rank():
     assert bareiss([[0, 0], [0, 0]]) == (0, 0)
     assert bareiss([[0]]) == (0, 0)
     assert bareiss([]) == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12)),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_determinant_matches_bareiss(rows):
+    # zero-heavy entries, as at torsion points, where Bareiss pivots on rows
+    want = bareiss([row[:] for row in rows])[1]
+    assert determinant([row[:] for row in rows]) == want
+
+
+def test_determinant_closed_forms():
+    assert determinant([]) == 1 and determinant([[-5]]) == -5
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+    # each of the six 2x2 minors of the first two rows carries its sign
+    assert determinant([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]) == 1
+    assert determinant([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]) == -1
+    assert determinant([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]]) == 210

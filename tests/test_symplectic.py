@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from agcoh import symplectic
-from agcoh.exact import euler_phi
+from agcoh import exact, symplectic
+from agcoh.exact import bareiss, euler_phi
 from agcoh.symplectic import (HighestWeight, WeightBudgetError,
                               character_at_torsion, weyl_dimension)
 from agcoh.torsion import TorsionClass, enumerate_torsion_classes
@@ -195,6 +195,50 @@ def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
         for cls in classes:
             assert character_at_torsion(hw, cls) == oracle_character(full, cls), \
                 (lam, cls.encode())
+
+
+def _jacobi_trudi_matrix(lam, cls):
+    """M of the module docstring, l(lambda) x l(lambda), from cls.h_series."""
+    lam = [part for part in lam if part]
+    series = cls.h_series(lam[0] + len(lam))
+
+    def h(k):
+        return series[k] if k >= 0 else 0
+    return [[h(part - i + 1)] + [h(part - i + j) + h(part - i - j + 2)
+                                 for j in range(2, len(lam) + 1)]
+            for i, part in enumerate(lam, start=1)]
+
+
+def test_length_four_closed_form_matches_bareiss():
+    # the 4x4 Laplace expansion against Bareiss on the same matrix, for every
+    # class of ranks 4 and 5 and every lambda with l(lambda) = 4, |lambda| <= 7
+    # (from |lambda| = 7 on, the first column is nonzero below its second row)
+    for g in (4, 5):
+        lams = [lam for lam in dominant_weights(g, 7) if sum(1 for p in lam if p) == 4]
+        assert lams
+        for cls in enumerate_torsion_classes(g):
+            for lam in lams:
+                want = bareiss(_jacobi_trudi_matrix(lam, cls))[1]
+                assert character_at_torsion(HighestWeight(g, lam), cls) == want, \
+                    (lam, cls.encode())
+
+
+def test_lengths_up_to_four_need_no_bareiss(monkeypatch):
+    # a rank-4 sweep over l(lambda) <= 4 runs on the closed forms alone
+    classes = enumerate_torsion_classes(4)
+    lams = dominant_weights(4, 5)
+    want = {(lam, cls): character_at_torsion(HighestWeight(4, lam), cls)
+            for lam in lams for cls in classes}
+
+    def refuse(rows):
+        raise AssertionError("bareiss called")
+    monkeypatch.setattr(exact, "bareiss", refuse)
+    for lam in lams:
+        hw = HighestWeight(4, lam)
+        for cls in classes:
+            assert character_at_torsion(hw, TorsionClass(cls.pairs)) == want[lam, cls]
+    with pytest.raises(AssertionError, match="bareiss called"):
+        character_at_torsion(HighestWeight(5, (1, 1, 1, 1, 1)), TorsionClass(((1, 10),)))
 
 
 def test_eigenvalue_exponents_cover_pairs():

@@ -19,6 +19,10 @@ from oracles import naive_elliptic_term, zeta_negative, zeta_negative_product
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
 
+def _is_negation_fixed(c):
+    return c.negate() == c
+
+
 def test_class_encoding_roundtrip():
     c = to.TorsionClass.parse("1^2,3^1,12^2")
     assert c.encode() == "1^2,3^1,12^2"
@@ -35,7 +39,7 @@ def test_negation_and_representatives():
     assert c.negate().negate() == c
     assert c.orbit_representative() == c
     assert to.TorsionClass.parse("2^2,6^1").orbit_representative() == c
-    assert to.TorsionClass.parse("4^1").is_negation_fixed()
+    assert _is_negation_fixed(to.TorsionClass.parse("4^1"))
 
 
 def test_enumeration_small_rank():
@@ -53,7 +57,7 @@ def test_full_count_negation_identity():
     for g in range(1, 6):
         full = to.enumerate_torsion_classes(g)
         mod = to.enumerate_torsion_classes(g, mod_negation=True)
-        fixed = [c for c in full if c.is_negation_fixed()]
+        fixed = [c for c in full if _is_negation_fixed(c)]
         assert len(full) == 2 * len(mod) - len(fixed)
         assert {c.orbit_representative() for c in full} == set(mod)
         assert all(c.degree == 2 * g for c in full)
@@ -414,7 +418,36 @@ def test_h_series_bound_leaves_memo_short(monkeypatch):
     character_at_torsion(HighestWeight(2, (4, 2)), c)
     with pytest.raises(WeightBudgetError):
         character_at_torsion(HighestWeight(2, (9, 0)), c)
-    assert len(c.__dict__["_hseries"]) <= 6
+    # the stored series holds deg P_c = 4 leading zeros, then the h-terms
+    assert len(c.__dict__["_hseries"]) - c.degree <= 6
+
+
+def test_negation_links_both_ways():
+    for enc in ("1^2,3^1", "3^1,4^1", "1^4", "5^1"):
+        c = to.TorsionClass.parse(enc)
+        neg = c.negate()
+        assert neg != c and neg.negate() is c and c.negate() is neg
+
+
+def test_parsed_table_walk_builds_no_class(monkeypatch):
+    # a parsed table holds each class and its negation linked both ways, the
+    # defaulted central classes included, so the first elliptic_term at
+    # either parity constructs no TorsionClass
+    tables = [to.parse_mass_table(_seeded_table_text(g, 7), g) for g in (2, 3)]
+    tables.append(to.load_mass_table(DEMO_MASSES / "g1.tsv", 1))
+    built = []
+    init = to.TorsionClass.__init__
+
+    def counting_init(self, pairs):
+        built.append(pairs)
+        init(self, pairs)
+
+    monkeypatch.setattr(to.TorsionClass, "__init__", counting_init)
+    for table in tables:
+        g = table.genus
+        for lam in ((2,) + (0,) * (g - 1), (3,) + (0,) * (g - 1)):
+            to.elliptic_term(HighestWeight(g, lam), table)
+    assert built == []
 
 
 def test_memo_leaves_equality_hash_and_order_alone():
