@@ -147,6 +147,16 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return poly
 
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic_power(d: int, m: int) -> tuple[int, ...]:
+    """Phi_d^m for m >= 1, dense like cyclotomic.  Only the (d, m) asked for
+    are cached, each built by m - 1 products from Phi_d."""
+    phi = poly = cyclotomic(d)
+    for _ in range(m - 1):
+        poly = poly_mul(poly, phi)
+    return poly
+
+
 def negate_cyclotomic_index(d: int) -> int:
     """Index d' such that the negatives of the primitive d-th roots of unity
     are exactly the primitive d'-th roots of unity.

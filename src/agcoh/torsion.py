@@ -28,14 +28,23 @@ or not; a class with c = -c has trace zero at odd |lambda|, so on a
 symmetric table no odd-weight character is evaluated at all.  A MassTable
 copies the masses it is given and, on the first elliptic_term for each
 parity of |lambda|, refuses any class of the wrong degree and stores the
-nonzero orbit weights as integer numerators over one denominator.  Each
-class stores its negation (and a new -c stores c as its own, so the
-partners a parsed table holds are linked both ways and the orbit walk
-builds no class), its characteristic polynomial, and the longest h-series
-asked for so far behind deg P_c = 2g leading zeros, the h_k of negative k
+nonzero orbit weights as integer numerators over one denominator, the lcm
+of all its masses' denominators, so the walk adds ints and no Fraction.
+Each class stores its negation (and a new -c stores c as its own, so the
+partners a parsed table holds, zero-filled and central ones included, are
+linked both ways and the orbit walk builds no class), its characteristic
+polynomial (one product per pair of cached cyclotomic powers,
+exact.cyclotomic_power), and the longest h-series asked for so far behind
+deg P_c = 2g leading zeros, the h_k of negative k
 (TorsionClass.padded_h_series).  So a sweep over many lambda walks each
 table once per parity and builds each series once, and a call costs one
 character per weighted orbit.
+
+parse_mass_table checks completeness without listing the class set: a
+class that passes TorsionClass validation and the rank check is one of the
+count_torsion_classes(g) classes of enumerate_torsion_classes, so a table
+whose keys reach that count is complete, and the set is enumerated only to
+name or zero-fill what is missing.
 """
 from __future__ import annotations
 
@@ -43,12 +52,13 @@ import io
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import Iterable
 
 from .errors import MassTableError
-from .exact import (cyclotomic, euler_phi, negate_cyclotomic_index, poly_mul,
-                    zeta_product)
+from .exact import (cyclotomic_power, euler_phi, negate_cyclotomic_index,
+                    poly_mul, zeta_product)
 from .records import Record
 from .symplectic import character_at_torsion
 
@@ -134,13 +144,12 @@ class TorsionClass(Record):
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
         constant term.  It is self-reciprocal with constant term 1, so it is
-        also det(1 - z c).  Computed once per instance."""
+        also det(1 - z c).  Computed once per instance, one product per pair
+        after the first, from the cached powers exact.cyclotomic_power."""
         poly = self._charpoly
         if poly is None:
-            poly = (1,)
-            for d, m in self.pairs:
-                for _ in range(m):
-                    poly = poly_mul(poly, cyclotomic(d))
+            powers = [cyclotomic_power(d, m) for d, m in self.pairs]
+            poly = reduce(poly_mul, powers) if powers else (1,)
             # stored beside the fields, so equality, hashing and order ignore it
             object.__setattr__(self, "_charpoly", poly)
         return poly
@@ -182,15 +191,33 @@ def _index_bound(g: int) -> int:
     return 2 * (2 * g) ** 2
 
 
+def _cyclotomic_indices(g: int) -> list[int]:
+    """The indices d <= _index_bound(g) with phi(d) <= 2g, ascending."""
+    if g < 1:
+        raise ValueError("rank must be positive")
+    return [d for d in range(1, _index_bound(g) + 1) if euler_phi(d) <= 2 * g]
+
+
+def count_torsion_classes(g: int) -> int:
+    """len(enumerate_torsion_classes(g)) without listing a class: the x^{2g}
+    coefficient of (1 - x^2)^{-2} prod_{d >= 3} (1 - x^{phi(d)})^{-1} over
+    the same indices, the indices 1 and 2 taken in pairs."""
+    budget = 2 * g
+    coeffs = [1] + [0] * budget
+    for d in _cyclotomic_indices(g):
+        step = 2 if d <= 2 else euler_phi(d)
+        for k in range(step, budget + 1):
+            coeffs[k] += coeffs[k - step]
+    return coeffs[budget]
+
+
 def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[TorsionClass]:
     """All torsion classes of rank g: multisets of cyclotomic indices with
     total degree 2g and even multiplicity of the indices 1 and 2.  With
     mod_negation, one representative per negation orbit (the representative
     with the lexicographically smallest encoding)."""
-    if g < 1:
-        raise ValueError("rank must be positive")
     budget = 2 * g
-    indices = [d for d in range(1, _index_bound(g) + 1) if euler_phi(d) <= budget]
+    indices = _cyclotomic_indices(g)
     out: list[TorsionClass] = []
 
     def extend(pos: int, remaining: int, acc: list[tuple[int, int]]) -> None:
@@ -247,31 +274,31 @@ class MassTable(Record):
 
     def _orbit_weights(self, parity: int) -> tuple[int, tuple[tuple[TorsionClass, int], ...]]:
         """(L, ((c, n_c), ...)): one class c per negation orbit whose weight
-        n_c / L = m_c + (-1)^parity m_{-c} is nonzero, L the lcm of the
-        weights' denominators (see elliptic_term for the rules).  Built on
-        the first call for each parity, after refusing any class whose
-        degree is not 2 * genus, and stored whole, so a concurrent reader
-        never sees a partial list."""
+        n_c / L = m_c + (-1)^parity m_{-c} is nonzero, L the lcm of all the
+        masses' denominators, so each weight is an int sum of numerators
+        (see elliptic_term for the rules).  Built on the first call for each
+        parity, after refusing any class whose degree is not 2 * genus, and
+        stored whole, so a concurrent reader never sees a partial list."""
         name = ("_even_orbits", "_odd_orbits")[parity]
         orbits = getattr(self, name)
         if orbits is None:
-            table = self.masses
+            den = math.lcm(*(m.denominator for m in self.masses.values()))
+            nums = {c: m.numerator * (den // m.denominator) for c, m in self.masses.items()}
             sign = -1 if parity else 1
             weights = []
-            for c, m in table.items():
+            for c, n in nums.items():
                 _check_rank(c, self.genus)
                 neg = c.negate()
                 if neg is c:
                     if sign < 0:
                         continue            # tr(c) = tr(-c) = -tr(c) = 0
-                elif neg in table:
+                elif neg in nums:
                     if neg.pairs < c.pairs:
                         continue            # counted with its partner -c
-                    m += sign * table[neg]
-                if m:
-                    weights.append((c, m))
-            den = math.lcm(*(m.denominator for _, m in weights))
-            orbits = den, tuple((c, m.numerator * (den // m.denominator)) for c, m in weights)
+                    n += sign * nums[neg]
+                if n:
+                    weights.append((c, n))
+            orbits = den, tuple(weights)
             object.__setattr__(self, name, orbits)
         return orbits
 
@@ -302,8 +329,14 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     then one record `class<TAB>p/q` per negation orbit.  The table is
     expanded to the full class set by m_{-c} = m_c; the central classes
     1^{2g} and 2^{2g} default to exact.zeta_product(g) when omitted.  A mass
-    is p or p/q.  In strict mode every class must be covered; lenient mode
-    zero-fills the rest and records a warning."""
+    is p or p/q.  Each record's class is checked against the rank first
+    (_check_rank), then against the table built so far for a duplicate
+    orbit.  Completeness is a count (count_torsion_classes); the class set
+    is listed only when the count falls short.  In strict mode every class
+    must be covered, and the error names the first missing class in
+    enumeration order; lenient mode zero-fills each missing orbit, its
+    representative and that class's negation, and records a warning.  Every
+    class of the table is stored beside its negation, linked both ways."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     lines = [ln.rstrip("\n") for ln in stream]
@@ -333,18 +366,12 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     if genus_header != g:
         raise MassTableError(f"genus header {genus_header} does not match requested {g}")
 
-    full = enumerate_torsion_classes(g)
-    full_set = set(full)
     masses: dict[TorsionClass, Fraction] = {}
-    covered_orbits: set[TorsionClass] = set()
     for c, mass in records:
         _check_rank(c, g)
-        if c not in full_set:
-            raise MassTableError(f"class {c} is not a torsion class of rank {g}")
-        rep = c.orbit_representative()
-        if rep in covered_orbits:
-            raise MassTableError(f"duplicate mass for class {c} (orbit {rep})")
-        covered_orbits.add(rep)
+        if c in masses:                     # a record set c and -c alike
+            raise MassTableError(
+                f"duplicate mass for class {c} (orbit {c.orbit_representative()})")
         masses[c] = mass
         masses[c.negate()] = mass
 
@@ -354,14 +381,18 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
         if central not in masses:
             masses[central] = zeta_product(g)
 
-    missing = [c for c in full if c not in masses]
+    # every key passed TorsionClass validation and _check_rank, so it is one
+    # of the counted classes: the table is complete when the counts agree
+    missing = count_torsion_classes(g) - len(masses)
     if missing:
         if strict:
+            first = next(c for c in enumerate_torsion_classes(g) if c not in masses)
             raise MassTableError(
-                f"mass table incomplete: {len(missing)} classes missing, e.g. {missing[0]}")
-        for c in missing:
-            masses[c] = Fraction(0)
-        warnings.append(f"{len(missing)} classes missing from mass table, treated as zero")
+                f"mass table incomplete: {missing} classes missing, e.g. {first}")
+        for rep in enumerate_torsion_classes(g, mod_negation=True):
+            if rep not in masses:           # nor -rep: keys come in orbits
+                masses[rep] = masses[rep.negate()] = Fraction(0)
+        warnings.append(f"{missing} classes missing from mass table, treated as zero")
     return MassTable(g, masses, provenance, tuple(warnings))
 
 

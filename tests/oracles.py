@@ -4,6 +4,9 @@ the package computes another way, and the tests compare the two:
 * torsion characters: the Freudenthal weight system of V_lambda, expanded
   over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
   the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
+* characteristic polynomials: P_c multiplied out one cyclotomic factor at
+  a time from 1, against the products of cached powers Phi_d^m of
+  `TorsionClass.characteristic_polynomial`;
 * the elliptic term: one character per class of the table, c and -c alike,
   summed as Fractions, against the negation-orbit pairing of
   `torsion.elliptic_term`;
@@ -226,6 +229,20 @@ def class_exponents(cls):
 def oracle_character(full, cls):
     exponents, order = class_exponents(cls)
     return weight_sum_character(full, exponents, order)
+
+
+def factorwise_characteristic_polynomial(c) -> tuple[int, ...]:
+    """prod_d Phi_d^{m_d} of a torsion class, one factor Phi_d at a time
+    from the constant polynomial 1, dense from the constant term."""
+    poly = [1]
+    for d, m in c.pairs:
+        for _ in range(m):
+            out = [0] * (len(poly) + euler_phi(d))
+            for i, a in enumerate(poly):
+                for j, b in enumerate(cyclotomic(d)):
+                    out[i + j] += a * b
+            poly = out
+    return tuple(poly)
 
 
 def naive_elliptic_term(hw, masses) -> Fraction:

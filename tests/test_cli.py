@@ -130,6 +130,24 @@ def test_euler_output_bytes_pinned(tmp_path, monkeypatch):
         "c28b9adb2ae422131e7a8c7ef509ea94599bab142d816cdab78b0c186b4d565f"
 
 
+def test_euler_lenient_output_bytes_pinned(tmp_path, monkeypatch):
+    """sha256 over every code, stdout and stderr of `euler --lenient` in each
+    format on header-only tables, where every class but the two central
+    ones is zero-filled: rank 4 at lambda = (8,4,2,0) and rank 3 at
+    (2,0,0).  Recorded before completeness became a count."""
+    monkeypatch.chdir(tmp_path)
+    for g in (4, 3):
+        (tmp_path / f"g{g}.tsv").write_text(f"genus: {g}\n")
+    digest = hashlib.sha256()
+    for g, lam in (("4", "8,4,2,0"), ("3", "2,0,0")):
+        for fmt in ("json", "tsv", "latex"):
+            code, out, err = run(["euler", "--g", g, "--lambda", lam, "--masses",
+                                  f"g{g}.tsv", "--format", fmt, "--lenient"])
+            digest.update(f"{code}|{out}|{err}".encode())
+    assert digest.hexdigest() == \
+        "5206d776a43a3fcbe57a09baf8e7bead585a204e3c1003a7500d858c50c73405"
+
+
 def test_ih_expected_betti():
     doc = run_ok(["ih", "--g", "4", "--lambda", "0,0,0,0"])
     assert doc["result"]["betti"] == [1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0, 2,

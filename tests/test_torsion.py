@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -7,14 +8,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agcoh import symplectic
 from agcoh import torsion as to
 from agcoh.errors import WeightBudgetError
-from agcoh.exact import zeta_product
+from agcoh.exact import euler_phi, zeta_product
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight, character_at_torsion
-from oracles import naive_elliptic_term, zeta_negative, zeta_negative_product
+from oracles import (factorwise_characteristic_polynomial, naive_elliptic_term,
+                     zeta_negative, zeta_negative_product)
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -303,10 +307,13 @@ def test_h_series_memo_under_threads():
     assert errors == []
 
 
-def _seeded_table_text(g, seed):
+def _seeded_table_text(g, seed, skip=()):
+    """A seeded record per negation orbit, but for the orbits at the
+    positions in `skip`."""
     rng = random.Random(seed)
+    reps = to.enumerate_torsion_classes(g, mod_negation=True)
     lines = [f"genus: {g}"] + [f"{c.encode()}\t{_random_mass(rng)}"
-                               for c in to.enumerate_torsion_classes(g, mod_negation=True)]
+                               for i, c in enumerate(reps) if i not in skip]
     return "\n".join(lines) + "\n"
 
 
@@ -448,6 +455,141 @@ def test_parsed_table_walk_builds_no_class(monkeypatch):
         for lam in ((2,) + (0,) * (g - 1), (3,) + (0,) * (g - 1)):
             to.elliptic_term(HighestWeight(g, lam), table)
     assert built == []
+
+
+def test_lenient_table_walk_builds_no_class(monkeypatch):
+    # lenient mode zero-fills each missing orbit with its representative and
+    # that class's negation, linked both ways like the records' partners
+    table = to.parse_mass_table("genus: 3\n", 3, strict=False)
+    built = []
+    init = to.TorsionClass.__init__
+
+    def counting_init(self, pairs):
+        built.append(pairs)
+        init(self, pairs)
+
+    monkeypatch.setattr(to.TorsionClass, "__init__", counting_init)
+    assert to.elliptic_term(HighestWeight(3, (2, 0, 0)), table) == Fraction(1, 8640)
+    assert built == []
+    assert all(c.negate().negate() is c for c in table.masses)
+
+
+def test_count_torsion_classes_matches_enumeration():
+    counts = [to.count_torsion_classes(g) for g in range(1, 11)]
+    assert counts == [5, 19, 59, 165, 419, 1001, 2257, 4877, 10133, 20399]
+    assert counts == [len(to.enumerate_torsion_classes(g)) for g in range(1, 11)]
+    with pytest.raises(ValueError, match="rank must be positive"):
+        to.count_torsion_classes(0)
+
+
+# recorded before completeness became a count: the first error in record
+# order, the count of missing classes and the first of them in enumeration order
+_PARSE_ERRORS = [
+    pytest.param("genus: 1\n", 1,
+                 "mass table incomplete: 3 classes missing, e.g. 3^1", id="empty"),
+    pytest.param("genus: 1\n4^1\t1\n", 1,
+                 "mass table incomplete: 2 classes missing, e.g. 3^1", id="one-record"),
+    pytest.param(_seeded_table_text(2, 5, skip=(0, 3)), 2,
+                 "mass table incomplete: 4 classes missing, e.g. 10^1", id="rank2-two-left-out"),
+    pytest.param(_seeded_table_text(3, 5, skip=(7, 20, 21)), 3,
+                 "mass table incomplete: 5 classes missing, e.g. 1^2,3^1,4^1",
+                 id="rank3-three-left-out"),
+    pytest.param("genus: 3\n", 3,
+                 "mass table incomplete: 57 classes missing, e.g. 14^1", id="rank3-header-only"),
+    pytest.param("genus: 2\n1^2,3^1\t1\n", 2,
+                 "mass table incomplete: 15 classes missing, e.g. 10^1", id="rank2-one-record"),
+    pytest.param("genus: 1\n3^1\t1/3\n6^1\t1/3\n", 1,
+                 "duplicate mass for class 6^1 (orbit 3^1)", id="duplicate-partner"),
+    pytest.param("genus: 1\n6^1\t1\n6^1\t2\n", 1,
+                 "duplicate mass for class 6^1 (orbit 3^1)", id="duplicate-class"),
+    pytest.param("genus: 1\n1^2\t1\n2^2\t1\n", 1,
+                 "duplicate mass for class 2^2 (orbit 1^2)", id="duplicate-central"),
+    pytest.param("genus: 1\n4^1\t1\n4^1\t1\n", 1,
+                 "duplicate mass for class 4^1 (orbit 4^1)", id="duplicate-fixed"),
+    pytest.param("genus: 1\n3^1\t1\n6^1\t1\n3^2\t1\n", 1,
+                 "duplicate mass for class 6^1 (orbit 3^1)", id="duplicate-before-degree"),
+    pytest.param("genus: 1\n3^2\t1\n3^1\t1\n6^1\t1\n", 1,
+                 "class 3^2 has degree 4, expected 2", id="degree-before-duplicate"),
+    pytest.param("genus: 1\n3^2\t1/3\n", 1,
+                 "class 3^2 has degree 4, expected 2", id="degree"),
+    pytest.param("genus: 1\n9^1\t1\n", 1,
+                 "class 9^1 has cyclotomic index 9 > 8, so its degree exceeds 2", id="index-rank1"),
+    pytest.param("genus: 2\n3^2,33^1\t1\n", 2,
+                 "class 3^2,33^1 has cyclotomic index 33 > 32, so its degree exceeds 4",
+                 id="index-rank2"),
+]
+
+
+@pytest.mark.parametrize("text,g,message", _PARSE_ERRORS)
+def test_parse_mass_table_messages_pinned(text, g, message):
+    with pytest.raises(to.MassTableError) as excinfo:
+        to.parse_mass_table(text, g)
+    assert str(excinfo.value) == message
+    if message.startswith("mass table incomplete"):
+        # lenient mode fills the same classes in and says how many
+        table = to.parse_mass_table(text, g, strict=False)
+        missing = message.split(": ")[1].split(" classes")[0]
+        assert table.warnings == (f"{missing} classes missing from mass table, treated as zero",)
+        assert len(table.masses) == to.count_torsion_classes(g)
+        assert set(table.masses) == set(to.enumerate_torsion_classes(g))
+    else:
+        with pytest.raises(to.MassTableError) as excinfo:
+            to.parse_mass_table(text, g, strict=False)
+        assert str(excinfo.value) == message
+
+
+@functools.lru_cache(maxsize=None)
+def _class_set(g):
+    return frozenset(to.enumerate_torsion_classes(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_valid_pair_multiset_is_enumerated(data):
+    # a class that passes TorsionClass validation and the rank check is one
+    # of enumerate_torsion_classes(g), so the parse needs no membership test
+    g = data.draw(st.integers(1, 5), label="g")
+    pairs, remaining = {}, 2 * g
+    while remaining:
+        choices = [d for d in range(1, 2 * (2 * g) ** 2 + 1) if d not in pairs
+                   and (2 if d <= 2 else euler_phi(d)) <= remaining]
+        assume(choices)
+        d = data.draw(st.sampled_from(choices))
+        step = 2 if d <= 2 else 1
+        m = step * data.draw(st.integers(1, remaining // (step * euler_phi(d))))
+        pairs[d] = m
+        remaining -= m * euler_phi(d)
+    c = to.TorsionClass(tuple(sorted(pairs.items())))
+    to._check_rank(c, g)
+    assert c in _class_set(g)
+
+
+def test_characteristic_polynomial_matches_factorwise_product():
+    for g in range(1, 7):
+        for c in to.enumerate_torsion_classes(g):
+            assert c.characteristic_polynomial() == factorwise_characteristic_polynomial(c), c
+    assert to.TorsionClass(()).characteristic_polynomial() == (1,)
+
+
+def test_parsed_tables_are_their_records_negations_and_central_defaults():
+    texts = [((DEMO_MASSES / "g1.tsv").read_text(), 1)]
+    texts += [(_seeded_table_text(g, 3), g) for g in range(1, 6)]
+    # seeded tables without their central records take the default
+    for g in range(1, 5):
+        lines = _seeded_table_text(g, 4).splitlines()
+        texts.append(("\n".join(ln for ln in lines if not ln.startswith(f"1^{2 * g}\t")), g))
+    for text, g in texts:
+        expected = {}
+        for line in text.splitlines():
+            if line and not line.startswith(("#", "genus:")):
+                enc, mass = line.split("\t")
+                c = to.TorsionClass.parse(enc)
+                expected[c] = expected[c.negate()] = Fraction(mass)
+        for d in (1, 2):
+            expected.setdefault(to.TorsionClass(((d, 2 * g),)), zeta_product(g))
+        table = to.parse_mass_table(text, g)
+        assert table.masses == expected and not table.warnings
+        assert set(table.masses) == set(to.enumerate_torsion_classes(g))
 
 
 def test_memo_leaves_equality_hash_and_order_alone():
