@@ -29,14 +29,6 @@ class PiScaledRational(Record):
     rational: Fraction
     pi_exponent: int
 
-    def __mul__(self, other):
-        if isinstance(other, PiScaledRational):
-            return PiScaledRational(self.rational * other.rational,
-                                    self.pi_exponent + other.pi_exponent)
-        return PiScaledRational(self.rational * Fraction(other), self.pi_exponent)
-
-    __rmul__ = __mul__
-
     def __str__(self):
         if self.pi_exponent == 0:
             return str(self.rational)
@@ -104,7 +96,7 @@ def modular_form_asymptotics(g: int) -> tuple[Fraction, int]:
     """
     if g < 1:
         raise ValueError("genus must be positive")
-    coeff = Fraction(2) ** ((g - 1) * (g - 2) // 2) * _bernoulli_factor(g)
+    coeff = 2 ** ((g - 1) * (g - 2) // 2) * _bernoulli_factor(g)
     return coeff, g * (g + 1) // 2
 
 
@@ -113,5 +105,5 @@ def siegel_volume(g: int) -> PiScaledRational:
     prod_{j=1}^{g} ((j-1)!/(2j)!) (-1)^{j-1} B_{2j}, kept exact in pi."""
     if g < 1:
         raise ValueError("genus must be positive")
-    return PiScaledRational(Fraction(2) ** (g * g + 1) * _bernoulli_factor(g),
+    return PiScaledRational(2 ** (g * g + 1) * _bernoulli_factor(g),
                             g * (g + 1) // 2)

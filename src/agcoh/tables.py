@@ -109,6 +109,10 @@ def reference_table(identifier: str) -> ReferenceTable:
 
 # -- stable series ------------------------------------------------------------
 
+#: stable_series refuses work past this, so an admitted call, rendering
+#: included, takes about 2 s
+_WORK_BOUND = 40_000_000
+
 def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[int]:
     """Graded dimensions of the free graded-commutative algebra with
     counts[d] generators in each even degree d (a polynomial algebra), by
@@ -161,15 +165,27 @@ def stable_series(space: str, max_degree: int) -> dict:
         name = f"universal({n})"
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
+    fibre = 0                   # the degree-2 classes of the fibre power
+    if name.startswith("universal"):
+        if n < 0:
+            raise InputError("space 'universal' needs a fibre power n >= 0")
+        fibre = n + n * (n - 1) // 2
+    elif name not in ("ag", "sat", "ih_sat"):
+        raise InputError(f"unknown stable space {name!r}")
+    # The work, bounded before anything is allocated: a pass over the
+    # coefficients per generator of degree > 2, on numbers the size of the
+    # largest binomial C(fibre + j, j) (in units of 4096 bits); rendering them,
+    # quadratic in that size, costs about 100 * size passes more.
+    passes = max(0, (max_degree - 2) // 4) * (2 if name == "sat" else 1)
+    half = max_degree // 2
+    size = 1 + min(half, fibre) * (fibre + half).bit_length() // 4096
+    if (passes + 100 * size) * (max_degree + 1) * size > _WORK_BOUND:
+        raise InputError(f"work bound: the {name} series to degree {max_degree} "
+                         "is too large to compute")
     gens = Counter(range(2, max_degree + 1, 4))  # the odd Chern classes of the Hodge bundle
     if name == "sat":
         gens.update(range(6, max_degree + 1, 4))
-    elif name.startswith("universal"):
-        if n < 0:
-            raise InputError("space 'universal' needs a fibre power n >= 0")
-        gens[2] += n + n * (n - 1) // 2
-    elif name not in ("ag", "ih_sat"):
-        raise InputError(f"unknown stable space {name!r}")
+    gens[2] += fibre
     return {
         "space": name,
         "coefficients": _series_from_generators(gens, max_degree),

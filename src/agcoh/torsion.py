@@ -26,19 +26,18 @@ so elliptic_term evaluates one character per negation orbit, weighted by
 m_c + (-1)^{|lambda|} m_{-c}.  The identity holds for any table, symmetric
 or not; a class with c = -c has trace zero at odd |lambda|, so on a
 symmetric table no odd-weight character is evaluated at all.  A MassTable
-copies the masses it is given and, on the first elliptic_term for each
-parity of |lambda|, refuses any class of the wrong degree and stores the
-nonzero orbit weights as integer numerators over one denominator, the lcm
-of all its masses' denominators, so the walk adds ints and no Fraction.
-Each class stores its negation (and a new -c stores c as its own, so the
-partners a parsed table holds, zero-filled and central ones included, are
-linked both ways and the orbit walk builds no class), its characteristic
-polynomial (one product per pair of cached cyclotomic powers,
-exact.cyclotomic_power), and the longest h-series asked for so far behind
-deg P_c = 2g leading zeros, the h_k of negative k
-(TorsionClass.padded_h_series).  So a sweep over many lambda walks each
-table once per parity and builds each series once, and a call costs one
-character per weighted orbit.
+is plain data: when it is made it copies the masses it is given, refuses
+any class of the wrong degree, and in one walk over the classes stores the
+nonzero orbit weights of both parities as integer numerators over one
+denominator, the lcm of all its masses' denominators, so elliptic_term
+adds ints and no Fraction and sets nothing on the table.  Each class
+stores its negation (and a new -c stores c as its own, so the partners a
+parsed table holds, zero-filled and central ones included, are linked both
+ways and the orbit walk builds no class), its characteristic polynomial
+(one product per pair of cached cyclotomic powers, exact.cyclotomic_power),
+and the longest h-series asked for so far behind deg P_c = 2g leading
+zeros, the h_k of negative k (TorsionClass.padded_h_series).  So a sweep
+builds each series once, and a call costs one character per weighted orbit.
 
 parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
@@ -242,18 +241,15 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
 
 
 class MassTable(Record):
-    """Masses m_c for the full torsion class set of one rank.  Every mass is
-    an int or a Fraction (TypeError otherwise, a bool included).  The table
-    keeps its own copy of `masses`, so a later edit to the caller's dict
-    changes nothing here."""
+    """Masses m_c for the full torsion class set of one rank, copied when the
+    table is made, and the weighted orbits elliptic_term reads.  Every mass
+    is an int or a Fraction (TypeError, a bool included) and every class has
+    degree 2 * genus (_check_rank, MassTableError)."""
 
     genus: int
     masses: dict[TorsionClass, Fraction]
     provenance: str
     warnings: tuple[str, ...]
-    # caches, not fields, as on TorsionClass: the weighted orbits at even and
-    # at odd |lambda| (_orbit_weights)
-    _even_orbits = _odd_orbits = None
 
     def __init__(self, genus: int, masses: dict[TorsionClass, Fraction],
                  provenance: str = "", warnings: tuple[str, ...] = ()):
@@ -262,6 +258,26 @@ class MassTable(Record):
             if type(m) is not int and type(m) is not Fraction:
                 raise TypeError(f"mass of class {c} must be int or Fraction, got {m!r}")
         super().__init__(genus, masses, provenance, warnings)
+        # not a field: (L, even, odd), L the lcm of the masses' denominators and
+        # at each parity of |lambda| the orbits c with n_c / L = m_c +- m_{-c} != 0
+        den = math.lcm(*(m.denominator for m in masses.values()))
+        nums = {c: m.numerator * (den // m.denominator) for c, m in masses.items()}
+        even, odd = [], []
+        for c, n in nums.items():
+            _check_rank(c, genus)
+            neg = c.negate()
+            if neg is c:
+                plus, minus = n, 0          # tr(c) = tr(-c) = -tr(c) at odd |lambda|
+            elif neg.pairs < c.pairs and neg in nums:
+                continue                    # counted with its partner -c
+            else:
+                m = nums.get(neg, 0)
+                plus, minus = n + m, n - m
+            if plus:
+                even.append((c, plus))
+            if minus:
+                odd.append((c, minus))
+        object.__setattr__(self, "_orbits", (den, tuple(even), tuple(odd)))
 
     __hash__ = None    # the masses are a dict
 
@@ -272,40 +288,11 @@ class MassTable(Record):
         """sum_c m_c over the full class set; equals e(A_g) for correct data."""
         return sum(self.masses.values(), Fraction(0))
 
-    def _orbit_weights(self, parity: int) -> tuple[int, tuple[tuple[TorsionClass, int], ...]]:
-        """(L, ((c, n_c), ...)): one class c per negation orbit whose weight
-        n_c / L = m_c + (-1)^parity m_{-c} is nonzero, L the lcm of all the
-        masses' denominators, so each weight is an int sum of numerators
-        (see elliptic_term for the rules).  Built on the first call for each
-        parity, after refusing any class whose degree is not 2 * genus, and
-        stored whole, so a concurrent reader never sees a partial list."""
-        name = ("_even_orbits", "_odd_orbits")[parity]
-        orbits = getattr(self, name)
-        if orbits is None:
-            den = math.lcm(*(m.denominator for m in self.masses.values()))
-            nums = {c: m.numerator * (den // m.denominator) for c, m in self.masses.items()}
-            sign = -1 if parity else 1
-            weights = []
-            for c, n in nums.items():
-                _check_rank(c, self.genus)
-                neg = c.negate()
-                if neg is c:
-                    if sign < 0:
-                        continue            # tr(c) = tr(-c) = -tr(c) = 0
-                elif neg in nums:
-                    if neg.pairs < c.pairs:
-                        continue            # counted with its partner -c
-                    n += sign * nums[neg]
-                if n:
-                    weights.append((c, n))
-            orbits = den, tuple(weights)
-            object.__setattr__(self, name, orbits)
-        return orbits
-
 
 def _check_rank(c: TorsionClass, g: int) -> None:
     """MassTableError unless c has degree 2g.  An index too large for rank g
-    is refused before its totient is computed."""
+    is refused before its totient is computed.  Called once per record by
+    parse_mass_table and once per class when a MassTable is made."""
     if c.pairs and c.pairs[-1][0] > _index_bound(g):
         raise MassTableError(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
                              f"{_index_bound(g)}, so its degree exceeds {2 * g}")
@@ -336,7 +323,8 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
     must be covered, and the error names the first missing class in
     enumeration order; lenient mode zero-fills each missing orbit, its
     representative and that class's negation, and records a warning.  Every
-    class of the table is stored beside its negation, linked both ways."""
+    class is stored beside its negation, linked both ways, so making the
+    MassTable builds no class."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     lines = [ln.rstrip("\n") for ln in stream]
@@ -410,10 +398,11 @@ def elliptic_term(hw, masses: MassTable) -> Fraction:
     m_c + (-1)^{|lambda|} m_{-c} (m_{-c} = 0 when -c is not in the table),
     and only when that weight is nonzero.  A class with c = -c is weighted
     by m_c at even |lambda| and skipped at odd |lambda|, where its trace is
-    zero.  The table keeps these weights per parity of |lambda| as integers
-    over one common denominator, built on the first call for that parity;
-    a call sums numerator * trace as integers and builds one Fraction."""
+    zero.  The table holds these weights for both parities as integers over
+    one common denominator; a call reads those of its parity, sums
+    numerator * trace as integers and builds one Fraction."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
-    den, orbits = masses._orbit_weights(hw.weight % 2)
+    den, even, odd = masses._orbits
+    orbits = odd if hw.weight % 2 else even
     return Fraction(sum(n * character_at_torsion(hw, c) for c, n in orbits), den)

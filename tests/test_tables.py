@@ -117,3 +117,53 @@ def test_stable_series_matches_per_generator_oracle():
         for space, degrees in cases:
             got = tb.stable_series(space, max_degree)["coefficients"]
             assert got == _series_by_generator(degrees, max_degree), (space, max_degree)
+
+
+
+def test_stable_series_work_bound(monkeypatch):
+    # every stable call of the tests and the benchmark is admitted
+    for space in ("ag", "sat", "ih_sat", "universal:40", "universal(4)"):
+        tb.stable_series(space, 60)
+    # a refused series allocates nothing: the check comes first
+    monkeypatch.setattr(tb, "Counter", None)
+    # ag to degree 20: 4 passes over 21 coefficients of one size unit, and
+    # rendering them costs 100 passes more
+    monkeypatch.setattr(tb, "_WORK_BOUND", (4 + 100) * 21)
+    with pytest.raises(TypeError):          # admitted, then stopped by the stub
+        tb.stable_series("ag", 20)
+    for space, max_degree in (("ag", 21), ("sat", 20), ("universal:1", 30)):
+        with pytest.raises(InputError, match=f"^work bound: the .* series to degree "
+                                             f"{max_degree} is too large"):
+            tb.stable_series(space, max_degree)
+    # the binomials of universal:N grow with log N: C(N(N+1)/2 + 1, 1) needs
+    # two size units past 4096 bits
+    monkeypatch.setattr(tb, "_WORK_BOUND", 1000)
+    with pytest.raises(TypeError):
+        tb.stable_series(f"universal:{10 ** 600}", 2)
+    with pytest.raises(InputError, match="^work bound"):
+        tb.stable_series(f"universal:{10 ** 700}", 2)
+    code, out, err = run(["stable", "--space", "ag", "--max-degree", "100"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "usage",
+        "message": "work bound: the ag series to degree 100 is too large to compute"}
+
+
+def test_compactification_tables_contain_the_satake_ih():
+    # A toroidal compactification maps properly and birationally onto A_g^Sat,
+    # so by the decomposition theorem (Beilinson-Bernstein-Deligne-Gabber)
+    # IH(A_g^Sat) is a direct summand of its IH, and the complement is
+    # palindromic about the middle degree by relative hard Lefschetz.  tor2
+    # and tor3 are IH (unique toroidal compactifications with finite quotient
+    # singularities), and perf4_ih is IH by its citation.
+    differences = {"tor2": (0, 1, 1, 0), "tor3": (0, 1, 3, 4, 3, 1, 0),
+                   "perf4_ih": (0, 1, 3, 7, 12, 14, 12, 7, 3, 1, 0)}
+    for table_id, g in (("tor2", 2), ("tor3", 3), ("perf4_ih", 4)):
+        table = tb.reference_table(table_id)
+        betti = ih_betti(HighestWeight(g, (0,) * g)).betti
+        assert len(betti) == g * (g + 1) + 1
+        assert table.degrees == tuple(range(0, g * (g + 1) + 1, 2))
+        assert not any(betti[1::2])
+        diff = tuple(value - betti[k] for k, value in zip(table.degrees, table.values))
+        assert min(diff) >= 0 and diff == diff[::-1], table_id
+        assert diff == differences[table_id]

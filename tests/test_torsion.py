@@ -318,10 +318,11 @@ def _seeded_table_text(g, seed, skip=()):
 
 
 def test_orbit_weights_and_index_rows_under_threads():
-    # threads share one table and one weight per lambda, so the table's
-    # orbit weights (both parities) and each weight's index rows are built
-    # by whichever thread gets there first; every value must equal the one
-    # computed from a fresh table and a fresh weight
+    # threads share one table and one weight per lambda, so each weight's
+    # index rows and each class's h-series are built by whichever thread
+    # gets there first (the table's orbit weights were built when it was
+    # made); every value must equal the one computed from a fresh table and
+    # a fresh weight
     text = _seeded_table_text(3, 41)
     lams = [lam for lam in itertools.product(range(5), repeat=3)
             if list(lam) == sorted(lam, reverse=True) and sum(lam) <= 6]
@@ -380,23 +381,22 @@ def test_mass_table_keeps_its_own_masses():
 
 
 def test_mass_table_refuses_a_class_of_the_wrong_rank():
-    # such a class was once skipped when its weight was zero or when it was
-    # negation-fixed at odd weight, and the call gave an answer
+    # such a class was once skipped by elliptic_term when its weight was
+    # zero or when it was negation-fixed at odd weight, and the call gave an
+    # answer; the table now refuses it when it is made, whatever its mass
     right = to.TorsionClass.parse("1^4")
-    for wrong, mass, lam in (("3^1", 0, (2, 0)),            # weight zero
-                             ("4^1", 1, (1, 0)),            # fixed, odd weight
-                             ("1^2,4^2", 2, (2, 2))):       # degree 6
+    for wrong, mass in (("3^1", 0),             # weight zero
+                        ("4^1", 1),             # negation-fixed
+                        ("1^2,4^2", 2)):        # degree 6
         c = to.TorsionClass.parse(wrong)
-        table = to.MassTable(genus=2, masses={right: 1, c: mass})
-        for _ in range(2):      # refused on every call: nothing is stored
-            with pytest.raises(ValueError,
-                               match=f"class {re.escape(wrong)} has degree {c.degree}, "
-                                     "expected 4"):
-                to.elliptic_term(HighestWeight(2, lam), table)
+        with pytest.raises(ValueError,
+                           match=f"class {re.escape(wrong)} has degree {c.degree}, "
+                                 "expected 4"):
+            to.MassTable(genus=2, masses={right: 1, c: mass})
     # an index too large for the rank is refused before its totient is computed
     huge = to.TorsionClass(((1000000000000000003, 1),))
     with pytest.raises(ValueError, match="class 1000000000000000003\\^1 has cyclotomic index"):
-        to.elliptic_term(HighestWeight(1, (1,)), to.MassTable(genus=1, masses={huge: 0}))
+        to.MassTable(genus=1, masses={huge: 0})
 
 
 @pytest.mark.parametrize("pairs", [((3.0, 1),), ((4, True),), ((True, 2),),
@@ -436,12 +436,7 @@ def test_negation_links_both_ways():
         assert neg != c and neg.negate() is c and c.negate() is neg
 
 
-def test_parsed_table_walk_builds_no_class(monkeypatch):
-    # a parsed table holds each class and its negation linked both ways, the
-    # defaulted central classes included, so the first elliptic_term at
-    # either parity constructs no TorsionClass
-    tables = [to.parse_mass_table(_seeded_table_text(g, 7), g) for g in (2, 3)]
-    tables.append(to.load_mass_table(DEMO_MASSES / "g1.tsv", 1))
+def _count_class_builds(monkeypatch):
     built = []
     init = to.TorsionClass.__init__
 
@@ -450,10 +445,19 @@ def test_parsed_table_walk_builds_no_class(monkeypatch):
         init(self, pairs)
 
     monkeypatch.setattr(to.TorsionClass, "__init__", counting_init)
+    return built
+
+
+def test_parsed_table_walk_builds_no_class(monkeypatch):
+    # a parsed table holds each class and its negation linked both ways, the
+    # defaulted central classes included, so the orbit walk of a table made
+    # from its masses constructs no TorsionClass
+    tables = [to.parse_mass_table(_seeded_table_text(g, 7), g) for g in (2, 3)]
+    tables.append(to.load_mass_table(DEMO_MASSES / "g1.tsv", 1))
+    built = _count_class_builds(monkeypatch)
     for table in tables:
-        g = table.genus
-        for lam in ((2,) + (0,) * (g - 1), (3,) + (0,) * (g - 1)):
-            to.elliptic_term(HighestWeight(g, lam), table)
+        rebuilt = to.MassTable(table.genus, table.masses)
+        assert rebuilt._orbits == table._orbits
     assert built == []
 
 
@@ -461,17 +465,31 @@ def test_lenient_table_walk_builds_no_class(monkeypatch):
     # lenient mode zero-fills each missing orbit with its representative and
     # that class's negation, linked both ways like the records' partners
     table = to.parse_mass_table("genus: 3\n", 3, strict=False)
-    built = []
-    init = to.TorsionClass.__init__
-
-    def counting_init(self, pairs):
-        built.append(pairs)
-        init(self, pairs)
-
-    monkeypatch.setattr(to.TorsionClass, "__init__", counting_init)
-    assert to.elliptic_term(HighestWeight(3, (2, 0, 0)), table) == Fraction(1, 8640)
+    built = _count_class_builds(monkeypatch)
+    rebuilt = to.MassTable(3, table.masses, warnings=table.warnings)
     assert built == []
+    assert to.elliptic_term(HighestWeight(3, (2, 0, 0)), rebuilt) == Fraction(1, 8640)
     assert all(c.negate().negate() is c for c in table.masses)
+
+
+def test_elliptic_term_sets_nothing_on_the_table():
+    # the orbit weights of both parities are built when the table is made
+    rng = random.Random(5)
+    tables = [to.parse_mass_table(_seeded_table_text(g, 9), g) for g in (1, 2, 3)]
+    tables.append(to.parse_mass_table("genus: 2\n", 2, strict=False))
+    for g in (1, 2, 3):
+        tables += _random_tables(rng, g)
+    c, d = to.TorsionClass.parse("3^1"), to.TorsionClass.parse("6^1")
+    tables.append(to.MassTable(genus=1, masses={c: Fraction(1, 3), d: Fraction(1, 2)}))
+    tables.append(to.MassTable(genus=1, masses={c: 1}))     # -c absent
+    assert any(m != table.masses.get(k.negate()) for table in tables
+               for k, m in table.masses.items())
+    for table in tables:
+        before = dict(vars(table))
+        for parity in (0, 1, 0, 1):
+            to.elliptic_term(_random_weight(rng, table.genus, parity), table)
+        after = vars(table)
+        assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
 
 def test_count_torsion_classes_matches_enumeration():
