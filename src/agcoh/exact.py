@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rationals, Bernoulli numbers, zeta special
-values, cyclotomic polynomials, sparse Laurent polynomials, fraction-free
-elimination, and closed-form determinants up to 4x4.
+values, cyclotomic polynomials, sparse Laurent polynomials, and fraction-free
+elimination.
 
 It owns the closed forms the engines share: the Hirzebruch-Mumford product
 zeta(-1) ... zeta(1-2g) (zeta_product) and the partition counts behind
@@ -431,26 +431,3 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
             break
     return rank, (sign * prev if rank == nrows == ncols else 0)
 
-
-def determinant(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix.  From 2x2 to 4x4 it is a
-    closed form: ad - bc, the cofactor expansion along the first row, and
-    the Laplace expansion along the first two rows (six 2x2 minors times
-    their complements).  Otherwise it is bareiss, which overwrites `rows`;
-    the empty matrix has determinant 1."""
-    n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
-    return bareiss(rows)[1]

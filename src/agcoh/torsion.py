@@ -37,13 +37,14 @@ ways and the orbit walk builds no class), its characteristic polynomial
 (one product per pair of cached cyclotomic powers, exact.cyclotomic_power),
 and the longest h-series asked for so far behind deg P_c = 2g leading
 zeros, the h_k of negative k (TorsionClass.padded_h_series).  So a sweep
-builds each series once, and a call costs one character per weighted orbit.
+builds each series once, and a call is one symplectic._character_sum.
 
 parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
 count_torsion_classes(g) classes of enumerate_torsion_classes, so a table
 whose keys reach that count is complete, and the set is enumerated only to
-name or zero-fill what is missing.
+name or zero-fill what is missing.  Past _CLASS_BOUND classes nothing is
+listed: enumeration fails on a work bound and a strict parse names no class.
 """
 from __future__ import annotations
 
@@ -55,15 +56,17 @@ from functools import reduce
 from operator import mul
 from typing import Iterable
 
-from .errors import MassTableError
+from .errors import InputError, MassTableError
 from .exact import (cyclotomic_power, euler_phi, negate_cyclotomic_index,
                     poly_mul, zeta_product)
 from .records import Record
-from .symplectic import character_at_torsion
+from .symplectic import _character_sum
 
 
 _ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+#: the most classes enumerate_torsion_classes lists (g = 13 has 141,877, g = 14 259,373)
+_CLASS_BOUND = 200_000
 
 
 class TorsionClass(Record):
@@ -167,8 +170,8 @@ class TorsionClass(Record):
         instance; a longer request extends a copy by the recurrence
         h_k = -sum_{j=1..deg} P_j h_{k-j} and replaces the stored tuple
         whole, so a concurrent reader never sees a partial series.  The
-        caller bounds size: character_at_torsion checks
-        symplectic.H_SERIES_BOUND first."""
+        caller bounds size: symplectic._jacobi_trudi_rows checks
+        H_SERIES_BOUND first."""
         series = self._hseries
         if len(series) < size:
             poly = self.characteristic_polynomial()
@@ -214,7 +217,10 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
     """All torsion classes of rank g: multisets of cyclotomic indices with
     total degree 2g and even multiplicity of the indices 1 and 2.  With
     mod_negation, one representative per negation orbit (the representative
-    with the lexicographically smallest encoding)."""
+    with the lexicographically smallest encoding).  InputError past _CLASS_BOUND."""
+    count = count_torsion_classes(g)
+    if count > _CLASS_BOUND:
+        raise InputError(f"work bound: rank {g} has {count} torsion classes, too many to list")
     budget = 2 * g
     indices = _cyclotomic_indices(g)
     out: list[TorsionClass] = []
@@ -371,12 +377,13 @@ def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
 
     # every key passed TorsionClass validation and _check_rank, so it is one
     # of the counted classes: the table is complete when the counts agree
-    missing = count_torsion_classes(g) - len(masses)
+    count = count_torsion_classes(g)
+    missing = count - len(masses)
     if missing:
-        if strict:
-            first = next(c for c in enumerate_torsion_classes(g) if c not in masses)
-            raise MassTableError(
-                f"mass table incomplete: {missing} classes missing, e.g. {first}")
+        if strict:      # names a missing class only if the set may be listed
+            first = "" if count > _CLASS_BOUND else ", e.g. " + str(
+                next(c for c in enumerate_torsion_classes(g) if c not in masses))
+            raise MassTableError(f"mass table incomplete: {missing} classes missing{first}")
         for rep in enumerate_torsion_classes(g, mod_negation=True):
             if rep not in masses:           # nor -rep: keys come in orbits
                 masses[rep] = masses[rep.negate()] = Fraction(0)
@@ -399,10 +406,9 @@ def elliptic_term(hw, masses: MassTable) -> Fraction:
     and only when that weight is nonzero.  A class with c = -c is weighted
     by m_c at even |lambda| and skipped at odd |lambda|, where its trace is
     zero.  The table holds these weights for both parities as integers over
-    one common denominator; a call reads those of its parity, sums
-    numerator * trace as integers and builds one Fraction."""
+    one common denominator, its classes checked when it was made; a call is
+    one symplectic._character_sum over its parity and one Fraction."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
     den, even, odd = masses._orbits
-    orbits = odd if hw.weight % 2 else even
-    return Fraction(sum(n * character_at_torsion(hw, c) for c, n in orbits), den)
+    return Fraction(_character_sum(hw, odd if hw.weight % 2 else even), den)

@@ -366,6 +366,34 @@ def test_euler_beyond_weight_budget(tmp_path):
     assert doc["result"]["elliptic_term"] == str(expected) == "29887/340200"
 
 
+def test_euler_odd_weight_past_the_h_series_bound():
+    # no orbit of the symmetric g1.tsv table is weighted at odd weight, so
+    # no character is evaluated and the weight budget is never consulted
+    doc = run_ok(["euler", "--g", "1", "--lambda", "10001",
+                  "--masses", str(DEMO_MASSES / "g1.tsv")])
+    assert doc["result"]["elliptic_term"] == "0"
+
+
+def test_torsion_class_work_bound(tmp_path, monkeypatch):
+    # rank 3 has 59 classes: past the bound, listing them is refused (exit 2)
+    # and a strict parse reports the missing count without naming a class
+    from agcoh import torsion
+    monkeypatch.setattr(torsion, "_CLASS_BOUND", 19)
+    header_only = tmp_path / "g3.tsv"
+    header_only.write_text("genus: 3\n")
+    message = "work bound: rank 3 has 59 torsion classes, too many to list"
+    for argv in (["torsion", "--g", "3"], ["torsion", "--g", "3", "--mod-negation"],
+                 ["euler", "--g", "3", "--masses", str(header_only), "--lenient"]):
+        code, out, err = run(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err)["error"] == {"type": "usage", "message": message}
+    code, out, err = run(["euler", "--g", "3", "--masses", str(header_only)])
+    assert code == EXIT_DATA and out == ""
+    assert json.loads(err)["error"]["message"].endswith(
+        ": mass table incomplete: 57 classes missing")
+    assert run_ok(["torsion", "--g", "2"])["result"]["count"] == 19
+
+
 def test_exact_values_past_int_digit_limit():
     # the numerator has more digits than str(int) converts by default
     doc = run_ok(["intersect", "--g", "57"])

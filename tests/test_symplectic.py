@@ -200,6 +200,8 @@ def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
 def _jacobi_trudi_matrix(lam, cls):
     """M of the module docstring, l(lambda) x l(lambda), from cls.h_series."""
     lam = [part for part in lam if part]
+    if not lam:
+        return []
     series = cls.h_series(lam[0] + len(lam))
 
     def h(k):
@@ -221,6 +223,25 @@ def test_length_four_closed_form_matches_bareiss():
                 want = bareiss(_jacobi_trudi_matrix(lam, cls))[1]
                 assert character_at_torsion(HighestWeight(g, lam), cls) == want, \
                     (lam, cls.encode())
+
+
+@pytest.mark.parametrize("length", range(6))
+def test_character_sum_matches_weighted_bareiss(length):
+    # the kernel of elliptic_term against sum n det M, M built explicitly and
+    # reduced by Bareiss, on seeded weighted classes of ranks l(lambda) and 5
+    rng = random.Random(length)
+    for g in sorted({max(length, 1), 5}):
+        classes = enumerate_torsion_classes(g)
+        for _ in range(4):
+            parts = sorted((rng.randint(1, 4) for _ in range(length)), reverse=True)
+            hw = HighestWeight(g, tuple(parts) + (0,) * (g - length))
+            weighted = [(cls, rng.choice((0, rng.randint(-9, 9), rng.randint(-10**30, 10**30))))
+                        for cls in rng.sample(classes, min(40, len(classes)))]
+            want = sum(n * bareiss(_jacobi_trudi_matrix(hw.lam, cls))[1] for cls, n in weighted)
+            assert symplectic._character_sum(hw, weighted) == want, hw
+            assert symplectic._character_sum(hw, weighted[:1]) == \
+                weighted[0][1] * character_at_torsion(hw, weighted[0][0])
+            assert symplectic._character_sum(hw, []) == 0
 
 
 def test_lengths_up_to_four_need_no_bareiss(monkeypatch):

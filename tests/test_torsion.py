@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from agcoh import symplectic
 from agcoh import torsion as to
-from agcoh.errors import WeightBudgetError
+from agcoh.errors import InputError, MassTableError, WeightBudgetError
 from agcoh.exact import euler_phi, zeta_product
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight, character_at_torsion
@@ -211,6 +211,56 @@ def test_elliptic_term_matches_naive_sum_on_asymmetric_tables():
                         (hw, sorted((c.encode(), m) for c, m in table.masses.items()))
 
 
+def test_elliptic_term_matches_naive_sum_at_every_length():
+    # every branch of the character kernel, l(lambda) = 0 to 5, on hand-built
+    # asymmetric rank-5 tables at both parities of |lambda|
+    rng = random.Random(30)
+    tables = list(_random_tables(rng, 5))
+    for length in range(6):
+        for parity in (0, 1) if length else (0,):
+            while True:
+                parts = sorted((rng.randint(1, 3) for _ in range(length)), reverse=True)
+                if sum(parts) % 2 == parity:
+                    break
+            hw = HighestWeight(5, tuple(parts) + (0,) * (5 - length))
+            for table in tables:
+                assert to.elliptic_term(hw, table) == naive_elliptic_term(hw, table), hw
+
+
+def test_elliptic_term_weight_budget_only_when_a_character_is_evaluated():
+    table = to.load_mass_table(DEMO_MASSES / "g1.tsv", 1)
+    # odd weight on a symmetric table: no orbit is weighted, so no plan
+    hw = HighestWeight(1, (symplectic.H_SERIES_BOUND + 1,))
+    assert to.elliptic_term(hw, table) == 0 and hw._jacobi_trudi is None
+    # an over-bound even weight raises on every call
+    hw = HighestWeight(1, (symplectic.H_SERIES_BOUND,))
+    for _ in range(2):
+        with pytest.raises(WeightBudgetError, match="exceeds the h-series bound"):
+            to.elliptic_term(hw, table)
+
+
+def test_class_listing_work_bound(monkeypatch):
+    # ranks 2 and 3 have 19 and 59 classes; past the bound nothing is listed
+    monkeypatch.setattr(to, "_CLASS_BOUND", 19)
+    assert len(to.enumerate_torsion_classes(2)) == 19
+    monkeypatch.setattr(to, "TorsionClass", None)   # any listing would fail
+    for mod_negation in (False, True):
+        with pytest.raises(InputError, match="^work bound: rank 3 has 59 torsion classes"):
+            to.enumerate_torsion_classes(3, mod_negation=mod_negation)
+    monkeypatch.undo()
+    monkeypatch.setattr(to, "_CLASS_BOUND", 19)
+    # strict parsing reports the missing count and names no class; lenient
+    # parsing would have to list the orbits to zero-fill them
+    with pytest.raises(MassTableError) as info:
+        to.parse_mass_table("genus: 3\n", 3)
+    assert str(info.value) == "mass table incomplete: 57 classes missing"
+    with pytest.raises(InputError, match="^work bound"):
+        to.parse_mass_table("genus: 3\n", 3, strict=False)
+    monkeypatch.setattr(to, "_CLASS_BOUND", 59)     # at the bound a class is named
+    with pytest.raises(MassTableError, match=r"57 classes missing, e\.g\. "):
+        to.parse_mass_table("genus: 3\n", 3)
+
+
 def test_elliptic_term_matches_naive_sum_on_lenient_tables():
     rng = random.Random(7)
     for g in (1, 2, 3, 4):
@@ -226,13 +276,13 @@ def test_elliptic_term_matches_naive_sum_on_lenient_tables():
 
 
 def test_elliptic_term_evaluates_one_character_per_weighted_orbit(monkeypatch):
-    calls = []
+    calls = []      # every class handed to the character kernel
 
-    def counting(hw, c):
-        calls.append(c)
-        return character_at_torsion(hw, c)
+    def counting(hw, weighted):
+        calls.extend(c for c, _ in weighted)
+        return symplectic._character_sum(hw, weighted)
 
-    monkeypatch.setattr(to, "character_at_torsion", counting)
+    monkeypatch.setattr(to, "_character_sum", counting)
     rng = random.Random(11)
     for g in (1, 2, 3):
         for table in _random_tables(rng, g):
