@@ -8,10 +8,11 @@ Submodules:
                    classes, its pairing matrices and rank-reduction quotient
   proportionality  exact top intersection numbers of the Hodge classes and
                    modular-form dimension asymptotics
-  symplectic       irreducible symplectic representations: dimensions and
-                   exact characters at torsion elements
-  torsion          torsion conjugacy classes, mass-table ingestion, and the
-                   elliptic term of the trace formula
+  symplectic       highest weights of irreducible symplectic
+                   representations and their Weyl dimensions
+  torsion          torsion conjugacy classes, their exact characters on
+                   V_lambda, mass-table ingestion, and the elliptic term of
+                   the trace formula
   arthur           level-one cuspidal building blocks and parameter
                    enumeration
   spin             spin/half-spin branching and intersection-cohomology
@@ -37,8 +38,8 @@ _EXPORTS = {
     "proportionality": ("PiScaledRational", "compact_dual_degree",
                         "lambda1_power", "lambda_intersection",
                         "modular_form_asymptotics", "siegel_volume"),
-    "symplectic": ("HighestWeight", "character_at_torsion", "weyl_dimension"),
-    "torsion": ("MassTable", "TorsionClass", "elliptic_term",
+    "symplectic": ("HighestWeight", "weyl_dimension"),
+    "torsion": ("MassTable", "TorsionClass", "character_at_torsion", "elliptic_term",
                 "enumerate_torsion_classes", "parse_mass_table"),
     "arthur": ("ArthurParameter", "BlockKind", "BuildingBlock", "Registry",
                "enumerate_parameters", "ingest_cardinalities", "weight_block"),

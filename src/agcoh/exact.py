@@ -221,21 +221,12 @@ class LaurentPoly:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, nvars: int = 1) -> "LaurentPoly":
-        return cls(nvars, {})
-
-    @classmethod
     def one(cls, nvars: int = 1) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def term(cls, nvars: int, exps: tuple[int, ...], coeff=1) -> "LaurentPoly":
         return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def t_power(cls, e: int, coeff=1) -> "LaurentPoly":
-        """Single-variable monomial coeff * T^e."""
-        return cls(1, {(e,): coeff})
 
     # -- inspection ---------------------------------------------------------
     def items(self):
@@ -246,12 +237,6 @@ class LaurentPoly:
 
     def coeff(self, *exps: int):
         return self._coeffs.get(tuple(exps), 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._coeffs)
 
     def evaluate_all_ones(self):
         return sum(self._coeffs.values())
@@ -295,9 +280,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly._trusted(
@@ -321,18 +303,6 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, int):

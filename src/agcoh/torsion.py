@@ -1,5 +1,6 @@
-"""Torsion conjugacy classes of the integral symplectic group, ingestion of
-mass tables, and the elliptic term of the trace formula.
+"""Torsion conjugacy classes of the integral symplectic group, their
+characters on the irreducible representations V_lambda, ingestion of mass
+tables, and the elliptic term of the trace formula.
 
 A torsion class of rank g is encoded by the multiset of cyclotomic
 polynomials whose product (of total degree 2g) is its characteristic
@@ -9,6 +10,33 @@ spaces.  Negation acts indexwise through negate_cyclotomic_index and masses
 satisfy m_{-c} = m_c, so mass files carry one record per negation orbit
 (the lexicographically smallest encoding), each mass written p or p/q; the
 central classes 1^{2g} and 2^{2g} default to exact.zeta_product(g).
+
+Torsion elements are singular (the Weyl denominator vanishes there), so
+characters come from the symplectic Jacobi-Trudi identity of Koike-Terada
+(Fulton-Harris, Representation Theory, (24.18)).  With l = l(lambda) the
+number of nonzero parts,
+
+    tr(c | V_lambda) = det M,   1 <= i, j <= l,
+    M_{i,1} = h_{lambda_i - i + 1},
+    M_{i,j} = h_{lambda_i - i + j} + h_{lambda_i - i - j + 2}   (j >= 2),
+
+with h_k = 0 for k < 0 and the empty determinant (lambda = 0) equal to 1.
+The h_k are the complete symmetric functions of the eigenvalues of c: the
+integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
+class's characteristic polynomial (self-reciprocal, constant term 1).  Each
+class keeps the longest series asked for so far behind deg P_c = 2g leading
+zeros, the h_k of negative k (TorsionClass.padded_h_series), so the
+characters of one class over a range of lambda share one series.  The plan
+of a weight, _jacobi_trudi_rows, is the index of every entry of M in that
+padded layout; it depends on lambda alone and refuses a series longer than
+H_SERIES_BOUND.  The kernel _character_sum sums weighted characters over
+many classes for one plan, reading each class's series once into closed
+forms up to 4x4 on index locals (ad - bc, the cofactor expansion, the
+Laplace expansion over the 2x2 minors of the first two rows) and, from 5x5
+up, fraction-free Bareiss elimination with row pivoting (zero pivots occur
+at torsion points), all in integers.  The tests check the determinant
+against an independent oracle: the Freudenthal weight system of V_lambda,
+evaluated as a weight sum in Z[x]/Phi_N.
 
 The elliptic term
 
@@ -35,9 +63,8 @@ stores its negation (and a new -c stores c as its own, so the partners a
 parsed table holds, zero-filled and central ones included, are linked both
 ways and the orbit walk builds no class), its characteristic polynomial
 (one product per pair of cached cyclotomic powers, exact.cyclotomic_power),
-and the longest h-series asked for so far behind deg P_c = 2g leading
-zeros, the h_k of negative k (TorsionClass.padded_h_series).  So a sweep
-builds each series once, and a call is one symplectic._character_sum.
+and its padded h-series.  So a sweep builds each series once, and a call
+builds one plan for one _character_sum.
 
 parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
@@ -56,17 +83,20 @@ from functools import reduce
 from operator import mul
 from typing import Iterable
 
-from .errors import InputError, MassTableError
-from .exact import (cyclotomic_power, euler_phi, negate_cyclotomic_index,
+from .errors import InputError, MassTableError, WeightBudgetError
+from .exact import (bareiss, cyclotomic_power, euler_phi, negate_cyclotomic_index,
                     poly_mul, zeta_product)
 from .records import Record
-from .symplectic import _character_sum
 
 
 _ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 #: the most classes enumerate_torsion_classes lists (g = 13 has 141,877, g = 14 259,373)
 _CLASS_BOUND = 200_000
+# Guard for the characters at torsion: the longest h-series (lambda_1 +
+# l(lambda) terms) computed per class.  Far above every weight of interest,
+# while a series this long still costs at most tens of milliseconds per class.
+H_SERIES_BOUND = 10_000
 
 
 class TorsionClass(Record):
@@ -156,13 +186,6 @@ class TorsionClass(Record):
             object.__setattr__(self, "_charpoly", poly)
         return poly
 
-    def h_series(self, n: int) -> tuple[int, ...]:
-        """The first n coefficients h_0, ..., h_{n-1} of 1/P_c(z): the
-        complete symmetric functions of the eigenvalues of c.  A slice of
-        padded_h_series, which holds what the instance stores."""
-        deg = len(self.characteristic_polynomial()) - 1
-        return self.padded_h_series(deg + n)[deg:deg + n]
-
     def padded_h_series(self, size: int) -> tuple[int, ...]:
         """The stored series: deg P_c zeros, then h_0, h_1, ... (so entry i
         is h_{i - deg P_c}, zero for a negative index), at least `size`
@@ -170,8 +193,7 @@ class TorsionClass(Record):
         instance; a longer request extends a copy by the recurrence
         h_k = -sum_{j=1..deg} P_j h_{k-j} and replaces the stored tuple
         whole, so a concurrent reader never sees a partial series.  The
-        caller bounds size: symplectic._jacobi_trudi_rows checks
-        H_SERIES_BOUND first."""
+        caller bounds size: _jacobi_trudi_rows checks H_SERIES_BOUND first."""
         series = self._hseries
         if len(series) < size:
             poly = self.characteristic_polynomial()
@@ -186,6 +208,94 @@ class TorsionClass(Record):
 
     def __str__(self) -> str:
         return self.encode()
+
+
+# -- characters at torsion elements ------------------------------------------
+
+def character_at_torsion(hw, cls: TorsionClass) -> int:
+    """Exact trace of a torsion class on V_lambda, hw a
+    symplectic.HighestWeight: _character_sum of the one class.  Every call
+    checks the class degree, a sum of totients, against the rank before it
+    builds anything (ValueError), then raises WeightBudgetError past
+    H_SERIES_BOUND."""
+    if cls.degree != 2 * hw.g:
+        raise ValueError(
+            f"class degree {cls.degree} does not match group rank {2 * hw.g}")
+    return _character_sum(_jacobi_trudi_rows(hw), ((cls, 1),))
+
+
+def _character_sum(plan: tuple[int, tuple], weighted) -> int:
+    """sum n tr(c | V_lambda) over (class, int) pairs, for the plan
+    _jacobi_trudi_rows(hw) of lambda, the classes taken to have degree 2g
+    unchecked.  Column 1 reads h[a] alone, since h[0] = 0."""
+    size, rows = plan
+    if not rows:
+        return sum(n for _, n in weighted)
+    if len(rows) == 1:      # the entry h_{lambda_1}, the trace on Sym^{lambda_1}
+        a0 = rows[0][0][0]
+        return sum(n * cls.padded_h_series(size)[a0] for cls, n in weighted)
+    total = 0
+    if len(rows) == 2:
+        ((a0, _), (a1, A1)), ((b0, _), (b1, B1)) = rows
+        for cls, n in weighted:
+            h = cls.padded_h_series(size)
+            total += n * (h[a0] * (h[b1] + h[B1]) - (h[a1] + h[A1]) * h[b0])
+    elif len(rows) == 3:
+        (a0, _), (a1, A1), (a2, A2) = rows[0]
+        (b0, _), (b1, B1), (b2, B2) = rows[1]
+        (c0, _), (c1, C1), (c2, C2) = rows[2]
+        for cls, n in weighted:
+            h = cls.padded_h_series(size)
+            p0, p1, p2 = h[a0], h[a1] + h[A1], h[a2] + h[A2]
+            q0, q1, q2 = h[b0], h[b1] + h[B1], h[b2] + h[B2]
+            s0, s1, s2 = h[c0], h[c1] + h[C1], h[c2] + h[C2]
+            total += n * (p0 * (q1 * s2 - q2 * s1) - p1 * (q0 * s2 - q2 * s0)
+                          + p2 * (q0 * s1 - q1 * s0))
+    elif len(rows) == 4:
+        (a0, _), (a1, A1), (a2, A2), (a3, A3) = rows[0]
+        (b0, _), (b1, B1), (b2, B2), (b3, B3) = rows[1]
+        (c0, _), (c1, C1), (c2, C2), (c3, C3) = rows[2]
+        (d0, _), (d1, D1), (d2, D2), (d3, D3) = rows[3]
+        for cls, n in weighted:
+            h = cls.padded_h_series(size)
+            p0, p1, p2, p3 = h[a0], h[a1] + h[A1], h[a2] + h[A2], h[a3] + h[A3]
+            q0, q1, q2, q3 = h[b0], h[b1] + h[B1], h[b2] + h[B2], h[b3] + h[B3]
+            s0, s1, s2, s3 = h[c0], h[c1] + h[C1], h[c2] + h[C2], h[c3] + h[C3]
+            t0, t1, t2, t3 = h[d0], h[d1] + h[D1], h[d2] + h[D2], h[d3] + h[D3]
+            total += n * ((p0 * q1 - p1 * q0) * (s2 * t3 - s3 * t2)
+                          - (p0 * q2 - p2 * q0) * (s1 * t3 - s3 * t1)
+                          + (p0 * q3 - p3 * q0) * (s1 * t2 - s2 * t1)
+                          + (p1 * q2 - p2 * q1) * (s0 * t3 - s3 * t0)
+                          - (p1 * q3 - p3 * q1) * (s0 * t2 - s2 * t0)
+                          + (p2 * q3 - p3 * q2) * (s0 * t1 - s1 * t0))
+    else:
+        for cls, n in weighted:
+            h = cls.padded_h_series(size)
+            total += n * bareiss([[h[a] + h[b] for a, b in row] for row in rows])[1]
+    return total
+
+
+def _jacobi_trudi_rows(hw) -> tuple[int, tuple]:
+    """(size, rows) for the determinants of _character_sum, as indices
+    into TorsionClass.padded_h_series, where h_k sits at 2g + k, so its 2g
+    leading zeros are the h_k of k < 0 (an entry reads k >= 3 - 2 l(lambda)).
+    size = 2g + lambda_1 + l(lambda) covers every index.  Row i holds one
+    index pair per entry, M_{i,j} = h[a] + h[b]; for j = 1, b = 0, a
+    leading zero.  lambda = 0 gives no rows.  Raises WeightBudgetError past
+    H_SERIES_BOUND, before building anything."""
+    lam = [part for part in hw.lam if part]
+    if not lam:
+        return 0, ()
+    length = lam[0] + len(lam)
+    if length > H_SERIES_BOUND:
+        raise WeightBudgetError(
+            f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
+    pad = 2 * hw.g
+    rows = []
+    for i, part in enumerate(lam, start=1):
+        a = pad + part - i
+        rows.append(((a + 1, 0),) + tuple((a + j, a - j + 2) for j in range(2, len(lam) + 1)))
+    return pad + length, tuple(rows)
 
 
 def _index_bound(g: int) -> int:
@@ -406,9 +516,13 @@ def elliptic_term(hw, masses: MassTable) -> Fraction:
     and only when that weight is nonzero.  A class with c = -c is weighted
     by m_c at even |lambda| and skipped at odd |lambda|, where its trace is
     zero.  The table holds these weights for both parities as integers over
-    one common denominator, its classes checked when it was made; a call is
-    one symplectic._character_sum over its parity and one Fraction."""
+    one common denominator, its classes checked when it was made; a call
+    builds hw's plan and makes one _character_sum over its parity, unless
+    that parity weights no orbit, and one Fraction."""
     if masses.genus != hw.g:
         raise ValueError(f"mass table rank {masses.genus} != weight rank {hw.g}")
     den, even, odd = masses._orbits
-    return Fraction(_character_sum(hw, odd if hw.weight % 2 else even), den)
+    weighted = odd if hw.weight % 2 else even
+    if not weighted:
+        return Fraction(0)
+    return Fraction(_character_sum(_jacobi_trudi_rows(hw), weighted), den)

@@ -3,7 +3,7 @@ the package computes another way, and the tests compare the two:
 
 * torsion characters: the Freudenthal weight system of V_lambda, expanded
   over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
-  the Jacobi-Trudi determinant of `symplectic.character_at_torsion`;
+  the Jacobi-Trudi determinant of `torsion.character_at_torsion`;
 * characteristic polynomials: P_c multiplied out one cyclotomic factor at
   a time from 1, against the products of cached powers Phi_d^m of
   `TorsionClass.characteristic_polynomial`;
@@ -56,8 +56,9 @@ from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
                          double_factorial_odd, euler_phi)
 from agcoh.spin import (ShapeVariant, _characters, _signed, hodge_diamond,
                         primitive_degrees)
-from agcoh.symplectic import HighestWeight, character_at_torsion, weyl_dimension
+from agcoh.symplectic import HighestWeight, weyl_dimension
 from agcoh.tautring import RingElement
+from agcoh.torsion import character_at_torsion
 
 
 # -- the Freudenthal weight system -----------------------------------------------
@@ -245,6 +246,13 @@ def factorwise_characteristic_polynomial(c) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def h_series(cls, n: int) -> tuple[int, ...]:
+    """h_0, ..., h_{n-1}, the coefficients of 1/P_c(z), sliced from the
+    padded series the class stores behind deg P_c leading zeros."""
+    deg = cls.degree
+    return cls.padded_h_series(deg + n)[deg:deg + n]
+
+
 def naive_elliptic_term(hw, masses) -> Fraction:
     """sum_c m_c tr(c | V_lambda) over every class of the table, with no
     use of tr(-c) = (-1)^{|lambda|} tr(c)."""
@@ -376,6 +384,11 @@ def set_enumerate_parameters(hw: HighestWeight, registry: Registry
 
 # -- closed-form spin products ---------------------------------------------------
 
+def monomial(e: int, coeff: int = 1) -> LaurentPoly:
+    """coeff * T^e in one variable."""
+    return LaurentPoly(1, {(e,): coeff})
+
+
 def nu_character(d: int) -> LaurentPoly:
     """Character of the d-dimensional irreducible SL2 representation:
     T^{d-1} + T^{d-3} + ... + T^{1-d}.
@@ -396,21 +409,21 @@ def closed_form_oracle(block: BuildingBlock, d: int) -> tuple[LaurentPoly, ...]:
         dp = (d - 1) // 2
         poly = LaurentPoly.term(1, (0,), 2 ** m)
         for j in range(1, dp + 1):
-            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m + 1)
+            poly = math.prod([monomial(-j) + monomial(j)] * (2 * m + 1), start=poly)
         return (poly,)
     if block.kind is BlockKind.EVEN_ORTHOGONAL:
         dp = (d - 1) // 2
         poly = LaurentPoly.term(1, (0,), 2 ** (m - 1))
         for j in range(1, dp + 1):
-            poly = poly * (LaurentPoly.t_power(-j) + LaurentPoly.t_power(j)) ** (2 * m)
+            poly = math.prod([monomial(-j) + monomial(j)] * (2 * m), start=poly)
         return (poly, poly)
     dp = d // 2
     prod_plus = one
     prod_minus = one
     for j in range(1, dp + 1):
-        base = LaurentPoly.t_power(2 * j - 1) + LaurentPoly.t_power(1 - 2 * j)
-        prod_plus = prod_plus * (base + 2) ** m
-        prod_minus = prod_minus * (2 - base) ** m
+        base = monomial(2 * j - 1) + monomial(1 - 2 * j)
+        prod_plus = math.prod([base + 2] * m, start=prod_plus)
+        prod_minus = math.prod([-base + 2] * m, start=prod_minus)
     return ((prod_plus + prod_minus).halve(), (prod_plus - prod_minus).halve())
 
 
@@ -437,7 +450,7 @@ def set_var_to_one(poly: LaurentPoly, var: int) -> LaurentPoly:
 
 def exponent_range(poly: LaurentPoly, var: int = 0) -> tuple[int, int]:
     """(min, max) exponent of the given variable; (0, 0) for the zero polynomial."""
-    exps = [e[var] for e in poly.support()]
+    exps = [e[var] for e, _ in poly.items()]
     return (min(exps), max(exps)) if exps else (0, 0)
 
 
@@ -603,7 +616,7 @@ def poincare_product(g: int) -> LaurentPoly:
     """prod_{k=1}^{g} (1 + T^{2k}), multiplied out as LaurentPolys."""
     result = LaurentPoly.one(1)
     for k in range(1, g + 1):
-        result = result * (LaurentPoly.one(1) + LaurentPoly.t_power(2 * k))
+        result = result * (LaurentPoly.one(1) + monomial(2 * k))
     return result
 
 

@@ -20,7 +20,7 @@ ERROR_HOMES = {
     "RegistryConflictError": "arthur",
     "RegistryIncompleteError": "arthur",
     "SignPolicyError": "spin",
-    "WeightBudgetError": "symplectic",
+    "WeightBudgetError": "torsion",
 }
 
 
@@ -29,6 +29,11 @@ def test_every_public_name_resolves_to_its_submodule():
     for name in agcoh.__all__:
         module = importlib.import_module(f"agcoh.{agcoh._MODULE_OF[name]}")
         assert getattr(agcoh, name) is getattr(module, name), name
+    # the torsion characters live beside the h-series layout they index
+    symplectic = importlib.import_module("agcoh.symplectic")
+    for name in ("character_at_torsion", "_character_sum", "H_SERIES_BOUND",
+                 "WeightBudgetError"):
+        assert not hasattr(symplectic, name), name
 
 
 def test_star_import():
@@ -86,6 +91,8 @@ def test_cli_imports_no_engine():
     (["tables", "--id", "tor2"], {"agcoh.tables", "agcoh.records"}),
     (["stable", "--space", "ag", "--max-degree", "6"], {"agcoh.tables", "agcoh.records"}),
     (["taut", "--g", "3"], {"agcoh.tautring", "agcoh.exact"}),
+    (["torsion", "--g", "2"], {"agcoh.torsion", "agcoh.exact", "agcoh.records"}),
+    (["arthur", "--g", "2"], {"agcoh.arthur", "agcoh.symplectic", "agcoh.records"}),
 ])
 def test_subcommand_imports_only_its_engines(argv, engines):
     _, added, _ = _agcoh_modules(argv)

@@ -10,6 +10,7 @@ from agcoh.spin import IHResult, ShapeReport, ShapeVariant
 from agcoh.symplectic import HighestWeight
 from agcoh.tables import Bound, ReferenceTable
 from agcoh.torsion import MassTable, TorsionClass, elliptic_term
+from oracles import h_series
 
 OO, OE, S = BlockKind.ODD_ORTHOGONAL, BlockKind.EVEN_ORTHOGONAL, BlockKind.SYMPLECTIC
 TRIVIAL = BuildingBlock(OO, (), 1, ("",), 1)
@@ -136,7 +137,7 @@ def test_torsion_class_ignores_its_stored_data():
     fresh, used = TorsionClass(((3, 1),)), TorsionClass(((3, 1),))
     used.characteristic_polynomial()
     used.negate()
-    used.h_series(6)
+    h_series(used, 6)
     assert used == fresh and hash(used) == hash(fresh) == hash((((3, 1),),))
     assert repr(used) == repr(fresh)
 
@@ -146,7 +147,7 @@ def test_highest_weight_and_mass_table_ignore_their_stored_data():
     fresh, used = MassTable(genus=1, masses={C3: 1}), MassTable(genus=1, masses={C3: 1})
     elliptic_term(used_hw, used)            # an even-parity call
     elliptic_term(HighestWeight(1, (3,)), used)     # and an odd one
-    assert "_jacobi_trudi" in vars(used_hw)
+    assert vars(used_hw) == {"g": 1, "lam": (4,)}   # a weight stores its fields alone
     assert used_hw == fresh_hw and hash(used_hw) == hash(fresh_hw) == hash((1, (4,)))
     assert repr(used_hw) == repr(fresh_hw) == "HighestWeight(g=1, lam=(4,))"
     assert used == fresh and repr(used) == repr(fresh) == \

@@ -9,8 +9,8 @@ from agcoh.exact import LaurentPoly
 from agcoh.records import Record
 from agcoh.symplectic import HighestWeight
 from test_arthur import _synthetic_registry
-from oracles import (betti_from_char, closed_form_oracle, exponent_range, nu_character,
-                     rho_psi, set_var_to_one, sparse_variant)
+from oracles import (betti_from_char, closed_form_oracle, exponent_range, monomial,
+                     nu_character, rho_psi, set_var_to_one, sparse_variant)
 
 REG = ar.Registry.builtin()
 OO, OE, S = ar.BlockKind.ODD_ORTHOGONAL, ar.BlockKind.EVEN_ORTHOGONAL, \
@@ -79,7 +79,7 @@ def test_spin_character_small_examples():
         char = set_var_to_one(full, 0)
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
-            expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
+            expected = expected * (monomial(j) + monomial(-j))
         assert char == expected
     plus, minus = sp._factor_spins(D11, 2)
     assert plus == LaurentPoly(2, {(11, 0): 1, (-11, 0): 1})
@@ -135,7 +135,7 @@ def test_line_products_halve_to_true_exponents(kind, doubled_weights, ds):
     block = ar.BuildingBlock(kind, doubled_weights, 0)
     for d in ds:
         p, q = sp._line_products(sp._weight_lines(block, d))
-        assert all(e % 2 == 0 for exps in p.support() for e in exps), d
+        assert all(e % 2 == 0 for exps, _ in p.items() for e in exps), d
         want = (p,) if kind is OO else ((p + q).halve(), (p - q).halve())
         got = tuple(char.scale_exponents(2) for char in sp._factor_spins(block, d))
         assert got == want, (doubled_weights, d)
@@ -177,7 +177,7 @@ def test_closed_form_oracle_examples():
     (poly,) = closed_form_oracle(TRIV, 9)
     expected = LaurentPoly.one(1)
     for j in range(1, 5):
-        expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
+        expected = expected * (monomial(j) + monomial(-j))
     assert poly == expected
     pair = closed_form_oracle(D11, 2)
     assert {pair[0], pair[1]} == {LaurentPoly.term(1, (0,), 2), nu_character(2)}
@@ -239,7 +239,7 @@ def test_rho_psi_principal_only_is_graded_ring():
         char = rho_psi(param)
         expected = LaurentPoly.one(1)
         for j in range(1, g + 1):
-            expected = expected * (LaurentPoly.t_power(j) + LaurentPoly.t_power(-j))
+            expected = expected * (monomial(j) + monomial(-j))
         assert set_var_to_one(char, 0) == expected
         assert exponent_range(char, 0) == (0, 0)
 
@@ -381,14 +381,14 @@ def test_vanishing_bound_attained_even_g():
 
 def test_nu_decompose_examples():
     assert t_strings(nu_character(2)) == [2]
-    p2 = (LaurentPoly.t_power(1) + LaurentPoly.t_power(-1)) * \
-        (LaurentPoly.t_power(2) + LaurentPoly.t_power(-2))
+    p2 = (monomial(1) + monomial(-1)) * \
+        (monomial(2) + monomial(-2))
     assert t_strings(p2) == [4]
-    p3 = p2 * (LaurentPoly.t_power(3) + LaurentPoly.t_power(-3))
+    p3 = p2 * (monomial(3) + monomial(-3))
     assert t_strings(p3) == [7, 1]
-    assert t_strings(LaurentPoly.zero(1)) == []
+    assert t_strings(LaurentPoly(1)) == []
     with pytest.raises(ValueError):
-        t_strings(LaurentPoly.t_power(1))          # asymmetric
+        t_strings(monomial(1))          # asymmetric
     with pytest.raises(ValueError):
         t_strings(nu_character(3) - nu_character(1))   # negative count
     assert t_strings(nu_character(4) + nu_character(1)) == [4, 1]

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from agcoh import exact, symplectic
+from agcoh import torsion
 from agcoh.exact import bareiss, euler_phi
-from agcoh.symplectic import (HighestWeight, WeightBudgetError,
-                              character_at_torsion, weyl_dimension)
-from agcoh.torsion import TorsionClass, enumerate_torsion_classes
+from agcoh.symplectic import HighestWeight, weyl_dimension
+from agcoh.torsion import (TorsionClass, WeightBudgetError, _jacobi_trudi_rows,
+                           character_at_torsion, enumerate_torsion_classes)
 from oracles import (NonIntegralCharacterError, chosen_eigenvalue_exponents,
-                     class_exponents, dominant_rep, freudenthal, oracle_character,
-                     orbit_expansion, orbit_size, weight_sum_character)
+                     class_exponents, dominant_rep, freudenthal, h_series,
+                     oracle_character, orbit_expansion, orbit_size,
+                     weight_sum_character)
 
 
 def dominant_weights(g, max_size):
@@ -99,6 +100,13 @@ def test_character_example_order_four():
 def test_character_degree_mismatch():
     with pytest.raises(ValueError):
         character_at_torsion(HighestWeight(2, (1, 0)), TorsionClass(((4, 1),)))
+    # the degree is a sum of totients: P_c of a large index (Phi_30030 has
+    # degree 5760) is never built, nor is any h-series
+    cls = TorsionClass(((30030, 1),))
+    with pytest.raises(ValueError,
+                       match="^class degree 5760 does not match group rank 2$"):
+        character_at_torsion(HighestWeight(1, (2,)), cls)
+    assert cls._charpoly is None and cls._hseries == ()
 
 
 def test_character_choice_independence():
@@ -147,7 +155,7 @@ def test_non_integral_character_detection():
 def test_h_series_bound_guard(monkeypatch):
     # the elliptic path is bounded by its h-series length lambda_1 + l(lambda),
     # not by dim V_lambda: check the guard at a small bound
-    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    monkeypatch.setattr(torsion, "H_SERIES_BOUND", 6)
     cls = TorsionClass(((1, 4),))
     assert character_at_torsion(HighestWeight(2, (4, 2)), cls) == \
         weyl_dimension(HighestWeight(2, (4, 2)))
@@ -159,21 +167,20 @@ def test_h_series_bound_guard(monkeypatch):
 
 def test_h_series_bound_raises_on_every_call(monkeypatch):
     # an over-bound weight stores nothing, so a second call checks again
-    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    monkeypatch.setattr(torsion, "H_SERIES_BOUND", 6)
     hw = HighestWeight(2, (5, 2))
     for cls in (TorsionClass(((1, 4),)), TorsionClass(((3, 1), (4, 1)))):
         for _ in range(2):
             with pytest.raises(WeightBudgetError, match="h-series bound 6"):
                 character_at_torsion(hw, cls)
-    assert "_jacobi_trudi" not in hw.__dict__
     # the degree check still comes first, on every call
     with pytest.raises(ValueError, match="does not match group rank"):
         character_at_torsion(hw, TorsionClass(((4, 1),)))
 
 
 def test_index_rows_shared_by_classes_match_fresh_weights():
-    # one weight instance serves every class of its rank, in both orders
-    # of a sweep, and gives the values of a weight built for each call
+    # one weight's characters over every class of its rank, in both orders
+    # of a sweep, equal those of a weight built for each call
     for g, lams in ((1, [(0,), (1,), (6,)]), (2, [(0, 0), (3, 1), (4, 4)]),
                     (3, [(2, 1, 1), (5, 0, 0), (3, 3, 2)])):
         classes = enumerate_torsion_classes(g)
@@ -198,11 +205,12 @@ def test_jacobi_trudi_matches_weight_sum_oracle(g, max_size):
 
 
 def _jacobi_trudi_matrix(lam, cls):
-    """M of the module docstring, l(lambda) x l(lambda), from cls.h_series."""
+    """M of the torsion module docstring, l(lambda) x l(lambda), from the
+    class's h-series."""
     lam = [part for part in lam if part]
     if not lam:
         return []
-    series = cls.h_series(lam[0] + len(lam))
+    series = h_series(cls, lam[0] + len(lam))
 
     def h(k):
         return series[k] if k >= 0 else 0
@@ -238,10 +246,11 @@ def test_character_sum_matches_weighted_bareiss(length):
             weighted = [(cls, rng.choice((0, rng.randint(-9, 9), rng.randint(-10**30, 10**30))))
                         for cls in rng.sample(classes, min(40, len(classes)))]
             want = sum(n * bareiss(_jacobi_trudi_matrix(hw.lam, cls))[1] for cls, n in weighted)
-            assert symplectic._character_sum(hw, weighted) == want, hw
-            assert symplectic._character_sum(hw, weighted[:1]) == \
+            plan = _jacobi_trudi_rows(hw)
+            assert torsion._character_sum(plan, weighted) == want, hw
+            assert torsion._character_sum(plan, weighted[:1]) == \
                 weighted[0][1] * character_at_torsion(hw, weighted[0][0])
-            assert symplectic._character_sum(hw, []) == 0
+            assert torsion._character_sum(plan, []) == 0
 
 
 def test_lengths_up_to_four_need_no_bareiss(monkeypatch):
@@ -253,7 +262,7 @@ def test_lengths_up_to_four_need_no_bareiss(monkeypatch):
 
     def refuse(rows):
         raise AssertionError("bareiss called")
-    monkeypatch.setattr(exact, "bareiss", refuse)
+    monkeypatch.setattr(torsion, "bareiss", refuse)
     for lam in lams:
         hw = HighestWeight(4, lam)
         for cls in classes:

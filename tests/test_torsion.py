@@ -11,14 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agcoh import symplectic
 from agcoh import torsion as to
 from agcoh.errors import InputError, MassTableError, WeightBudgetError
 from agcoh.exact import euler_phi, zeta_product
 from agcoh.spin import ih_betti
-from agcoh.symplectic import HighestWeight, character_at_torsion
-from oracles import (factorwise_characteristic_polynomial, naive_elliptic_term,
-                     zeta_negative, zeta_negative_product)
+from agcoh.symplectic import HighestWeight
+from agcoh.torsion import character_at_torsion
+from oracles import (factorwise_characteristic_polynomial, h_series,
+                     naive_elliptic_term, zeta_negative, zeta_negative_product)
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -230,10 +230,10 @@ def test_elliptic_term_matches_naive_sum_at_every_length():
 def test_elliptic_term_weight_budget_only_when_a_character_is_evaluated():
     table = to.load_mass_table(DEMO_MASSES / "g1.tsv", 1)
     # odd weight on a symmetric table: no orbit is weighted, so no plan
-    hw = HighestWeight(1, (symplectic.H_SERIES_BOUND + 1,))
-    assert to.elliptic_term(hw, table) == 0 and hw._jacobi_trudi is None
+    hw = HighestWeight(1, (to.H_SERIES_BOUND + 1,))
+    assert to.elliptic_term(hw, table) == 0
     # an over-bound even weight raises on every call
-    hw = HighestWeight(1, (symplectic.H_SERIES_BOUND,))
+    hw = HighestWeight(1, (to.H_SERIES_BOUND,))
     for _ in range(2):
         with pytest.raises(WeightBudgetError, match="exceeds the h-series bound"):
             to.elliptic_term(hw, table)
@@ -277,10 +277,11 @@ def test_elliptic_term_matches_naive_sum_on_lenient_tables():
 
 def test_elliptic_term_evaluates_one_character_per_weighted_orbit(monkeypatch):
     calls = []      # every class handed to the character kernel
+    kernel = to._character_sum
 
-    def counting(hw, weighted):
+    def counting(plan, weighted):
         calls.extend(c for c, _ in weighted)
-        return symplectic._character_sum(hw, weighted)
+        return kernel(plan, weighted)
 
     monkeypatch.setattr(to, "_character_sum", counting)
     rng = random.Random(11)
@@ -313,8 +314,8 @@ def test_h_series_memo_rising_then_falling():
             hw = HighestWeight(3, lam)
             fresh = to.TorsionClass.parse("1^2,3^1,4^1")
             assert character_at_torsion(hw, shared) == character_at_torsion(hw, fresh), lam
-    assert shared.h_series(5) == to.TorsionClass.parse("1^2,3^1,4^1").h_series(5)
-    assert len(shared.h_series(5)) == 5
+    assert h_series(shared, 5) == h_series(to.TorsionClass.parse("1^2,3^1,4^1"), 5)
+    assert len(h_series(shared, 5)) == 5
 
 
 def test_h_series_memo_under_threads():
@@ -470,7 +471,7 @@ def test_torsion_class_stores_its_pairs_as_a_tuple():
 
 
 def test_h_series_bound_leaves_memo_short(monkeypatch):
-    monkeypatch.setattr(symplectic, "H_SERIES_BOUND", 6)
+    monkeypatch.setattr(to, "H_SERIES_BOUND", 6)
     c = to.TorsionClass.parse("3^1,4^1")
     character_at_torsion(HighestWeight(2, (4, 2)), c)
     with pytest.raises(WeightBudgetError):
@@ -662,7 +663,7 @@ def test_parsed_tables_are_their_records_negations_and_central_defaults():
 
 def test_memo_leaves_equality_hash_and_order_alone():
     a, b = to.TorsionClass.parse("1^2,3^1"), to.TorsionClass.parse("1^2,3^1")
-    a.h_series(30)
+    h_series(a, 30)
     a.negate()
     a.characteristic_polynomial()
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
