@@ -32,6 +32,8 @@ from .errors import (InputError, MassTableError, RegistryIncompleteError,
                      SignPolicyError, WeightBudgetError)
 
 if TYPE_CHECKING:
+    from typing import Iterator
+
     from .arthur import Registry
     from .symplectic import HighestWeight
 
@@ -71,22 +73,20 @@ def _highest_weight(args) -> HighestWeight:
         raise InputError(f"--lambda: {exc}") from None
 
 
-def _data_dir() -> Path | None:
+def _data_file(name: str) -> Path | None:
+    """$AGCOH_DATA_DIR/name when the variable is set and that file exists."""
     env = os.environ.get(DATA_DIR_ENV)
-    return Path(env) if env else None
+    path = Path(env, name) if env else None
+    return path if path is not None and path.exists() else None
 
 
 def _mass_path(args) -> Path:
-    if args.masses:
-        return Path(args.masses)
-    base = _data_dir()
-    if base is not None:
-        candidate = base / "masses" / f"g{args.g}.tsv"
-        if candidate.exists():
-            return candidate
-    raise DataFileError(
-        f"no mass table: pass --masses FILE or put masses/g{args.g}.tsv "
-        f"under ${DATA_DIR_ENV}")
+    path = Path(args.masses) if args.masses else _data_file(f"masses/g{args.g}.tsv")
+    if path is None:
+        raise DataFileError(
+            f"no mass table: pass --masses FILE or put masses/g{args.g}.tsv "
+            f"under ${DATA_DIR_ENV}")
+    return path
 
 
 def _read_data_file(path, what: str, parse, errors=(ValueError, RecursionError)):
@@ -108,9 +108,7 @@ def _load_registry(args) -> Registry:
     from .arthur import Registry, ingest_cardinalities
     path = getattr(args, "registry", None)
     if path is None:
-        base = _data_dir()
-        if base is not None and (base / "registry.json").exists():
-            path = base / "registry.json"
+        path = _data_file("registry.json")
     if path is None:
         return Registry.builtin()
     return _read_data_file(path, "registry file", ingest_cardinalities)
@@ -124,10 +122,8 @@ def _load_signs(args):
         return "both"
     path = Path(mode)
     if not path.exists():
-        base = _data_dir()
-        if base is not None and (base / mode).exists():
-            path = base / mode
-        else:
+        path = _data_file(mode)
+        if path is None:
             raise DataFileError(f"sign file {mode} not found")
     mapping = _read_data_file(path, "sign file", json.load)
     if not isinstance(mapping, dict):
@@ -358,30 +354,32 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
-def _render_tsv(doc: dict) -> str:
-    result = doc["result"]
-    lines = []
+def _flat_entries(result: dict) -> Iterator[tuple[str, str | list[str]]]:
+    """(key, text) per entry of a result: a list of scalars gives its items'
+    texts as a list, a scalar its str, anything else its sorted JSON."""
     for key, value in result.items():
         if isinstance(value, list) and all(not isinstance(x, (dict, list)) for x in value):
-            for i, x in enumerate(value):
-                lines.append(f"{key}[{i}]\t{x}")
+            yield key, [str(x) for x in value]
         elif isinstance(value, (str, int, float, bool)) or value is None:
-            lines.append(f"{key}\t{value}")
+            yield key, str(value)
         else:
-            lines.append(f"{key}\t{json.dumps(value, sort_keys=True)}")
+            yield key, json.dumps(value, sort_keys=True)
+
+
+def _render_tsv(doc: dict) -> str:
+    lines = []
+    for key, text in _flat_entries(doc["result"]):
+        if isinstance(text, list):    # one line per item, none for an empty list
+            lines.extend(f"{key}[{i}]\t{x}" for i, x in enumerate(text))
+        else:
+            lines.append(f"{key}\t{text}")
     return "\n".join(lines) + "\n"
 
 
 def _render_latex(doc: dict) -> str:
-    result = doc["result"]
     rows = []
-    for key, value in result.items():
-        if isinstance(value, list) and all(not isinstance(x, (dict, list)) for x in value):
-            rendered = ", ".join(str(x) for x in value)
-        elif isinstance(value, (str, int, float, bool)) or value is None:
-            rendered = str(value)
-        else:
-            rendered = json.dumps(value, sort_keys=True)
+    for key, text in _flat_entries(doc["result"]):
+        rendered = ", ".join(text) if isinstance(text, list) else text
         key_tex = key.replace("_", r"\_")
         rows.append(f"{key_tex} & {rendered} \\\\")
     return ("\\begin{tabular}{ll}\n" + "\n".join(rows) + "\n\\end{tabular}\n")

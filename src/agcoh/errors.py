@@ -7,7 +7,9 @@ them without importing any engine; each engine module re-exports its own
 
 
 class InputError(ValueError):
-    """Outside input (a command-line value or an argument) was refused."""
+    """Outside input (a command-line value or an argument) was refused, or
+    work past a bound ("work bound: ..."): the normal-form memo, class
+    listing and stable series.  The command exits 2, type `usage`."""
 
 
 class MassTableError(ValueError):
@@ -27,4 +29,5 @@ class SignPolicyError(ValueError):
 
 
 class WeightBudgetError(RuntimeError):
-    """The requested computation exceeds the configured resource bound."""
+    """An h-series past torsion.H_SERIES_BOUND, the one bound that raises
+    this and not InputError; exit 2, type `usage`."""

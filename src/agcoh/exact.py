@@ -4,8 +4,10 @@ elimination.
 
 It owns the closed forms the engines share: the Hirzebruch-Mumford product
 zeta(-1) ... zeta(1-2g) (zeta_product) and the partition counts behind
-prod_{k<=g} (1 + T^{2k}) (strict_partition_counts).  Values keep their exact
-type: `int` where integral, Laurent coefficients included, and
+prod_{k<=g} (1 + T^{2k}) (strict_partition_counts), the one dense integer
+polynomial product (poly_mul) and the one scaling of rationals to integer
+numerators over the lcm of their denominators (lcm_numerators).  Values keep
+their exact type: `int` where integral, Laurent coefficients included, and
 `fractions.Fraction` (always reduced, positive denominator) for the
 Bernoulli and zeta values.  Everything in this module is immutable after
 construction and all operations are pure, so values can be shared freely
@@ -20,6 +22,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Mapping
 
 # `fractions` (and the `decimal` it loads) is imported inside the functions
 # that build a Fraction, bernoulli and zeta_product, so engines that never touch
@@ -69,6 +72,14 @@ def zeta_product(g: int) -> Fraction:
     num = math.prod(b.numerator for b in bs)
     den = math.prod(2 * j * b.denominator for j, b in enumerate(bs, start=1))
     return Fraction(-num if g % 2 else num, den)
+
+
+def lcm_numerators(values: Mapping[object, int | Fraction]) -> tuple[list, int]:
+    """([(key, numerator over L)], L) for a mapping of rationals, L the lcm
+    of their denominators (1 for an empty mapping).  Reads only .numerator
+    and .denominator, so an int or a Fraction will do and nothing is imported."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return [(k, v.numerator * (den // v.denominator)) for k, v in values.items()], den
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,11 +39,11 @@ S = 1 a factor's spin data depends only on its type (kind, weight count,
 d): the characters of each type's first factor, summed over S into dense
 T-lists, each flagged when it has no monomial with a nonzero S exponent,
 are kept once per process.  One loop forms each sign prefix's product once
-per call: over the T-lists (convolved) for the graded dimensions, torus
-strings and primitive degrees of the variants, checked once and then kept
-per (factor types, signs), and over the two-variable characters when Hodge
-data is asked for.  A parameter's sign vectors and weight runs are checked
-on every call.
+per call: over the T-lists (dense integer products, exact.poly_mul) for
+the graded dimensions, torus strings and primitive degrees of the
+variants, checked once and then kept per (factor types, signs), and over
+the two-variable characters when Hodge data is asked for.  A parameter's
+sign vectors and weight runs are checked on every call.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 from .arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                      check_kind_d, enumerate_parameters)
 from .errors import SignPolicyError
-from .exact import LaurentPoly
+from .exact import LaurentPoly, poly_mul
 from .records import Record
 from .symplectic import HighestWeight
 
@@ -161,19 +161,6 @@ def _at_s_one(char: LaurentPoly) -> tuple[list[int], bool]:
     for (_, t), c in terms:
         t_list[k + t] += c
     return t_list, not any(s for (s, _), _ in terms)
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two centered T-lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(a)
-    for i, c in enumerate(b):
-        if c:
-            part = a if c == 1 else [c * x for x in a]
-            out[i:i + width] = [x + y for x, y in zip(out[i:i + width], part)]
-    return out
 
 
 def _signed(param: ArthurParameter, signs: Sequence[str | None]) -> tuple[str, ...]:
@@ -313,13 +300,14 @@ class IHResult(Record):
     warnings: tuple[str, ...]
 
 
-def _betti_data(t_list: list[int], genus: int
+def _betti_data(t_list: Sequence[int], genus: int
                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(betti, nu, primitive) of a variant from its centered T-list: the
     graded dimensions are its coefficients of T^-n .. T^n, n = g(g+1)/2.
     A nonzero coefficient beyond T^(+-n) (it never wraps round) or a
     negative dimension is an AssertionError; a list that is not a genuine
     torus character is a ValueError (_t_strings)."""
+    t_list = list(t_list)    # a product is poly_mul's tuple; _t_strings pads lists
     n = genus * (genus + 1) // 2
     extra = len(t_list) // 2 - n
     if extra > 0:
@@ -345,15 +333,17 @@ def _betti_variants(types: tuple[_FactorType, ...], checked: Sequence[tuple[str,
                     ) -> list[ShapeVariant]:
     """The variants, without Hodge data, of the checked sign vectors of a
     parameter with these (block, d) pairs, principal first, and types; only
-    the misses of _VARIANTS are built and checked.  The S-trivial flag is
-    the AND of the factors': every factor character has nonnegative
-    coefficients and is self-dual under (a, b) -> (-a, -b), so no product
-    cancels a monomial with a nonzero S exponent."""
+    the misses of _VARIANTS are built and checked.  T-lists end in nonzero
+    values, so their poly_mul products, trimmed of trailing zeros, stay
+    centered.  The S-trivial flag is the AND of the factors': every factor
+    character has nonnegative coefficients and is self-dual under
+    (a, b) -> (-a, -b), so no product cancels a monomial with a nonzero S
+    exponent."""
     misses = [signs for signs in checked if (types, signs) not in _VARIANTS]
     if misses:
         (first,), *halves = (_type_t_lists(ftype, *pair) for ftype, pair in zip(types, pairs))
         for signs, (t_list, s_trivial) in _signed_products(
-                first, halves, misses, lambda a, b: (_convolve(a[0], b[0]), a[1] and b[1])):
+                first, halves, misses, lambda a, b: (poly_mul(a[0], b[0]), a[1] and b[1])):
             if sum(t_list) != 2 ** (genus - len(signs)):
                 raise AssertionError("assembled character has the wrong dimension")
             _VARIANTS[types, signs] = ShapeVariant(signs, *_betti_data(t_list, genus),

@@ -29,8 +29,9 @@ explicit stack, so no rewrite chain is too deep; when a memo's entries plus
 the keys waiting on its stack would pass _MEMO_BOUND, InputError ("work bound").
 
 The structure constants are integers; only RingElement carries Fraction
-coefficients.  A product scales each operand to integer numerators by the lcm
-of its denominators, accumulates ints, and divides once per output coefficient.
+coefficients.  A product scales each operand to integer numerators over the
+lcm of its denominators (exact.lcm_numerators, the kernel MassTable shares),
+accumulates ints, and divides once per output coefficient.
 
 R_g/(u_g) = R_{g-1} is checked on generators: the projection that drops
 every basis monomial containing u_g is a ring map onto R_{g-1} once it
@@ -39,12 +40,11 @@ respects each product u_i * u_S, and then its kernel is the ideal (u_g).
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .exact import LaurentPoly, bareiss, strict_partition_counts
+from .exact import LaurentPoly, bareiss, lcm_numerators, strict_partition_counts
 
 ExponentVector = tuple[int, ...]
 
@@ -191,13 +191,6 @@ def _check_exps(g: int, exps) -> ExponentVector:
     return exps
 
 
-def _numerators(coeffs: Mapping[int, Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """The coefficients as (mask, integer numerator) over one common
-    denominator, the lcm of theirs."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()], den
-
-
 class RingElement:
     """Element of R_g: Fraction coefficients on square-free basis monomials,
     keyed by subset bitmask.  Products run on integer numerators over a
@@ -272,8 +265,8 @@ class RingElement:
         self._check(other)
         g, ring = self.g, _ring(self.g)
         top, full = ring.top, ring.full
-        left, d1 = _numerators(self._coeffs)
-        right, d2 = _numerators(other._coeffs)
+        left, d1 = lcm_numerators(self._coeffs)
+        right, d2 = lcm_numerators(other._coeffs)
         right = [(m2, c2, *ring[m2]) for m2, c2 in right]
         acc: dict[int, int] = {}
         for m1, c1 in left:

@@ -57,14 +57,14 @@ symmetric table no odd-weight character is evaluated at all.  A MassTable
 is plain data: when it is made it copies the masses it is given, refuses
 any class of the wrong degree, and in one walk over the classes stores the
 nonzero orbit weights of both parities as integer numerators over one
-denominator, the lcm of all its masses' denominators, so elliptic_term
-adds ints and no Fraction and sets nothing on the table.  Each class
-stores its negation (and a new -c stores c as its own, so the partners a
-parsed table holds, zero-filled and central ones included, are linked both
-ways and the orbit walk builds no class), its characteristic polynomial
-(one product per pair of cached cyclotomic powers, exact.cyclotomic_power),
-and its padded h-series.  So a sweep builds each series once, and a call
-builds one plan for one _character_sum.
+denominator, the lcm of all its masses' denominators (exact.lcm_numerators),
+so elliptic_term adds ints and no Fraction and sets nothing on the table.
+Each class stores its negation (and a new -c stores c as its own, so the
+partners a parsed table holds, zero-filled and central ones included, are
+linked both ways and the orbit walk builds no class) and its padded
+h-series, whose growth alone forms P_c from cached cyclotomic powers.  So
+a sweep builds each series once, and a call builds one plan for one
+_character_sum.
 
 parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
@@ -76,7 +76,6 @@ listed: enumeration fails on a work bound and a strict parse names no class.
 from __future__ import annotations
 
 import io
-import math
 import re
 from fractions import Fraction
 from functools import reduce
@@ -84,8 +83,8 @@ from operator import mul
 from typing import Iterable
 
 from .errors import InputError, MassTableError, WeightBudgetError
-from .exact import (bareiss, cyclotomic_power, euler_phi, negate_cyclotomic_index,
-                    poly_mul, zeta_product)
+from .exact import (bareiss, cyclotomic_power, euler_phi, lcm_numerators,
+                    negate_cyclotomic_index, poly_mul, zeta_product)
 from .records import Record
 
 
@@ -105,7 +104,7 @@ class TorsionClass(Record):
 
     pairs: tuple[tuple[int, int], ...]
     # caches, not fields; object.__setattr__ stores them without building __dict__
-    _negation = _charpoly = None
+    _negation = None
     _hseries = ()
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
@@ -154,9 +153,9 @@ class TorsionClass(Record):
             raise MassTableError(f"invalid class {text!r}: {exc}") from exc
 
     def negate(self) -> "TorsionClass":
-        """-c, computed once per instance and stored like _charpoly; a
-        negation-fixed class returns itself.  A new -c stores this instance
-        as its own negation, so -(-c) is c and builds nothing."""
+        """-c, computed once per instance and stored beside the fields like
+        _hseries; a negation-fixed class returns itself.  A new -c stores
+        this instance as its own negation, so -(-c) is c and builds nothing."""
         neg = self._negation
         if neg is None:
             pairs = tuple(sorted((negate_cyclotomic_index(d), m) for d, m in self.pairs))
@@ -176,15 +175,11 @@ class TorsionClass(Record):
     def characteristic_polynomial(self) -> tuple[int, ...]:
         """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
         constant term.  It is self-reciprocal with constant term 1, so it is
-        also det(1 - z c).  Computed once per instance, one product per pair
-        after the first, from the cached powers exact.cyclotomic_power."""
-        poly = self._charpoly
-        if poly is None:
-            powers = [cyclotomic_power(d, m) for d, m in self.pairs]
-            poly = reduce(poly_mul, powers) if powers else (1,)
-            # stored beside the fields, so equality, hashing and order ignore it
-            object.__setattr__(self, "_charpoly", poly)
-        return poly
+        also det(1 - z c).  Each call forms one product per pair after the
+        first, from the cached powers exact.cyclotomic_power; padded_h_series
+        asks for it only when it extends a series."""
+        powers = [cyclotomic_power(d, m) for d, m in self.pairs]
+        return reduce(poly_mul, powers) if powers else (1,)
 
     def padded_h_series(self, size: int) -> tuple[int, ...]:
         """The stored series: deg P_c zeros, then h_0, h_1, ... (so entry i
@@ -215,9 +210,10 @@ class TorsionClass(Record):
 def character_at_torsion(hw, cls: TorsionClass) -> int:
     """Exact trace of a torsion class on V_lambda, hw a
     symplectic.HighestWeight: _character_sum of the one class.  Every call
-    checks the class degree, a sum of totients, against the rank before it
-    builds anything (ValueError), then raises WeightBudgetError past
-    H_SERIES_BOUND."""
+    checks the class against the rank before it builds anything
+    (ValueError), its largest index (_check_index) before its degree, a sum
+    of totients, and then raises WeightBudgetError past H_SERIES_BOUND."""
+    _check_index(cls, hw.g, ValueError)
     if cls.degree != 2 * hw.g:
         raise ValueError(
             f"class degree {cls.degree} does not match group rank {2 * hw.g}")
@@ -376,8 +372,8 @@ class MassTable(Record):
         super().__init__(genus, masses, provenance, warnings)
         # not a field: (L, even, odd), L the lcm of the masses' denominators and
         # at each parity of |lambda| the orbits c with n_c / L = m_c +- m_{-c} != 0
-        den = math.lcm(*(m.denominator for m in masses.values()))
-        nums = {c: m.numerator * (den // m.denominator) for c, m in masses.items()}
+        numerators, den = lcm_numerators(masses)
+        nums = dict(numerators)
         even, odd = [], []
         for c, n in nums.items():
             _check_rank(c, genus)
@@ -405,13 +401,20 @@ class MassTable(Record):
         return sum(self.masses.values(), Fraction(0))
 
 
+def _check_index(c: TorsionClass, g: int, error: type[ValueError]) -> None:
+    """error unless c's largest cyclotomic index fits in rank g
+    (_index_bound), checked before any totient is computed."""
+    if c.pairs and c.pairs[-1][0] > _index_bound(g):
+        raise error(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
+                    f"{_index_bound(g)}, so its degree exceeds {2 * g}")
+
+
 def _check_rank(c: TorsionClass, g: int) -> None:
     """MassTableError unless c has degree 2g.  An index too large for rank g
-    is refused before its totient is computed.  Called once per record by
-    parse_mass_table and once per class when a MassTable is made."""
-    if c.pairs and c.pairs[-1][0] > _index_bound(g):
-        raise MassTableError(f"class {c} has cyclotomic index {c.pairs[-1][0]} > "
-                             f"{_index_bound(g)}, so its degree exceeds {2 * g}")
+    is refused before its totient is computed (_check_index).  Called once
+    per record by parse_mass_table and once per class when a MassTable is
+    made."""
+    _check_index(c, g, MassTableError)
     if c.degree != 2 * g:
         raise MassTableError(f"class {c} has degree {c.degree}, expected {2 * g}")
 

@@ -25,8 +25,8 @@ the package computes another way, and the tests compare the two:
 * IH sign variants: specialize the two-variable character of
   `spin._characters` at S = 1 to a sparse one-variable LaurentPoly
   (`set_var_to_one`), decompose it into torus strings by a dict walk and
-  read the graded dimensions with `coeff_list`, against the convolved
-  factor-type T-lists of `spin._betti_variants`;
+  read the graded dimensions with `coeff_list`, against the `poly_mul`
+  products of the factor-type T-lists in `spin._betti_variants`;
 * the tautological ring: the straightforward rewrite recursion and its
   linear extension to formal polynomials, a product that accumulates
   Fraction coefficients, and the all-pairs check of R_g/(u_g) = R_{g-1},

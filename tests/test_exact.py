@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -233,6 +234,35 @@ def test_laurent_results_match_naive_dicts(polys, k, scale):
     for poly, expected in cases:
         assert dict(poly.items()) == expected
         assert all(type(c) is int and c != 0 for _, c in poly.items())
+
+
+def _dense(poly: LaurentPoly) -> tuple[int, ...]:
+    """Coefficients of T^0 .. T^top of a one-variable polynomial, top its
+    largest exponent (() for zero)."""
+    top = max((e for (e,), _ in poly.items()), default=-1)
+    return tuple(poly.coeff(e) for e in range(top + 1))
+
+
+def test_poly_mul_matches_the_laurent_product():
+    # poly_mul is the one dense integer product (cyclotomic powers and IH
+    # T-lists): pin it against the sparse product on seeded tuples with
+    # interior and trailing zeros, unit coefficients and a big entry
+    rng = random.Random(32)
+    pool = (0, 0, 0, 1, 1, 1, -1, 2, -3, 10**20)
+    samples = [(), (0,), (1,), (1, 0, 1), (0, 1, 0, 2, 0, 1, 0)] + [
+        tuple(rng.choice(pool) for _ in range(rng.randint(1, 14))) for _ in range(200)]
+    sparse = lambda a: LaurentPoly(1, {(i,): c for i, c in enumerate(a)})
+    for _ in range(400):
+        a, b = rng.choice(samples), rng.choice(samples)
+        assert poly_mul(a, b) == _dense(sparse(a) * sparse(b)), (a, b)
+
+
+def test_lcm_numerators_on_ints_and_fractions():
+    assert exact.lcm_numerators({}) == ([], 1)
+    assert exact.lcm_numerators({"a": 3, "b": -2}) == ([("a", 3), ("b", -2)], 1)
+    pairs, den = exact.lcm_numerators({1: Fraction(1, 6), 2: Fraction(-3, 4), 3: 2})
+    assert den == 12 and pairs == [(1, 2), (2, -9), (3, 24)]
+    assert all(type(n) is int for _, n in pairs)
 
 
 def test_laurent_poly_is_immutable():

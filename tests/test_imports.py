@@ -93,6 +93,11 @@ def test_cli_imports_no_engine():
     (["taut", "--g", "3"], {"agcoh.tautring", "agcoh.exact"}),
     (["torsion", "--g", "2"], {"agcoh.torsion", "agcoh.exact", "agcoh.records"}),
     (["arthur", "--g", "2"], {"agcoh.arthur", "agcoh.symplectic", "agcoh.records"}),
+    (["ih", "--g", "2"], {"agcoh.arthur", "agcoh.exact", "agcoh.records", "agcoh.spin",
+                          "agcoh.symplectic"}),
+    (["euler", "--g", "1", "--lambda", "2",
+      "--masses", str(ROOT / "demos" / "data" / "masses" / "g1.tsv")],
+     {"agcoh.exact", "agcoh.records", "agcoh.symplectic", "agcoh.torsion"}),
 ])
 def test_subcommand_imports_only_its_engines(argv, engines):
     _, added, _ = _agcoh_modules(argv)

@@ -307,8 +307,8 @@ def test_sign_prefixes_are_shared(monkeypatch):
     for name in ("_FACTOR_SPINS", "_TYPE_T_LISTS", "_VARIANTS"):
         monkeypatch.setattr(sp, name, {})
     calls = []
-    convolve = sp._convolve
-    monkeypatch.setattr(sp, "_convolve", lambda a, b: calls.append("T") or convolve(a, b))
+    poly_mul = sp.poly_mul
+    monkeypatch.setattr(sp, "poly_mul", lambda a, b: calls.append("T") or poly_mul(a, b))
     assert [v.signs for v in sp._betti_variants(types, checked, 10, pairs)] == checked
     assert calls == ["T"] * 14
     calls.clear()

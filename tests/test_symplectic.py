@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,13 +101,24 @@ def test_character_example_order_four():
 def test_character_degree_mismatch():
     with pytest.raises(ValueError):
         character_at_torsion(HighestWeight(2, (1, 0)), TorsionClass(((4, 1),)))
-    # the degree is a sum of totients: P_c of a large index (Phi_30030 has
-    # degree 5760) is never built, nor is any h-series
+    # an index past 2(2g)^2 is refused before any totient: 30030 at g = 1,
+    # and 10**14 + 31, whose totient would trial-divide up to 10**7
     cls = TorsionClass(((30030, 1),))
-    with pytest.raises(ValueError,
-                       match="^class degree 5760 does not match group rank 2$"):
+    with pytest.raises(ValueError, match=r"^class 30030\^1 has cyclotomic index "
+                                         r"30030 > 8, so its degree exceeds 2$"):
         character_at_torsion(HighestWeight(1, (2,)), cls)
-    assert cls._charpoly is None and cls._hseries == ()
+    huge = TorsionClass(((10**14 + 31, 1),))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"cyclotomic index 100000000000031 > 8,"):
+        character_at_torsion(HighestWeight(1, (2,)), huge)
+    assert time.perf_counter() - start < 0.1 and huge._hseries == ()
+    # inside the bound (30,752 at g = 62) the degree is a sum of totients:
+    # P_c of a large index (Phi_30030 has degree 5760) is never built, nor is
+    # any h-series
+    with pytest.raises(ValueError,
+                       match="^class degree 5760 does not match group rank 124$"):
+        character_at_torsion(HighestWeight(62, (2,) + (0,) * 61), cls)
+    assert cls._hseries == ()
 
 
 def test_character_choice_independence():
