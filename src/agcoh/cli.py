@@ -9,8 +9,8 @@ stdout (--help prints plain-text help instead):
 with deterministic key order, so identical inputs give byte-identical
 output.  TSV and LaTeX renderings are lossy projections of the same result.
 Errors are structured JSON on stderr; the exception's type decides the exit
-code: 2 for input checked and refused (InputError, WeightBudgetError), 3 for
-data files (DataFileError, MassTableError, SignPolicyError), 4 for
+code: 2 for input refused or past a work bound (InputError), 3 for data
+files (DataFileError, MassTableError, SignPolicyError), 4 for
 RegistryIncompleteError, 5 for any other exception (a bug, never the input).
 
 Data files can live in a directory named by AGCOH_DATA_DIR (masses/g{N}.tsv,
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 # Only the exceptions are imported here: each subcommand imports the engines
 # it runs, so a call pays for nothing else.
 from .errors import (InputError, MassTableError, RegistryIncompleteError,
-                     SignPolicyError, WeightBudgetError)
+                     SignPolicyError)
 
 if TYPE_CHECKING:
     from typing import Iterator
@@ -106,16 +106,13 @@ def _read_data_file(path, what: str, parse, errors=(ValueError, RecursionError))
 
 def _load_registry(args) -> Registry:
     from .arthur import Registry, ingest_cardinalities
-    path = getattr(args, "registry", None)
-    if path is None:
-        path = _data_file("registry.json")
+    path = args.registry or _data_file("registry.json")
     if path is None:
         return Registry.builtin()
     return _read_data_file(path, "registry file", ingest_cardinalities)
 
 
-def _load_signs(args):
-    mode = getattr(args, "signs", "default") or "default"
+def _load_signs(mode: str):
     if mode == "default":
         return "bundled"
     if mode == "both":
@@ -241,7 +238,7 @@ def _cmd_ih(args):
     g = args.g
     hw = _highest_weight(args)
     registry = _load_registry(args)
-    signs = _load_signs(args)
+    signs = _load_signs(args.signs)
     result = spin.ih_betti(hw, registry, signs=signs, include_hodge=args.hodge)
     per_shape = []
     for report in result.per_shape:
@@ -306,27 +303,34 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+def _nonempty(text: str) -> str:
+    """A flag value given explicitly: empty is refused, never read as absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 _G = ("--g", {"type": int, "required": True})
 _LAMBDA = ("--lambda", {"dest": "lam", "default": None})
-_REGISTRY = ("--registry", {"default": None})
+_REGISTRY = ("--registry", {"type": _nonempty})
 
 #: name -> (function, help, arguments after --format as (flag, keywords))
 _SUBCOMMANDS = {
     "taut": (_cmd_taut, "tautological ring dimensions", [_G]),
     "intersect": (_cmd_intersect, "top intersection numbers", [
-        _G, ("--exponents", {"default": None,
+        _G, ("--exponents", {"type": _nonempty,
                              "help": "comma-separated exponent vector n_1,...,n_g"})]),
     "modforms": (_cmd_modforms, "modular form dimension asymptotics", [_G]),
     "torsion": (_cmd_torsion, "torsion conjugacy classes",
                 [_G, ("--mod-negation", {"action": "store_true"})]),
     "euler": (_cmd_euler, "elliptic term / Euler characteristic", [
-        _G, _LAMBDA, ("--masses", {"default": None}),
+        _G, _LAMBDA, ("--masses", {"type": _nonempty}),
         ("--lenient", {"action": "store_true",
                        "help": "zero-fill missing masses instead of failing"})]),
     "arthur": (_cmd_arthur, "enumerate discrete parameters", [_G, _LAMBDA, _REGISTRY]),
     "ih": (_cmd_ih, "intersection cohomology of the minimal compactification", [
         _G, _LAMBDA, _REGISTRY,
-        ("--signs", {"default": "default",
+        ("--signs", {"type": _nonempty, "default": "default",
                      "help": "default | both | path to a JSON sign file"}),
         ("--hodge", {"action": "store_true"})]),
     "tables": (_cmd_tables, "published reference tables", [("--id", {"required": True})]),
@@ -435,7 +439,7 @@ def run(argv) -> tuple[int, str, str]:
             return EXIT_OK, json.dumps(doc, indent=2) + "\n", ""
     except _HelpRequested as req:
         return EXIT_OK, req.args[0], ""
-    except (InputError, WeightBudgetError) as exc:
+    except InputError as exc:
         return _error(EXIT_USAGE, "usage", exc)
     except (DataFileError, MassTableError) as exc:
         return _error(EXIT_DATA, "data", exc)

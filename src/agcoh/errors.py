@@ -1,4 +1,4 @@
-"""The six exceptions the `agcoh` command maps to exit codes.
+"""The five exceptions the `agcoh` command maps to exit codes.
 
 They live apart from the engines that raise them, so the command can name
 them without importing any engine; each engine module re-exports its own
@@ -9,7 +9,7 @@ them without importing any engine; each engine module re-exports its own
 class InputError(ValueError):
     """Outside input (a command-line value or an argument) was refused, or
     work past a bound ("work bound: ..."): the normal-form memo, class
-    listing and stable series.  The command exits 2, type `usage`."""
+    listing, stable series and h-series.  The command exits 2, type `usage`."""
 
 
 class MassTableError(ValueError):
@@ -27,7 +27,3 @@ class RegistryIncompleteError(LookupError):
 class SignPolicyError(ValueError):
     """A half-spin sign is needed but not provided by the active policy."""
 
-
-class WeightBudgetError(RuntimeError):
-    """An h-series past torsion.H_SERIES_BOUND, the one bound that raises
-    this and not InputError; exit 2, type `usage`."""

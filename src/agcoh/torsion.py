@@ -29,12 +29,12 @@ zeros, the h_k of negative k (TorsionClass.padded_h_series), so the
 characters of one class over a range of lambda share one series.  The plan
 of a weight, _jacobi_trudi_rows, is the index of every entry of M in that
 padded layout; it depends on lambda alone and refuses a series longer than
-H_SERIES_BOUND.  The kernel _character_sum sums weighted characters over
-many classes for one plan, reading each class's series once into closed
-forms up to 4x4 on index locals (ad - bc, the cofactor expansion, the
-Laplace expansion over the 2x2 minors of the first two rows) and, from 5x5
-up, fraction-free Bareiss elimination with row pivoting (zero pivots occur
-at torsion points), all in integers.  The tests check the determinant
+H_SERIES_BOUND with a "work bound" InputError.  The kernel _character_sum
+sums weighted characters over many classes for one plan, reading each
+class's series once into closed forms up to 4x4 on index locals (ad - bc,
+the cofactor expansion, the Laplace expansion over the 2x2 minors of the
+first two rows) and, from 5x5 up, fraction-free Bareiss elimination with
+row pivoting (zero pivots occur at torsion points), all in integers.  The tests check the determinant
 against an independent oracle: the Freudenthal weight system of V_lambda,
 evaluated as a weight sum in Z[x]/Phi_N.
 
@@ -70,28 +70,33 @@ parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
 count_torsion_classes(g) classes of enumerate_torsion_classes, so a table
 whose keys reach that count is complete, and the set is enumerated only to
-name or zero-fill what is missing.  Past _CLASS_BOUND classes nothing is
-listed: enumeration fails on a work bound and a strict parse names no class.
+name or zero-fill what is missing.  Past _LISTED_RANK, the last rank with
+at most _CLASS_BOUND classes (counts never decrease in g), nothing is
+listed: enumeration fails on a work bound before it counts, and a strict
+parse names no class.
 """
 from __future__ import annotations
 
-import io
 import re
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import Iterable
 
-from .errors import InputError, MassTableError, WeightBudgetError
+from .errors import InputError, MassTableError
 from .exact import (bareiss, cyclotomic_power, euler_phi, lcm_numerators,
                     negate_cyclotomic_index, poly_mul, zeta_product)
 from .records import Record
 
 
-_ENC_RE = re.compile(r"^\d+\^\d+(,\d+\^\d+)*$")
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# ASCII digits only: \d and int() take any Unicode digit, and int() takes "_"
+_ENC_RE = re.compile(r"[0-9]+\^[0-9]+(,[0-9]+\^[0-9]+)*")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_GENUS_RE = re.compile(r"[0-9]+")
 #: the most classes enumerate_torsion_classes lists (g = 13 has 141,877, g = 14 259,373)
 _CLASS_BOUND = 200_000
+#: the last rank with at most _CLASS_BOUND classes; class counts never decrease in g
+_LISTED_RANK = 13
 # Guard for the characters at torsion: the longest h-series (lambda_1 +
 # l(lambda) terms) computed per class.  Far above every weight of interest,
 # while a series this long still costs at most tens of milliseconds per class.
@@ -144,7 +149,7 @@ class TorsionClass(Record):
 
     @classmethod
     def parse(cls, text: str) -> "TorsionClass":
-        if not _ENC_RE.match(text):
+        if not _ENC_RE.fullmatch(text):
             raise MassTableError(f"invalid class encoding {text!r}")
         try:   # int() refuses a number past the digit limit with a ValueError
             pairs = [tuple(map(int, chunk.split("^"))) for chunk in text.split(",")]
@@ -212,7 +217,7 @@ def character_at_torsion(hw, cls: TorsionClass) -> int:
     symplectic.HighestWeight: _character_sum of the one class.  Every call
     checks the class against the rank before it builds anything
     (ValueError), its largest index (_check_index) before its degree, a sum
-    of totients, and then raises WeightBudgetError past H_SERIES_BOUND."""
+    of totients, and then raises InputError past H_SERIES_BOUND."""
     _check_index(cls, hw.g, ValueError)
     if cls.degree != 2 * hw.g:
         raise ValueError(
@@ -277,15 +282,15 @@ def _jacobi_trudi_rows(hw) -> tuple[int, tuple]:
     leading zeros are the h_k of k < 0 (an entry reads k >= 3 - 2 l(lambda)).
     size = 2g + lambda_1 + l(lambda) covers every index.  Row i holds one
     index pair per entry, M_{i,j} = h[a] + h[b]; for j = 1, b = 0, a
-    leading zero.  lambda = 0 gives no rows.  Raises WeightBudgetError past
-    H_SERIES_BOUND, before building anything."""
+    leading zero.  lambda = 0 gives no rows.  Raises a "work bound"
+    InputError past H_SERIES_BOUND, before building anything."""
     lam = [part for part in hw.lam if part]
     if not lam:
         return 0, ()
     length = lam[0] + len(lam)
     if length > H_SERIES_BOUND:
-        raise WeightBudgetError(
-            f"lambda_1 + l(lambda) = {length} exceeds the h-series bound {H_SERIES_BOUND}")
+        raise InputError(f"work bound: lambda_1 + l(lambda) = {length} exceeds "
+                         f"the h-series bound {H_SERIES_BOUND}")
     pad = 2 * hw.g
     rows = []
     for i, part in enumerate(lam, start=1):
@@ -323,10 +328,11 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
     """All torsion classes of rank g: multisets of cyclotomic indices with
     total degree 2g and even multiplicity of the indices 1 and 2.  With
     mod_negation, one representative per negation orbit (the representative
-    with the lexicographically smallest encoding).  InputError past _CLASS_BOUND."""
-    count = count_torsion_classes(g)
-    if count > _CLASS_BOUND:
-        raise InputError(f"work bound: rank {g} has {count} torsion classes, too many to list")
+    with the lexicographically smallest encoding).  InputError past
+    _LISTED_RANK, before anything is counted or listed."""
+    if g > _LISTED_RANK:
+        raise InputError(f"work bound: rank {g} has more than {_CLASS_BOUND} "
+                         "torsion classes, too many to list")
     budget = 2 * g
     indices = _cyclotomic_indices(g)
     out: list[TorsionClass] = []
@@ -432,76 +438,69 @@ def _parse_fraction(text: str) -> Fraction:
 def parse_mass_table(stream: Iterable[str] | str, g: int, strict: bool = True,
                      provenance: str = "") -> MassTable:
     """Parse a TSV mass table: a required `genus: N` header, `#` comments,
-    then one record `class<TAB>p/q` per negation orbit.  The table is
+    then one record `class<TAB>p/q` per negation orbit, in ASCII digits,
     expanded to the full class set by m_{-c} = m_c; the central classes
-    1^{2g} and 2^{2g} default to exact.zeta_product(g) when omitted.  A mass
-    is p or p/q.  Each record's class is checked against the rank first
-    (_check_rank), then against the table built so far for a duplicate
-    orbit.  Completeness is a count (count_torsion_classes); the class set
-    is listed only when the count falls short.  In strict mode every class
-    must be covered, and the error names the first missing class in
-    enumeration order; lenient mode zero-fills each missing orbit, its
-    representative and that class's negation, and records a warning.  Every
-    class is stored beside its negation, linked both ways, so making the
-    MassTable builds no class."""
+    1^{2g} and 2^{2g} default to exact.zeta_product(g).  One pass, so the
+    first fault in file order is reported: the header is compared with g
+    where it stands, and each record is parsed, checked against the rank
+    (_check_rank) and for a duplicate orbit, and stored with its negation as
+    it is read.  Strict mode requires every class (a count), naming the
+    first missing one when g <= _LISTED_RANK; lenient mode zero-fills each
+    missing orbit and records a warning."""
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = [ln.rstrip("\n") for ln in stream]
-    records: list[tuple[TorsionClass, Fraction]] = []
-    genus_header: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
+        stream = stream.split("\n")
+    masses: dict[TorsionClass, Fraction] = {}
+    genus: int | None = None
+    for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("genus:"):
-            if genus_header is not None:
+            if genus is not None:
                 raise MassTableError(f"line {lineno}: duplicate genus header")
-            try:
-                genus_header = int(line.split(":", 1)[1].strip())
+            value = line[len("genus:"):].strip()
+            try:    # int() refuses a number past the digit limit with a ValueError
+                if not _GENUS_RE.fullmatch(value):
+                    raise ValueError(value)
+                genus = int(value)
             except ValueError as exc:
                 raise MassTableError(f"line {lineno}: bad genus header") from exc
+            if genus != g:
+                raise MassTableError(f"genus header {genus} does not match requested {g}")
             continue
-        if genus_header is None:
+        if genus is None:
             raise MassTableError(f"line {lineno}: missing `genus:` header before records")
         if "\t" not in raw:
             raise MassTableError(f"line {lineno}: expected `class<TAB>mass`")
         enc, mass_text = raw.split("\t", 1)
         c = TorsionClass.parse(enc.strip())
-        records.append((c, _parse_fraction(mass_text.strip())))
-    if genus_header is None:
-        raise MassTableError("missing `genus:` header")
-    if genus_header != g:
-        raise MassTableError(f"genus header {genus_header} does not match requested {g}")
-
-    masses: dict[TorsionClass, Fraction] = {}
-    for c, mass in records:
+        mass = _parse_fraction(mass_text.strip())
         _check_rank(c, g)
         if c in masses:                     # a record set c and -c alike
             raise MassTableError(
                 f"duplicate mass for class {c} (orbit {c.orbit_representative()})")
-        masses[c] = mass
-        masses[c.negate()] = mass
+        masses[c] = masses[c.negate()] = mass
+    if genus is None:
+        raise MassTableError("missing `genus:` header")
 
-    warnings: list[str] = []
     one = TorsionClass(((1, 2 * g),))
     for central in (one, one.negate()):     # 1^{2g} and 2^{2g}, linked
         if central not in masses:
             masses[central] = zeta_product(g)
-
     # every key passed TorsionClass validation and _check_rank, so it is one
     # of the counted classes: the table is complete when the counts agree
-    count = count_torsion_classes(g)
-    missing = count - len(masses)
-    if missing:
-        if strict:      # names a missing class only if the set may be listed
-            first = "" if count > _CLASS_BOUND else ", e.g. " + str(
-                next(c for c in enumerate_torsion_classes(g) if c not in masses))
-            raise MassTableError(f"mass table incomplete: {missing} classes missing{first}")
-        for rep in enumerate_torsion_classes(g, mod_negation=True):
-            if rep not in masses:           # nor -rep: keys come in orbits
-                masses[rep] = masses[rep.negate()] = Fraction(0)
-        warnings.append(f"{missing} classes missing from mass table, treated as zero")
-    return MassTable(g, masses, provenance, tuple(warnings))
+    missing = count_torsion_classes(g) - len(masses)
+    if not missing:
+        return MassTable(g, masses, provenance)
+    if strict:          # names a missing class only if the set may be listed
+        first = "" if g > _LISTED_RANK else ", e.g. " + str(
+            next(c for c in enumerate_torsion_classes(g) if c not in masses))
+        raise MassTableError(f"mass table incomplete: {missing} classes missing{first}")
+    for rep in enumerate_torsion_classes(g, mod_negation=True):
+        if rep not in masses:           # nor -rep: keys come in orbits
+            masses[rep] = masses[rep.negate()] = Fraction(0)
+    warning = f"{missing} classes missing from mass table, treated as zero"
+    return MassTable(g, masses, provenance, (warning,))
 
 
 def load_mass_table(path, g: int) -> MassTable:

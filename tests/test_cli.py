@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -180,10 +181,12 @@ def test_exit_code_usage():
     code, _, err = run(["stable", "--space", "universal", "--max-degree", "4"])
     assert code == EXIT_USAGE
     # past the h-series bound of the elliptic path: refused before any work
-    code, _, err = run(["euler", "--g", "1", "--lambda", "20000",
-                        "--masses", str(DEMO_MASSES / "g1.tsv")])
-    assert code == EXIT_USAGE
-    assert "h-series bound" in json.loads(err)["error"]["message"]
+    code, out, err = run(["euler", "--g", "1", "--lambda", "20000",
+                          "--masses", str(DEMO_MASSES / "g1.tsv")])
+    assert (code, out) == (EXIT_USAGE, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and error["message"].startswith("work bound:")
+    assert "h-series bound" in error["message"]
     # one check refuses a nonpositive genus for every subcommand with --g,
     # before any engine runs
     for command in ("taut", "intersect", "modforms", "torsion", "euler", "arthur", "ih"):
@@ -378,10 +381,11 @@ def test_torsion_class_work_bound(tmp_path, monkeypatch):
     # rank 3 has 59 classes: past the bound, listing them is refused (exit 2)
     # and a strict parse reports the missing count without naming a class
     from agcoh import torsion
+    monkeypatch.setattr(torsion, "_LISTED_RANK", 2)
     monkeypatch.setattr(torsion, "_CLASS_BOUND", 19)
     header_only = tmp_path / "g3.tsv"
     header_only.write_text("genus: 3\n")
-    message = "work bound: rank 3 has 59 torsion classes, too many to list"
+    message = "work bound: rank 3 has more than 19 torsion classes, too many to list"
     for argv in (["torsion", "--g", "3"], ["torsion", "--g", "3", "--mod-negation"],
                  ["euler", "--g", "3", "--masses", str(header_only), "--lenient"]):
         code, out, err = run(argv)
@@ -392,6 +396,56 @@ def test_torsion_class_work_bound(tmp_path, monkeypatch):
     assert json.loads(err)["error"]["message"].endswith(
         ": mass table incomplete: 57 classes missing")
     assert run_ok(["torsion", "--g", "2"])["result"]["count"] == 19
+
+
+def test_torsion_listing_refused_by_rank_at_once():
+    # the rank is compared with the last listed rank before anything is counted
+    # (counting the classes of rank 1000 alone would take minutes)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for flags in ([], ["--mod-negation"]):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "agcoh.cli", "torsion", "--g", "1000000"]
+                              + flags, capture_output=True, text=True, env=env, timeout=5)
+        assert time.perf_counter() - start < 0.5
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "usage",
+            "message": "work bound: rank 1000000 has more than 200000 torsion classes, "
+                       "too many to list"}
+
+
+@pytest.mark.parametrize("text", ["genus: \u0661\n\u0663^1\t\u0661/3\n", "genus: 0_1\n",
+                                  "genus: 1\n\uff13^1\t\uff11/3\n", "genus: +1\n"])
+def test_euler_mass_files_take_ascii_digits_only(tmp_path, text):
+    path = tmp_path / "g1.tsv"
+    path.write_text(text, encoding="utf-8")
+    for lenient in ([], ["--lenient"]):
+        code, out, err = run(["euler", "--g", "1", "--masses", str(path)] + lenient)
+        assert (code, out) == (EXIT_DATA, "")
+        assert json.loads(err)["error"]["message"].startswith(f"bad mass table {path}: ")
+
+
+@pytest.mark.parametrize("with_data_dir", [False, True])
+@pytest.mark.parametrize("argv, flag", [
+    (["intersect", "--g", "2", "--exponents", ""], "--exponents"),
+    (["euler", "--g", "1", "--masses", ""], "--masses"),
+    (["ih", "--g", "2", "--signs", ""], "--signs"),
+    (["arthur", "--g", "2", "--registry", ""], "--registry"),
+])
+def test_explicit_empty_value_is_refused(monkeypatch, tmp_path, argv, flag, with_data_dir):
+    # an empty value is not an absent flag: it neither falls back to the
+    # data directory or the bundled data nor is silently dropped
+    if with_data_dir:
+        (tmp_path / "masses").mkdir()
+        (tmp_path / "masses" / "g1.tsv").write_text((DEMO_MASSES / "g1.tsv").read_text())
+        (tmp_path / "registry.json").write_text("[]")
+        monkeypatch.setenv("AGCOH_DATA_DIR", str(tmp_path))
+    else:
+        monkeypatch.delenv("AGCOH_DATA_DIR", raising=False)
+    code, out, err = run(argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    error = json.loads(err)["error"]
+    assert error == {"type": "usage", "message": f"argument {flag}: must not be empty"}
 
 
 def test_exact_values_past_int_digit_limit():

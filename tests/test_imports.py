@@ -20,7 +20,6 @@ ERROR_HOMES = {
     "RegistryConflictError": "arthur",
     "RegistryIncompleteError": "arthur",
     "SignPolicyError": "spin",
-    "WeightBudgetError": "torsion",
 }
 
 
@@ -31,8 +30,7 @@ def test_every_public_name_resolves_to_its_submodule():
         assert getattr(agcoh, name) is getattr(module, name), name
     # the torsion characters live beside the h-series layout they index
     symplectic = importlib.import_module("agcoh.symplectic")
-    for name in ("character_at_torsion", "_character_sum", "H_SERIES_BOUND",
-                 "WeightBudgetError"):
+    for name in ("character_at_torsion", "_character_sum", "H_SERIES_BOUND"):
         assert not hasattr(symplectic, name), name
 
 

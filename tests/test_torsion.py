@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agcoh import torsion as to
-from agcoh.errors import InputError, MassTableError, WeightBudgetError
+from agcoh.errors import InputError, MassTableError
 from agcoh.exact import euler_phi, zeta_product
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight
@@ -125,6 +125,68 @@ def test_parse_mass_table_errors():
         to.parse_mass_table("genus: 1\n", 1)                     # incomplete, strict
 
 
+@pytest.mark.parametrize("text", [
+    "genus: \u0661\n",                       # ARABIC-INDIC DIGIT ONE
+    "genus: 0_1\n",                           # int() reads "0_1" as 1
+    "genus: +1\n",
+    "genus: 1" + "0" * 5000 + "\n",           # past the digit limit
+])
+def test_genus_header_takes_ascii_digits_only(text):
+    with pytest.raises(MassTableError) as info:
+        to.parse_mass_table(text, 1, strict=False)
+    assert str(info.value) == "line 1: bad genus header"
+
+
+def test_records_take_ascii_digits_only():
+    for record, message in (("\uff13^1\t1/3", "invalid class encoding"),    # FULLWIDTH 3
+                            ("3^1\t\uff11/3", "invalid rational"),
+                            ("3^\u0661\t1", "invalid class encoding")):
+        with pytest.raises(MassTableError, match=message):
+            to.parse_mass_table(f"genus: 1\n{record}\n", 1, strict=False)
+    # the whole text must match: `$` alone admits a trailing newline
+    with pytest.raises(MassTableError, match="invalid class encoding"):
+        to.TorsionClass.parse("3^1\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    # the header is compared with g where it stands
+    ("genus: 2\n3^1\tx\n", "genus header 2 does not match requested 1"),
+    ("genus: 2\ngenus: 1\n", "genus header 2 does not match requested 1"),
+    # a record's rank is checked as its line is read
+    ("genus: 1\n3^2\t1\n3^1\t1/0\n", "class 3^2 has degree 4, expected 2"),
+    ("genus: 1\n3^2\t1\nno tab\n", "class 3^2 has degree 4, expected 2"),
+    ("genus: 1\n3^1\t1\n3^1\t1\ngenus: 1\n", "duplicate mass for class 3^1 (orbit 3^1)"),
+    ("genus: 1\n3^1\tx\n3^2\t1\n", "invalid rational 'x': expected p or p/q"),
+])
+def test_parse_mass_table_reports_the_first_fault_in_file_order(text, message):
+    for strict in (True, False):
+        with pytest.raises(MassTableError) as info:
+            to.parse_mass_table(text, 1, strict=strict)
+        assert str(info.value) == message
+
+
+def test_parse_mass_table_reads_its_input_once():
+    # lines are checked as they are read: a fault stops the read there
+    def lines(*head):
+        yield from head
+        raise AssertionError("read past the first fault")
+
+    for head, message in ((["genus: 2\n"], "genus header 2"),
+                          (["genus: 1\n", "3^2\t1\n"], "has degree 4"),
+                          (["genus: 1\n", "3^1\t1\n", "6^1\t1\n"], "duplicate mass")):
+        with pytest.raises(MassTableError, match=message):
+            to.parse_mass_table(lines(*head), 1)
+    table = to.parse_mass_table(iter(["genus: 1\n", "3^1\t1/3\n", "4^1\t1/2\n"]), 1)
+    assert len(table.masses) == 5
+
+
+def test_listed_rank_is_the_last_rank_within_the_class_bound():
+    counts = [to.count_torsion_classes(g) for g in range(1, 17)]
+    assert counts == sorted(counts)         # adding two eigenvalues 1 embeds rank g in g + 1
+    assert counts[to._LISTED_RANK - 1] <= to._CLASS_BOUND < counts[to._LISTED_RANK]
+    assert counts[12:14] == [141_877, 259_373]
+
+
 def test_parse_mass_table_lenient():
     table = to.parse_mass_table("genus: 1\n", 1, strict=False)
     assert table.warnings == ("3 classes missing from mass table, treated as zero",)
@@ -235,20 +297,29 @@ def test_elliptic_term_weight_budget_only_when_a_character_is_evaluated():
     # an over-bound even weight raises on every call
     hw = HighestWeight(1, (to.H_SERIES_BOUND,))
     for _ in range(2):
-        with pytest.raises(WeightBudgetError, match="exceeds the h-series bound"):
+        with pytest.raises(InputError, match="^work bound: .* exceeds the h-series bound"):
             to.elliptic_term(hw, table)
 
 
+def _bound_classes(monkeypatch, rank, count):
+    monkeypatch.setattr(to, "_LISTED_RANK", rank)
+    monkeypatch.setattr(to, "_CLASS_BOUND", count)
+
+
 def test_class_listing_work_bound(monkeypatch):
-    # ranks 2 and 3 have 19 and 59 classes; past the bound nothing is listed
-    monkeypatch.setattr(to, "_CLASS_BOUND", 19)
+    # ranks 2 and 3 have 19 and 59 classes; past the bound nothing is
+    # counted or listed
+    _bound_classes(monkeypatch, 2, 19)
     assert len(to.enumerate_torsion_classes(2)) == 19
     monkeypatch.setattr(to, "TorsionClass", None)   # any listing would fail
+    monkeypatch.setattr(to, "count_torsion_classes", None)      # and any count
     for mod_negation in (False, True):
-        with pytest.raises(InputError, match="^work bound: rank 3 has 59 torsion classes"):
+        with pytest.raises(InputError) as info:
             to.enumerate_torsion_classes(3, mod_negation=mod_negation)
+        assert str(info.value) == \
+            "work bound: rank 3 has more than 19 torsion classes, too many to list"
     monkeypatch.undo()
-    monkeypatch.setattr(to, "_CLASS_BOUND", 19)
+    _bound_classes(monkeypatch, 2, 19)
     # strict parsing reports the missing count and names no class; lenient
     # parsing would have to list the orbits to zero-fill them
     with pytest.raises(MassTableError) as info:
@@ -256,7 +327,7 @@ def test_class_listing_work_bound(monkeypatch):
     assert str(info.value) == "mass table incomplete: 57 classes missing"
     with pytest.raises(InputError, match="^work bound"):
         to.parse_mass_table("genus: 3\n", 3, strict=False)
-    monkeypatch.setattr(to, "_CLASS_BOUND", 59)     # at the bound a class is named
+    _bound_classes(monkeypatch, 3, 59)              # at the bound a class is named
     with pytest.raises(MassTableError, match=r"57 classes missing, e\.g\. "):
         to.parse_mass_table("genus: 3\n", 3)
 
@@ -474,7 +545,7 @@ def test_h_series_bound_leaves_memo_short(monkeypatch):
     monkeypatch.setattr(to, "H_SERIES_BOUND", 6)
     c = to.TorsionClass.parse("3^1,4^1")
     character_at_torsion(HighestWeight(2, (4, 2)), c)
-    with pytest.raises(WeightBudgetError):
+    with pytest.raises(InputError, match="h-series bound"):
         character_at_torsion(HighestWeight(2, (9, 0)), c)
     # the stored series holds deg P_c = 4 leading zeros, then the h-terms
     assert len(c.__dict__["_hseries"]) - c.degree <= 6
