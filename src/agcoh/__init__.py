@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "exact": ("LaurentPoly", "bernoulli", "cyclotomic", "negate_cyclotomic_index"),
-    "tautring": ("RingElement", "poincare_polynomial", "quotient_by_top"),
-    "proportionality": ("PiScaledRational", "compact_dual_degree",
-                        "lambda1_power", "lambda_intersection",
+    "tautring": ("RingElement", "compact_dual_degree", "poincare_polynomial",
+                 "quotient_by_top"),
+    "proportionality": ("PiScaledRational", "lambda1_power", "lambda_intersection",
                         "modular_form_asymptotics", "siegel_volume"),
     "symplectic": ("HighestWeight", "weyl_dimension"),
     "torsion": ("MassTable", "TorsionClass", "character_at_torsion", "elliptic_term",

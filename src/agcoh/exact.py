@@ -9,15 +9,14 @@ polynomial product (poly_mul) and the one scaling of rationals to integer
 numerators over the lcm of their denominators (lcm_numerators).  Values keep
 their exact type: `int` where integral, Laurent coefficients included, and
 `fractions.Fraction` (always reduced, positive denominator) for the
-Bernoulli and zeta values.  Everything in this module is immutable after
-construction and all operations are pure, so values can be shared freely
-between threads.
+Bernoulli and zeta values.  The module keeps no state but the lru_caches of
+pure functions, and every value is immutable, so values can be shared
+freely between threads.
 """
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -26,52 +25,50 @@ if TYPE_CHECKING:
 
 # `fractions` (and the `decimal` it loads) is imported inside the functions
 # that build a Fraction, bernoulli and zeta_product, so engines that never touch
-# a rational load neither.  The first bernoulli call seeds the cache with B_0.
-_bernoulli_cache: dict[int, Fraction] = {}
-_tangent_column: list[int] = []  # column m of the tangent-number triangle ends in T_m
-_bernoulli_lock = threading.Lock()
+# a rational load neither.
+
+
+def _tangent_numbers(k: int) -> list[int]:
+    """[T_1, ..., T_k], the tangent numbers tan x = sum T_j x^(2j-1) / (2j-1)!,
+    from one pass of the integer triangle of Brent & Harvey (2013): O(k^2)
+    int operations."""
+    t = [0, 1] + [0] * (k - 1)
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for j in range(2, k + 1):
+        for i in range(j, k + 1):
+            t[i] = (i - j) * t[i - 1] + (i - j + 2) * t[i]
+    return t[1:k + 1]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n in the convention x/(e^x - 1) = sum B_k x^k / k!.
 
     So B_1 = -1/2, B_n = 0 for odd n >= 3, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
-    from the tangent numbers, whose integer triangle (Brent & Harvey 2013) grows in
-    place one column per T_k: O(n^2) int operations in all.  Memoized per process.
-    """
+    from the tangent number T_k (_tangent_numbers): O(n^2) int operations."""
     from fractions import Fraction
     if n < 0:
         raise ValueError("bernoulli index must be nonnegative")
-    with _bernoulli_lock:
-        if not _bernoulli_cache:
-            _bernoulli_cache[0] = Fraction(1)
-        if n in _bernoulli_cache:
-            return _bernoulli_cache[n]
-        top = max(_bernoulli_cache) + 1
-        column = _tangent_column
-        if not column or len(column) > (top + 1) // 2:  # past the first T_k needed
-            column[:] = [1]
-        for m in range(top, n + 1):
-            k = m // 2
-            while len(column) < k:  # the next column, from the last
-                j = len(column)
-                column.append(0)
-                column[0] *= j
-                for i in range(1, j + 1):
-                    column[i] = (j - i) * column[i] + (j + 2 - i) * column[i - 1]
-            _bernoulli_cache[m] = Fraction(-1 if m == 1 else 0, 2) if m % 2 else \
-                Fraction((-1) ** (k - 1) * 2 * k * column[-1], 4 ** k * (4 ** k - 1))
-        return _bernoulli_cache[n]
+    if n == 0:
+        return Fraction(1)
+    if n % 2:
+        return Fraction(-1 if n == 1 else 0, 2)
+    k = n // 2
+    return Fraction((-1) ** (k - 1) * n * _tangent_numbers(k)[-1], 4 ** k * (4 ** k - 1))
 
 
 def zeta_product(g: int) -> Fraction:
-    """prod_{j=1}^{g} zeta(1-2j) = prod_j -B_{2j}/(2j), as one Fraction of
-    two integer products (1 for g = 0)."""
+    """prod_{j=1}^{g} zeta(1-2j) (1 for g = 0).  As zeta(1-2j) = -B_{2j}/(2j)
+    = (-1)^j T_j / (4^j (4^j - 1)), it is one Fraction of two integer
+    products over one _tangent_numbers pass, each factor reduced first so
+    that the last gcd is small."""
     from fractions import Fraction
-    bs = [bernoulli(2 * j) for j in range(1, g + 1)]
-    num = math.prod(b.numerator for b in bs)
-    den = math.prod(2 * j * b.denominator for j, b in enumerate(bs, start=1))
-    return Fraction(-num if g % 2 else num, den)
+    num = den = 1
+    for j, t in enumerate(_tangent_numbers(g), start=1):
+        q = 4 ** j * (4 ** j - 1)
+        r = math.gcd(t, q)
+        num, den = num * (t // r), den * (q // r)
+    return Fraction(-num if g * (g + 1) // 2 % 2 else num, den)
 
 
 def lcm_numerators(values: Mapping[object, int | Fraction]) -> tuple[list, int]:
@@ -82,23 +79,29 @@ def lcm_numerators(values: Mapping[object, int | Fraction]) -> tuple[list, int]:
     return [(k, v.numerator * (den // v.denominator)) for k, v in values.items()], den
 
 
+def _prime_factors(d: int) -> list[int]:
+    """The distinct primes dividing d >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        primes.append(d)
+    return primes
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     """Euler totient phi(d)."""
     if d < 1:
         raise ValueError("euler_phi expects a positive integer")
-    result = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    for p in _prime_factors(d):
+        d -= d // p
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -124,38 +127,32 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact division of integer polynomials; the divisor must be monic."""
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be a monic integer polynomial")
-    rem = list(num)
-    deg_d = len(den) - 1
-    quo = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(rem) - 1, deg_d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quo[i - deg_d] = c
-        for j, cd in enumerate(den):
-            rem[i - deg_d + j] -= c * cd
-    return poly_trim(quo), poly_trim(rem)
-
-
-@functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> tuple[int, ...]:
-    """Phi_d as dense integer coefficients from the constant term, by exact
-    division of x^d - 1 by the Phi_e with e | d, e < d."""
+    """Phi_d as dense integer coefficients from the constant term.  Phi_1 =
+    x - 1; for d >= 2, Phi_d = prod_{e | d} (1 - x^e)^{mu(d/e)} as a power
+    series cut at degree phi(d): a factor 1 - x^e is one running difference,
+    a factor 1/(1 - x^e) one running sum along each residue class mod e, and
+    a factor with e > phi(d) leaves the kept degrees alone."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = poly_trim([-1] + [0] * (d - 1) + [1])
-    for e in range(1, d):
-        if d % e == 0:
-            poly, rem = poly_divmod(poly, cyclotomic(e))
-            if rem:
-                raise AssertionError(f"x^{d} - 1 not divisible by Phi_{e}")
-    if len(poly) - 1 != euler_phi(d) or poly[-1] != 1:
-        raise AssertionError(f"Phi_{d} failed the degree/monic sanity check")
-    return poly
+    if d == 1:
+        return (-1, 1)
+    primes, top = _prime_factors(d), euler_phi(d)
+    coeffs = [1] + [0] * top
+    for mask in range(1 << len(primes)):  # d/e the product of the primes in mask
+        e, mu = d, 1
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e, mu = e // p, -mu
+        if e > top:
+            continue
+        if mu > 0:
+            for n in range(top, e - 1, -1):
+                coeffs[n] -= coeffs[n - e]
+        else:
+            for n in range(e, top + 1):
+                coeffs[n] += coeffs[n - e]
+    return tuple(coeffs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,10 +17,9 @@ import functools
 import math
 from fractions import Fraction
 
-from . import tautring
-from .errors import InputError
 from .exact import double_factorial_odd, zeta_product
 from .records import Record
+from .tautring import compact_dual_degree
 
 
 class PiScaledRational(Record):
@@ -33,28 +32,6 @@ class PiScaledRational(Record):
         if self.pi_exponent == 0:
             return str(self.rational)
         return f"({self.rational})*pi^{self.pi_exponent}"
-
-
-def compact_dual_degree(g: int, exponents) -> int:
-    """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
-    that the socle u_1 ... u_g has degree 1.  Always a nonnegative integer.
-    The exponents are ints, never truncated (TypeError), of top degree
-    (InputError); this is their one check, so the socle memo is read
-    directly rather than through tautring.monomial."""
-    exponents = tuple(exponents)
-    if any(type(n) is not int for n in exponents):
-        raise TypeError(f"exponents must be integers, got {exponents!r}")
-    if len(exponents) != g or any(n < 0 for n in exponents):
-        raise InputError(f"need {g} nonnegative exponents, got {exponents}")
-    total = sum(i * n for i, n in enumerate(exponents, start=1))
-    if total != g * (g + 1) // 2:
-        raise InputError(
-            f"not a top-degree monomial: sum i*n_i = {total} != {g * (g + 1) // 2}")
-    ring = tautring._ring(g)
-    value = ring.socle_value(ring.pack(exponents))
-    if value < 0:
-        raise AssertionError(f"compact dual degree came out negative: {value}")
-    return value
 
 
 @functools.lru_cache(maxsize=None)

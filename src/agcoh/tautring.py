@@ -182,12 +182,13 @@ def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int]
 
 
 def _check_exps(g: int, exps) -> ExponentVector:
+    """exps as a tuple of g nonnegative ints, in one pass: TypeError for an
+    entry that is not an int (a bool included), else InputError."""
     exps = tuple(exps)
-    # a good vector costs one pass: every lambda integral is checked here
     if len(exps) != g or any(type(e) is not int or e < 0 for e in exps):
         if any(type(e) is not int for e in exps):
             raise TypeError(f"exponents must be integers, got {exps!r}")
-        raise ValueError(f"bad exponent vector {exps} for genus {g}")
+        raise InputError(f"need {g} nonnegative exponents, got {exps}")
     return exps
 
 
@@ -325,6 +326,22 @@ def socle(g: int) -> RingElement:
 def monomial(g: int, exps: ExponentVector) -> RingElement:
     """Normal form of the single monomial u_1^{e_1} ... u_g^{e_g}."""
     return RingElement(g, dict(_normal_form_monomial(g, _check_exps(g, exps))))
+
+
+def compact_dual_degree(g: int, exponents) -> int:
+    """Degree of u_1^{n_1} ... u_g^{n_g} on the compact dual, normalized so
+    that the socle u_1 ... u_g has degree 1: the socle memo's entry for a
+    top-degree vector (else InputError), a nonnegative integer."""
+    exponents = _check_exps(g, exponents)
+    total = sum(i * n for i, n in enumerate(exponents, start=1))
+    if total != g * (g + 1) // 2:
+        raise InputError(
+            f"not a top-degree monomial: sum i*n_i = {total} != {g * (g + 1) // 2}")
+    ring = _ring(g)
+    value = ring.socle_value(ring.pack(exponents))
+    if value < 0:
+        raise AssertionError(f"compact dual degree came out negative: {value}")
+    return value
 
 
 def poincare_polynomial(g: int) -> LaurentPoly:

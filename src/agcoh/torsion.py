@@ -362,7 +362,8 @@ class MassTable(Record):
     """Masses m_c for the full torsion class set of one rank, copied when the
     table is made, and the weighted orbits elliptic_term reads.  Every mass
     is an int or a Fraction (TypeError, a bool included) and every class has
-    degree 2 * genus (_check_rank, MassTableError)."""
+    degree 2 * genus (_check_rank, MassTableError), checked once per negation
+    orbit, as c and -c have the same degree."""
 
     genus: int
     masses: dict[TorsionClass, Fraction]
@@ -382,12 +383,12 @@ class MassTable(Record):
         nums = dict(numerators)
         even, odd = [], []
         for c, n in nums.items():
-            _check_rank(c, genus)
             neg = c.negate()
+            if neg.pairs < c.pairs and neg in nums:
+                continue                    # counted, and checked, with its partner -c
+            _check_rank(c, genus)
             if neg is c:
                 plus, minus = n, 0          # tr(c) = tr(-c) = -tr(c) at odd |lambda|
-            elif neg.pairs < c.pairs and neg in nums:
-                continue                    # counted with its partner -c
             else:
                 m = nums.get(neg, 0)
                 plus, minus = n + m, n - m
@@ -418,8 +419,8 @@ def _check_index(c: TorsionClass, g: int, error: type[ValueError]) -> None:
 def _check_rank(c: TorsionClass, g: int) -> None:
     """MassTableError unless c has degree 2g.  An index too large for rank g
     is refused before its totient is computed (_check_index).  Called once
-    per record by parse_mass_table and once per class when a MassTable is
-    made."""
+    per record by parse_mass_table and once per negation orbit of the table
+    when a MassTable is made."""
     _check_index(c, g, MassTableError)
     if c.degree != 2 * g:
         raise MassTableError(f"class {c} has degree {c.degree}, expected {2 * g}")

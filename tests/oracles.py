@@ -7,6 +7,9 @@ the package computes another way, and the tests compare the two:
 * characteristic polynomials: P_c multiplied out one cyclotomic factor at
   a time from 1, against the products of cached powers Phi_d^m of
   `TorsionClass.characteristic_polynomial`;
+* cyclotomic polynomials: x^d - 1 divided by the Phi_e of the proper
+  divisors e by long division (`poly_divmod`), against the Moebius product
+  of `exact.cyclotomic`;
 * the elliptic term: one character per class of the table, c and -c alike,
   summed as Fractions, against the negation-orbit pairing of
   `torsion.elliptic_term`;
@@ -39,10 +42,11 @@ the package computes another way, and the tests compare the two:
 * the closed forms `exact` and `proportionality` build from integer
   products, by their textbook products of Fractions and LaurentPolys: the
   g-fold product prod (1 + T^{2k}) for the Poincare polynomial, the
-  zeta(1-2j) = -B_{2j}/(2j) values (`zeta_negative`) and their product for
-  the central mass, the sign, power of 2 and zeta
-  terms of lambda_1^N, and the per-term B_{2j} product of the Siegel volume
-  and the modular-form asymptotics.
+  Bernoulli numbers by their recurrence (`bernoulli_recurrence`) against
+  the tangent numbers of `exact.bernoulli`, the zeta(1-2j) = -B_{2j}/(2j)
+  values they give (`zeta_negative`) and their product for the central
+  mass, the sign, power of 2 and zeta terms of lambda_1^N, and the per-term
+  B_{2j} product of the Siegel volume and the modular-form asymptotics.
 """
 import functools
 import itertools
@@ -52,8 +56,8 @@ from fractions import Fraction
 from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
                           check_kind_d)
 from agcoh.errors import RegistryIncompleteError
-from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
-                         double_factorial_odd, euler_phi)
+from agcoh.exact import (LaurentPoly, bareiss, cyclotomic, double_factorial_odd, euler_phi,
+                         poly_trim)
 from agcoh.spin import (ShapeVariant, _characters, _signed, hodge_diamond,
                         primitive_degrees)
 from agcoh.symplectic import HighestWeight, weyl_dimension
@@ -244,6 +248,24 @@ def factorwise_characteristic_polynomial(c) -> tuple[int, ...]:
                     out[i + j] += a * b
             poly = out
     return tuple(poly)
+
+
+def poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of integer polynomials by long division, dense
+    from the constant term; the divisor must be monic."""
+    if not den or den[-1] != 1:
+        raise ValueError("divisor must be a monic integer polynomial")
+    rem = list(num)
+    deg_d = len(den) - 1
+    quo = [0] * max(len(num) - deg_d, 0)
+    for i in range(len(rem) - 1, deg_d - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        quo[i - deg_d] = c
+        for j, cd in enumerate(den):
+            rem[i - deg_d + j] -= c * cd
+    return poly_trim(quo), poly_trim(rem)
 
 
 def h_series(cls, n: int) -> tuple[int, ...]:
@@ -602,14 +624,20 @@ def quotient_by_top_all_pairs(g: int) -> dict[int, int]:
 
 # -- closed forms as textbook products -------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def bernoulli_recurrence(m: int) -> Fraction:
+    """B_m from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for
+    B_m in Fraction over every index, odd ones included; memoized, so a
+    table is built once however it is asked for."""
+    if m == 0:
+        return Fraction(1)
+    acc = sum((math.comb(m + 1, k) * bernoulli_recurrence(k) for k in range(m)), Fraction(0))
+    return -acc / (m + 1)
+
+
 def bernoulli_table(n: int) -> list[Fraction]:
-    """B_0, ..., B_n from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0,
-    solved for B_m in Fraction over every index, odd ones included."""
-    table = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = sum((math.comb(m + 1, k) * table[k] for k in range(m)), Fraction(0))
-        table.append(-acc / (m + 1))
-    return table
+    """B_0, ..., B_n by the recurrence (bernoulli_recurrence)."""
+    return [bernoulli_recurrence(m) for m in range(n + 1)]
 
 
 def poincare_product(g: int) -> LaurentPoly:
@@ -624,7 +652,7 @@ def zeta_negative(j: int) -> Fraction:
     """zeta(1 - 2j) = -B_{2j} / (2j) for j >= 1."""
     if j < 1:
         raise ValueError("zeta_negative expects j >= 1 (returns zeta(1-2j))")
-    return -bernoulli(2 * j) / (2 * j)
+    return -bernoulli_recurrence(2 * j) / (2 * j)
 
 
 def zeta_negative_product(g: int) -> Fraction:
@@ -646,4 +674,5 @@ def lambda1_power_closed_form(g: int) -> Fraction:
 def bernoulli_factor(g: int) -> Fraction:
     """prod_{j=1}^{g} ((j-1)!/(2j)!) (-1)^{j-1} B_{2j}, term by term."""
     return math.prod((Fraction((-1) ** (j - 1) * math.factorial(j - 1), math.factorial(2 * j))
-                      * bernoulli(2 * j) for j in range(1, g + 1)), start=Fraction(1))
+                      * bernoulli_recurrence(2 * j) for j in range(1, g + 1)),
+                     start=Fraction(1))

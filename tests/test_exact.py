@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from agcoh import exact
 from agcoh.exact import (LaurentPoly, bareiss, bernoulli, cyclotomic,
-                         euler_phi, negate_cyclotomic_index, poly_divmod, poly_mul)
+                         euler_phi, negate_cyclotomic_index, poly_mul)
 from agcoh.torsion import _character_sum
-from oracles import bernoulli_table, monomial, nu_character, set_var_to_one, zeta_negative
+from oracles import (bernoulli_table, monomial, nu_character, poly_divmod, set_var_to_one,
+                     zeta_negative)
 
 
 def test_bernoulli_examples():
@@ -22,19 +23,11 @@ def test_bernoulli_examples():
     assert bernoulli(12) == Fraction(-691, 2730)
 
 
-def test_bernoulli_matches_recurrence_to_400(monkeypatch):
-    # ascending from empty memos; from B_0..B_40 cached but no column kept;
-    # and descending from B_0 alone while the column is already at T_200,
-    # so it must restart
+def test_bernoulli_matches_recurrence_to_400():
+    # each value comes from its own tangent pass, so the order of the calls
+    # cannot matter: ascending and descending give the same table
     table = bernoulli_table(400)
-    monkeypatch.setattr(exact, "_bernoulli_cache", {})
-    monkeypatch.setattr(exact, "_tangent_column", [])
     assert [bernoulli(n) for n in range(401)] == table
-    monkeypatch.setattr(exact, "_bernoulli_cache", dict(enumerate(table[:41])))
-    monkeypatch.setattr(exact, "_tangent_column", [])
-    assert bernoulli(400) == table[400]
-    assert exact._bernoulli_cache == dict(enumerate(table))
-    monkeypatch.setattr(exact, "_bernoulli_cache", {0: table[0]})
     assert [bernoulli(n) for n in range(400, -1, -1)] == table[::-1]
 
 
@@ -46,9 +39,8 @@ def test_bernoulli_odd_vanish_and_recurrence():
         assert total == 0
 
 
-def test_bernoulli_cache_seeds_once_under_threads(monkeypatch):
-    # an empty cache, as at import: the first call seeds B_0 under the lock
-    monkeypatch.setattr(exact, "_bernoulli_cache", {})
+def test_bernoulli_values_under_threads():
+    # eight threads asking in both orders, switching as often as they can
     expected = bernoulli_table(40)
     results = []
 
@@ -69,7 +61,15 @@ def test_bernoulli_cache_seeds_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8 * 41
     assert all(value == expected[n] for n, value in results)
-    assert exact._bernoulli_cache == dict(enumerate(expected))
+
+
+def test_exact_keeps_no_process_state():
+    # no module-level container or lock: the only memos are the lru_caches
+    # of pure functions, which hold values, not progress
+    held = {name: type(value).__name__ for name, value in vars(exact).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set, type(threading.Lock())))}
+    assert not held, held
 
 
 def test_zeta_negative_examples():
@@ -102,8 +102,12 @@ def test_cyclotomic_product_identity():
 
 
 def test_cyclotomic_degree_is_phi():
-    for d in range(1, 60):
-        assert len(cyclotomic(d)) - 1 == euler_phi(d)
+    # every index a class of rank <= 13 can hold: phi(d) <= 26 forces d <= 2 * 26^2
+    indices = [d for d in range(1, 2 * 26 ** 2 + 1) if euler_phi(d) <= 26]
+    assert len(indices) == 53
+    for d in indices:
+        poly = cyclotomic(d)
+        assert len(poly) - 1 == euler_phi(d) and poly[-1] == 1, d
 
 
 def test_negate_index_rule_and_involution():

@@ -521,6 +521,31 @@ def test_mass_table_refuses_a_class_of_the_wrong_rank():
         to.MassTable(genus=1, masses={huge: 0})
 
 
+def test_mass_table_refuses_a_wrong_rank_orbit_in_either_order():
+    # only the member of an orbit that the walk keeps, the one with the
+    # smaller pairs, is checked, so a bad class beside its negation is
+    # refused, and named, whichever of the two comes first (10^1, the
+    # negation of 5^1, has an index past the rank-1 bound)
+    right = to.TorsionClass.parse("1^2")
+    for enc in ("3^2", "5^1"):
+        c = to.TorsionClass.parse(enc)
+        for first, second in ((c, c.negate()), (c.negate(), c)):
+            with pytest.raises(MassTableError,
+                               match=rf"^class {re.escape(enc)} has degree 4, expected 2$"):
+                to.MassTable(genus=1, masses={right: 1, first: 1, second: 2})
+
+
+def test_mass_table_checks_each_negation_orbit_once(monkeypatch):
+    g = 4
+    calls = []
+    check = to._check_rank
+    monkeypatch.setattr(to, "_check_rank", lambda c, genus: calls.append(c) or check(c, genus))
+    to.MassTable(genus=g, masses={c: 1 for c in to.enumerate_torsion_classes(g)})
+    orbits = to.enumerate_torsion_classes(g, mod_negation=True)
+    assert len(calls) == len(orbits) < len(to.enumerate_torsion_classes(g))
+    assert {c.orbit_representative() for c in calls} == set(orbits)
+
+
 @pytest.mark.parametrize("pairs", [((3.0, 1),), ((4, True),), ((True, 2),),
                                    ((3, 1.0),), (("3", 1),), ((3, Fraction(1)),)])
 def test_torsion_class_refuses_entries_that_are_not_ints(pairs):
