@@ -24,14 +24,16 @@ gives the same form (the square-free monomials are a basis); below the top
 the squared index with the fewest children goes first, ties to the larger k,
 and in the top degree the largest.  The top degree, spanned by the socle and
 closed under rewrites, has its own memo of int socle coefficients; below it
-the memo keeps sorted ((bitmask, int coeff), ...).  A miss descends on an
-explicit stack, so no rewrite chain is too deep; when a memo's entries plus
-the keys waiting on its stack would pass _MEMO_BOUND, InputError ("work bound").
+the memo keeps {bitmask: nonzero int coeff}, a dict of ints the cyclic GC does
+not track, which callers only read.  A miss descends on an explicit stack, so no
+rewrite chain is too deep; when a memo's entries plus the keys waiting on its
+stack would pass _MEMO_BOUND, InputError ("work bound").
 
 The structure constants are integers; only RingElement carries Fraction
 coefficients.  A product scales each operand to integer numerators over the
 lcm of its denominators (exact.lcm_numerators, the kernel MassTable shares),
-accumulates ints, and divides once per output coefficient.
+accumulates ints, and divides once per output coefficient.  matrix_rank
+certifies a full rank mod 2 (every pairing matrix for g <= 11 has one) before Bareiss.
 
 R_g/(u_g) = R_{g-1} is checked on generators: the projection that drops
 every basis monomial containing u_g is a ring map onto R_{g-1} once it
@@ -93,8 +95,11 @@ class _Ring(dict):
             raise InputError(f"work bound: the normal forms of R_{self.g} would keep "
                              f"more than {_MEMO_BOUND} monomials")
 
-    def _mask(self, key: int) -> int:  # of a square-free key
-        return sum(1 << i for i in range(self.g) if key >> self.width * i & 1)
+    def _mask(self, key: int) -> int:  # of a square-free key, by scanning its set bits
+        mask = 0
+        while key:
+            mask, key = mask | 1 << ((key & -key).bit_length() - 1) // self.width, key & key - 1
+        return mask
 
     def socle_value(self, key: int) -> int:
         """The socle coefficient of a top-degree key."""
@@ -125,15 +130,15 @@ class _Ring(dict):
             stack.append((key, base, kids, value, coeff))
             key = child
 
-    def form(self, key: int) -> tuple[tuple[int, int], ...]:
-        """The normal form of a key below the top degree."""
+    def form(self, key: int) -> dict[int, int]:
+        """The normal form {bitmask: nonzero int} of a key below the top degree; read only."""
         memo = self.forms
         value = memo.get(key)
         if value is not None:
             return value
         high, w = self.high, self.width
         if not key & high:
-            return ((self._mask(key), 1),)
+            return {self._mask(key): 1}
         stack: list = []  # (key, base, children left, partial sums, coeff of the child)
         while True:  # enter `key`: rewrite the squared index with the fewest children
             self._check_room(memo, len(stack))
@@ -144,17 +149,20 @@ class _Ring(dict):
             while True:  # the children left, resumed after each descent
                 for step, coeff in kids:
                     child = base + step
-                    terms = memo.get(child) if child & high else ((self._mask(child), 1),)
-                    if terms is None:
+                    if not child & high:  # square-free: its own basis monomial
+                        mask = self._mask(child)
+                        acc[mask] = acc.get(mask, 0) + coeff
+                    elif (terms := memo.get(child)) is None:
                         break  # not kept yet: descend into it
-                    for mask, c in terms:
-                        acc[mask] = acc.get(mask, 0) + coeff * c
+                    else:
+                        for mask, c in terms.items():
+                            acc[mask] = acc.get(mask, 0) + coeff * c
                 else:  # all children kept or square-free: keep the form, resume the parent
-                    memo[key] = value = tuple(sorted([(m, c) for m, c in acc.items() if c]))
+                    memo[key] = value = {m: c for m, c in acc.items() if c}
                     if not stack:
                         return value
                     key, base, kids, acc, coeff = stack.pop()
-                    for mask, c in value:
+                    for mask, c in value.items():
                         acc[mask] = acc.get(mask, 0) + coeff * c
                     continue
                 break
@@ -165,20 +173,22 @@ class _Ring(dict):
 _ring = functools.lru_cache(maxsize=None)(_Ring)
 
 
-def _packed_form(ring: _Ring, key: int, degree: int) -> tuple[tuple[int, int], ...]:
-    """The normal form of a packed key of index sum `degree` <= ring.top."""
+def _packed_form(ring: _Ring, key: int, degree: int) -> dict[int, int]:
+    """The normal form {bitmask: nonzero int} of a packed key of index sum `degree`
+    <= ring.top: ring.form's (read only) below the top, {ring.full: value} or {} at it."""
     if degree < ring.top:
         return ring.form(key)
     value = ring.socle_value(key)
-    return ((ring.full, value),) if value else ()
+    return {ring.full: value} if value else {}
 
 
 def _normal_form_monomial(g: int, exps: ExponentVector) -> tuple[tuple[int, int], ...]:
-    """Normal form of u_1^{e_1} ... u_g^{e_g}, sorted ((bitmask, int coeff), ...): () above
-    the top degree, else the packed key's entry in the socle memo (at the top) or the one below."""
+    """Normal form of u_1^{e_1} ... u_g^{e_g} as a new sorted ((bitmask, int coeff), ...):
+    () above the top degree, else the items of the packed key's normal form."""
     degree = sum(i * e for i, e in enumerate(exps, start=1))
     ring = _ring(g)
-    return () if degree > ring.top else _packed_form(ring, ring.pack(exps), degree)
+    form = {} if degree > ring.top else _packed_form(ring, ring.pack(exps), degree)
+    return tuple(sorted(form.items()))
 
 
 def _check_exps(g: int, exps) -> ExponentVector:
@@ -280,7 +290,7 @@ class RingElement:
                 elif s1 + s2 == top:
                     acc[full] = acc.get(full, 0) + c * ring.socle_value(k1 + k2)
                 elif s1 + s2 < top:
-                    for mask, cc in ring.form(k1 + k2):
+                    for mask, cc in ring.form(k1 + k2).items():
                         acc[mask] = acc.get(mask, 0) + c * cc
         den = d1 * d2
         return RingElement._trusted(g, {m: Fraction(c, den) for m, c in acc.items() if c})
@@ -387,10 +397,10 @@ def quotient_by_top(g: int) -> dict[int, int]:
             if not mask >> (i - 1) & 1:
                 continue
             degree = index_sum + i  # of u_i * u_S; nothing above a top is packed
-            projected = () if degree > ring.top else tuple(
-                item for item in _packed_form(ring, key + ring.unit[i], degree)
-                if not item[0] & top_bit)
-            expected = () if mask & top_bit or degree > low.top else \
+            projected = {} if degree > ring.top else {
+                m: c for m, c in _packed_form(ring, key + ring.unit[i], degree).items()
+                if not m & top_bit}
+            expected = {} if mask & top_bit or degree > low.top else \
                 _packed_form(low, low[mask][0] + low.unit[i], degree)
             if projected != expected:
                 raise AssertionError(
@@ -411,8 +421,18 @@ def pairing_matrix(g: int, degree: int) -> list[list[int]]:
 
 
 def matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix, such as a pairing matrix, by
-    exact.bareiss on a copy; an entry that is not an int is a TypeError."""
+    """Exact rank of an integer matrix, such as a pairing matrix; an entry that
+    is not an int is a TypeError.  rank over GF(2) <= rank over Q <= min(rows,
+    columns), so when the rows' odd entries, as int bit sets eliminated by XOR
+    on their leading bits, reach min(rows, columns), that is the rank; only
+    otherwise does exact.bareiss run, on a copy."""
     if any(type(c) is not int for row in rows for c in row):
         raise TypeError("matrix entries must be int")
-    return bareiss([list(row) for row in rows])[0]
+    full, pivots = min(len(rows), len(rows[0])) if rows else 0, {}  # leading bit -> row
+    for row in rows:
+        bits = sum(1 << j for j, c in enumerate(row) if c & 1)
+        while bits and (lead := bits.bit_length()) in pivots:
+            bits ^= pivots[lead]
+        if bits:
+            pivots[lead] = bits
+    return full if len(pivots) == full else bareiss([list(row) for row in rows])[0]

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from agcoh import cli
 from agcoh import proportionality as pr
 from agcoh import tautring as tr
 from agcoh.errors import InputError
-from agcoh.exact import double_factorial_odd, strict_partition_counts
+from agcoh.exact import bareiss, double_factorial_odd, strict_partition_counts
 
 
 def test_rewrite_examples():
@@ -239,12 +240,12 @@ def fresh_normal_forms():
 ])
 def test_quotient_by_top_detects_a_wrong_generator_product(monkeypatch, fresh_normal_forms,
                                                            g, exps):
-    # one generator product gains a constant term, which no projection drops
+    # one generator product gains a constant term, which no projection drops;
+    # normal forms are {bitmask: int} dicts, so the tampered one is too
     real = tr._packed_form
     key = tr._ring(g).pack(exps)
-    coeffs = dict(tr._normal_form_monomial(g, exps))
-    coeffs[0] = coeffs.get(0, 0) + 1
-    wrong = tuple(sorted(coeffs.items()))
+    wrong = dict(tr._normal_form_monomial(g, exps))
+    wrong[0] = wrong.get(0, 0) + 1
 
     def tampered(ring, kk, degree):
         return wrong if (ring.g, kk) == (g, key) else real(ring, kk, degree)
@@ -370,8 +371,43 @@ def test_memos_shared_by_threads_keep_only_correct_entries(fresh_normal_forms):
                                                      for i in range(g)))
 
     assert ring.forms and ring.socle
-    assert all(form == oracle(key) for key, form in ring.forms.items())
+    assert all(form == dict(oracle(key)) for key, form in ring.forms.items())
     assert all(dict(oracle(key)).get(ring.full, 0) == value for key, value in ring.socle.items())
+
+
+def test_normal_form_memo_holds_untracked_int_dicts(fresh_normal_forms):
+    # below the top degree each kept form is {bitmask: nonzero int}, a dict
+    # the cyclic GC does not track
+    tr.quotient_by_top(6)
+    g = 7
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b = (tr.RingElement(g, {rng.randrange(1 << g): rng.randint(-3, 3) or 1
+                                   for _ in range(4)}) for _ in range(2))
+        a * b  # keeps the forms of products below the top degree
+    for ring in (tr._ring(5), tr._ring(6), tr._ring(g)):
+        assert ring.forms
+        for form in ring.forms.values():
+            assert type(form) is dict and not gc.is_tracked(form)
+            assert all(type(m) is int and 0 <= m < 1 << ring.g for m in form)
+            assert all(type(c) is int and c != 0 for c in form.values())
+    exps = (3, 1, 0, 0, 0, 0, 0)
+    got = tr._normal_form_monomial(g, exps)
+    assert type(got) is tuple and got == oracles.normal_form_monomial(g, exps)
+    assert got == tuple(sorted(tr._ring(g).forms[tr._ring(g).pack(exps)].items()))
+
+
+def test_mask_by_bit_scan_matches_a_digit_read():
+    rng = random.Random(12)
+    for g in range(1, 13):
+        ring = tr._ring(g)
+
+        def naive(key):
+            return sum(1 << i for i in range(g) if key >> ring.width * i & 1)
+
+        for mask in [0, ring.full] + [rng.randrange(1 << g) for _ in range(50)]:
+            key = ring.pack(tuple(mask >> i & 1 for i in range(g)))
+            assert ring._mask(key) == naive(key) == mask, (g, mask)
 
 
 def test_normal_forms_match_oracle_on_sampled_pairs_at_genus_8():
@@ -463,6 +499,80 @@ def test_matrix_rank_matches_gauss_jordan(case):
     copy = [row[:] for row in ints]
     assert tr.matrix_rank(ints) == rank
     assert ints == copy
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss(rows)
+
+    monkeypatch.setattr(tr, "bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[2]], 1),
+    ([[2, 0], [0, 2]], 2),
+    ([[1, 1], [1, -1]], 2),
+    ([[3, 1], [1, 3]], 2),
+    ([[2, 4, 6]], 1),
+    ([[0, 0], [0, 0]], 0),
+    ([[1, 2], [2, 4]], 1),
+])
+def test_matrix_rank_falls_back_to_bareiss_below_full_rank_mod_2(bareiss_calls, rows, rank):
+    # the mod-2 rank falls short of min(rows, columns), so only Bareiss can answer
+    copy = [row[:] for row in rows]
+    assert tr.matrix_rank(rows) == rank == oracles.fraction_matrix_rank(rows)
+    assert rows == copy and len(bareiss_calls) == 1 and bareiss_calls[0] is not rows
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([], 0),
+    ([[], [], []], 0),
+    ([[1]], 1),
+    ([[-3]], 1),
+    ([[1, 0, 1, 5], [0, 1, 1, -2]], 2),         # wide
+    ([[1, 0], [0, 1], [1, 1], [7, -4]], 2),     # tall
+    ([[2, 1, 0], [1, 1, 1], [0, 1, 3]], 3),
+])
+def test_matrix_rank_certified_mod_2_skips_bareiss(bareiss_calls, rows, rank):
+    copy = [row[:] for row in rows]
+    assert tr.matrix_rank(rows) == rank
+    assert rows == copy and bareiss_calls == []
+    if rows and rows[0]:
+        assert oracles.fraction_matrix_rank(rows) == rank
+
+
+def test_pairing_ranks_need_no_bareiss(monkeypatch):
+    # every pairing matrix for g <= 11 (297 of them) has full rank mod 2, so
+    # the certificate alone gives its rank, the graded dimension
+    def refuse(rows):
+        raise AssertionError("bareiss reached")
+
+    monkeypatch.setattr(tr, "bareiss", refuse)
+    for g in range(1, 12):
+        for degree in range(0, g * (g + 1) + 1, 2):
+            rank = tr.matrix_rank(tr.pairing_matrix(g, degree))
+            assert rank == tr.graded_dimension(g, degree), (g, degree)
+
+
+def test_pairing_matrices_are_unitriangular_on_complements():
+    # with rows u_S (ascending masks) and columns the complements u_{S^c} in
+    # the same order, the pairing matrix is upper unitriangular, so its
+    # determinant is +-1 and it has full rank mod 2
+    for g in range(1, 12):
+        ring = tr._ring(g)
+        for degree in range(0, g * (g + 1) + 1, 2):
+            left = ring.by_index_sum[degree // 2]
+            right = ring.by_index_sum[ring.top - degree // 2]
+            matrix = tr.pairing_matrix(g, degree)
+            column = {m: j for j, m in enumerate(right)}
+            matched = [[row[column[ring.full ^ m]] for m in left] for row in matrix]
+            for i, row in enumerate(matched):
+                assert row[i] == 1 and not any(row[:i]), (g, degree, i)
 
 
 def test_matrix_rank_takes_int_entries_only():
