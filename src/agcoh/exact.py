@@ -4,19 +4,22 @@ elimination.
 
 It owns the closed forms the engines share: the Hirzebruch-Mumford product
 zeta(-1) ... zeta(1-2g) (zeta_product) and the partition counts behind
-prod_{k<=g} (1 + T^{2k}) (strict_partition_counts), the one dense integer
+prod_{k<=g} (1 + T^{2k}) (strict_partition_counts), the one product of a
+truncated series by (1 - x^e)^k (series_times), the one dense integer
 polynomial product (poly_mul) and the one scaling of rationals to integer
 numerators over the lcm of their denominators (lcm_numerators).  Values keep
 their exact type: `int` where integral, Laurent coefficients included, and
 `fractions.Fraction` (always reduced, positive denominator) for the
-Bernoulli and zeta values.  The module keeps no state but the lru_caches of
-pure functions, and every value is immutable, so values can be shared
-freely between threads.
+Bernoulli and zeta values.  The module keeps no state but the lru_cache of
+euler_phi, and every value is immutable, so values can be shared freely
+between threads.
 """
 from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -105,7 +108,7 @@ def euler_phi(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials, just enough for cyclotomic arithmetic
+# dense integer polynomials and truncated series
 # ---------------------------------------------------------------------------
 
 def poly_trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -127,42 +130,45 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return poly_trim(out)
 
 
+def series_times(coeffs: list[int], e: int, k: int) -> None:
+    """Multiply the truncated series `coeffs` (dense from the constant term)
+    in place by (1 - x^e)^k, e >= 1: k passes c_i -= c_(i-e), or -k passes
+    c_i += c_(i-e), each in slices (per residue class mod e when e^2 <= n,
+    the length, else per run of e terms), never a step per coefficient."""
+    n = len(coeffs)
+    for _ in range(k):
+        coeffs[e:] = map(sub, coeffs[e:], coeffs[:n - e])
+    for _ in range(-k):
+        if e * e <= n:
+            for r in range(e):
+                coeffs[r::e] = accumulate(coeffs[r::e])
+        else:
+            for i in range(e, n, e):
+                coeffs[i:i + e] = map(add, coeffs[i:i + e], coeffs[i - e:i])
+
+
+def mobius_divisors(d: int) -> list[tuple[int, int]]:
+    """(e, mu(d/e)) for the divisors e of d >= 1 with d/e square-free, (d, 1)
+    first: Phi_d = prod (1 - x^e)^mu(d/e) for d >= 2, and -Phi_1 = 1 - x."""
+    out = [(d, 1)]
+    for p in _prime_factors(d):
+        out += [(e // p, -mu) for e, mu in out]
+    return out
+
+
 def cyclotomic(d: int) -> tuple[int, ...]:
     """Phi_d as dense integer coefficients from the constant term.  Phi_1 =
-    x - 1; for d >= 2, Phi_d = prod_{e | d} (1 - x^e)^{mu(d/e)} as a power
-    series cut at degree phi(d): a factor 1 - x^e is one running difference,
-    a factor 1/(1 - x^e) one running sum along each residue class mod e, and
-    a factor with e > phi(d) leaves the kept degrees alone."""
+    x - 1; for d >= 2, the product of mobius_divisors as a power series cut
+    at degree phi(d) = sum_{e | d} mu(d/e) e, one series_times per factor."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     if d == 1:
         return (-1, 1)
-    primes, top = _prime_factors(d), euler_phi(d)
-    coeffs = [1] + [0] * top
-    for mask in range(1 << len(primes)):  # d/e the product of the primes in mask
-        e, mu = d, 1
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                e, mu = e // p, -mu
-        if e > top:
-            continue
-        if mu > 0:
-            for n in range(top, e - 1, -1):
-                coeffs[n] -= coeffs[n - e]
-        else:
-            for n in range(e, top + 1):
-                coeffs[n] += coeffs[n - e]
+    factors = mobius_divisors(d)
+    coeffs = [1] + [0] * sum(e * mu for e, mu in factors)
+    for e, mu in factors:
+        series_times(coeffs, e, mu)
     return tuple(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic_power(d: int, m: int) -> tuple[int, ...]:
-    """Phi_d^m for m >= 1, dense like cyclotomic.  Only the (d, m) asked for
-    are cached, each built by m - 1 products from Phi_d."""
-    phi = poly = cyclotomic(d)
-    for _ in range(m - 1):
-        poly = poly_mul(poly, phi)
-    return poly
 
 
 def negate_cyclotomic_index(d: int) -> int:
@@ -369,11 +375,10 @@ def double_factorial_odd(g: int) -> int:
 
 def strict_partition_counts(k: int, max_part: int) -> list[int]:
     """Entry n <= k counts the partitions of n into distinct parts <= max_part:
-    the T^n coefficient of prod_{i<=max_part} (1 + T^i), by in-place shift-add."""
+    the T^n coefficient of prod_{i<=max_part} (1 + T^i), a slice sum per part."""
     counts = [1] + [0] * k
-    for part in range(1, max_part + 1):
-        for n in range(k, part - 1, -1):
-            counts[n] += counts[n - part]
+    for part in range(1, min(max_part, k) + 1):
+        counts[part:] = map(add, counts[part:], counts[:k + 1 - part])
     return counts
 
 

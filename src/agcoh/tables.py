@@ -120,9 +120,10 @@ def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[
 
     k generators of degree d multiply the series by
     (1 - t^d)^(-k) = sum_j C(k - 1 + j, j) t^(dj).  The degree with the most
-    generators starts the series from these binomials; every other
-    generator multiplies it by 1/(1 - t^d) in one pass.  So the N(N+1)/2
-    degree-2 generators of universal:N cost one pass, not one each."""
+    generators starts the series from these binomials; every other degree
+    multiplies it by (1 - t^d)^(-k) (exact.series_times, k passes).  So the
+    N(N+1)/2 degree-2 generators of universal:N cost one pass, not one each."""
+    from .exact import series_times     # here, so `tables --id` loads no arithmetic
     groups = sorted(counts.items(), key=lambda item: -item[1])
     coeffs = [1] + [0] * max_degree
     if groups:
@@ -132,9 +133,7 @@ def _series_from_generators(counts: Mapping[int, int], max_degree: int) -> list[
             binomial = binomial * (k - 1 + j) // j
             coeffs[d * j] = binomial
     for d, k in groups:
-        for _ in range(k):
-            for n in range(d, max_degree + 1):
-                coeffs[n] += coeffs[n - d]
+        series_times(coeffs, d, -k)
     return coeffs
 
 

@@ -23,7 +23,9 @@ number of nonzero parts,
 with h_k = 0 for k < 0 and the empty determinant (lambda = 0) equal to 1.
 The h_k are the complete symmetric functions of the eigenvalues of c: the
 integer coefficients of 1/P_c(z), where P_c = prod Phi_d^{m_d} is the
-class's characteristic polynomial (self-reciprocal, constant term 1).  Each
+class's characteristic polynomial (self-reciprocal, constant term 1),
+never formed: 1/P_c = prod_e (1 - x^e)^{-n_e} over the Moebius exponents
+n_e = sum_{e | d} mu(d/e) m_d (Phi_1 = -(1 - x) has even multiplicity).  Each
 class keeps the longest series asked for so far behind deg P_c = 2g leading
 zeros, the h_k of negative k (TorsionClass.padded_h_series), so the
 characters of one class over a range of lambda share one series.  The plan
@@ -62,9 +64,9 @@ so elliptic_term adds ints and no Fraction and sets nothing on the table.
 Each class stores its negation (and a new -c stores c as its own, so the
 partners a parsed table holds, zero-filled and central ones included, are
 linked both ways and the orbit walk builds no class) and its padded
-h-series, whose growth alone forms P_c from cached cyclotomic powers.  So
-a sweep builds each series once, and a call builds one plan for one
-_character_sum.
+h-series, computed afresh at least twice as long whenever a longer one is
+asked for.  So a sweep builds each series a few times at most, and a call
+builds one plan for one _character_sum.
 
 parse_mass_table checks completeness without listing the class set: a
 class that passes TorsionClass validation and the rank check is one of the
@@ -77,15 +79,15 @@ parse names no class.
 """
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import Iterable
 
 from .errors import InputError, MassTableError
-from .exact import (bareiss, cyclotomic_power, euler_phi, lcm_numerators,
-                    negate_cyclotomic_index, poly_mul, zeta_product)
+from .exact import (bareiss, euler_phi, lcm_numerators, mobius_divisors,
+                    negate_cyclotomic_index, series_times, zeta_product)
 from .records import Record
 
 
@@ -177,32 +179,26 @@ class TorsionClass(Record):
         other = self.negate()
         return self if self.encode() <= other.encode() else other
 
-    def characteristic_polynomial(self) -> tuple[int, ...]:
-        """P_c = prod_d Phi_d^{m_d}, dense integer coefficients from the
-        constant term.  It is self-reciprocal with constant term 1, so it is
-        also det(1 - z c).  Each call forms one product per pair after the
-        first, from the cached powers exact.cyclotomic_power; padded_h_series
-        asks for it only when it extends a series."""
-        powers = [cyclotomic_power(d, m) for d, m in self.pairs]
-        return reduce(poly_mul, powers) if powers else (1,)
-
     def padded_h_series(self, size: int) -> tuple[int, ...]:
         """The stored series: deg P_c zeros, then h_0, h_1, ... (so entry i
         is h_{i - deg P_c}, zero for a negative index), at least `size`
-        entries long.  The longest series asked for so far is kept on the
-        instance; a longer request extends a copy by the recurrence
-        h_k = -sum_{j=1..deg} P_j h_{k-j} and replaces the stored tuple
+        entries long, one series_times per Moebius exponent.  The longest
+        series asked for so far is kept on the instance; a longer request
+        computes it afresh at max(size, twice the stored length), so growing
+        weights recompute it a few times, and replaces the stored tuple
         whole, so a concurrent reader never sees a partial series.  The
         caller bounds size: _jacobi_trudi_rows checks H_SERIES_BOUND first."""
         series = self._hseries
         if len(series) < size:
-            poly = self.characteristic_polynomial()
-            deg = len(poly) - 1
-            h = list(series) or [0] * deg + [1]
-            tail = poly[:0:-1]      # P_deg, ..., P_1, against h_{k-deg}, ..., h_{k-1}
-            for k in range(len(h), size):
-                h.append(-sum(map(mul, tail, h[k - deg:k])))
-            series = tuple(h)
+            exponents: dict[int, int] = {}
+            for d, m in self.pairs:
+                for e, mu in mobius_divisors(d):
+                    exponents[e] = exponents.get(e, 0) + mu * m
+            deg = sum(e * n for e, n in exponents.items())
+            h = [1] + [0] * (max(size, 2 * len(series)) - deg - 1)
+            for e, n in exponents.items():
+                series_times(h, e, -n)
+            series = (0,) * deg + tuple(h)
             object.__setattr__(self, "_hseries", series)
         return series
 
@@ -304,23 +300,40 @@ def _index_bound(g: int) -> int:
     return 2 * (2 * g) ** 2
 
 
-def _cyclotomic_indices(g: int) -> list[int]:
-    """The indices d <= _index_bound(g) with phi(d) <= 2g, ascending."""
+def _cyclotomic_indices(g: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every index d with phi(d) <= 2g, ascending in d; they
+    are the d <= _index_bound(g) with that totient.  A depth-first walk over
+    products of prime powers, the primes p with p - 1 <= 2g, that multiplies
+    while the totient stays within 2g, so no totient is computed."""
     if g < 1:
         raise ValueError("rank must be positive")
-    return [d for d in range(1, _index_bound(g) + 1) if euler_phi(d) <= 2 * g]
+    budget = 2 * g
+    primes = [p for p in range(2, budget + 2)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    out, stack = [], [(0, 1, 1)]    # (first prime still free, d, phi(d))
+    while stack:
+        first, d, phi = stack.pop()
+        out.append((d, phi))
+        for i in range(first, len(primes)):
+            p = primes[i]
+            q, f = p, phi * (p - 1)
+            if f > budget:
+                break                   # and so for every larger prime
+            while f <= budget:
+                stack.append((i + 1, d * q, f))
+                q, f = q * p, f * p
+    return sorted(out)
 
 
 def count_torsion_classes(g: int) -> int:
     """len(enumerate_torsion_classes(g)) without listing a class: the x^{2g}
     coefficient of (1 - x^2)^{-2} prod_{d >= 3} (1 - x^{phi(d)})^{-1} over
-    the same indices, the indices 1 and 2 taken in pairs."""
+    the same indices (1 and 2 taken in pairs), a series_times per step."""
     budget = 2 * g
     coeffs = [1] + [0] * budget
-    for d in _cyclotomic_indices(g):
-        step = 2 if d <= 2 else euler_phi(d)
-        for k in range(step, budget + 1):
-            coeffs[k] += coeffs[k - step]
+    steps = Counter(2 if d <= 2 else phi for d, phi in _cyclotomic_indices(g))
+    for step, count in steps.items():
+        series_times(coeffs, step, -count)
     return coeffs[budget]
 
 
@@ -343,8 +356,7 @@ def enumerate_torsion_classes(g: int, mod_negation: bool = False) -> list[Torsio
             return
         if pos == len(indices):
             return
-        d = indices[pos]
-        phi = euler_phi(d)
+        d, phi = indices[pos]
         step = 2 if d in (1, 2) else 1
         extend(pos + 1, remaining, acc)
         m = step

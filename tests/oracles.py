@@ -4,9 +4,9 @@ the package computes another way, and the tests compare the two:
 * torsion characters: the Freudenthal weight system of V_lambda, expanded
   over its Weyl orbits and evaluated as a weight sum in Z[x]/Phi_N, against
   the Jacobi-Trudi determinant of `torsion.character_at_torsion`;
-* characteristic polynomials: P_c multiplied out one cyclotomic factor at
-  a time from 1, against the products of cached powers Phi_d^m of
-  `TorsionClass.characteristic_polynomial`;
+* torsion h-series: P_c multiplied out one cyclotomic factor at a time
+  from 1, and 1/P_c by the recurrence h_k = -sum_j P_j h_{k-j}, against the
+  Moebius-exponent products of `TorsionClass.padded_h_series`;
 * cyclotomic polynomials: x^d - 1 divided by the Phi_e of the proper
   divisors e by long division (`poly_divmod`), against the Moebius product
   of `exact.cyclotomic`;
@@ -51,6 +51,7 @@ the package computes another way, and the tests compare the two:
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from agcoh.arthur import (ArthurParameter, BlockKind, BuildingBlock, Registry,
@@ -241,13 +242,26 @@ def factorwise_characteristic_polynomial(c) -> tuple[int, ...]:
     from the constant polynomial 1, dense from the constant term."""
     poly = [1]
     for d, m in c.pairs:
+        phi = cyclotomic(d)
         for _ in range(m):
             out = [0] * (len(poly) + euler_phi(d))
             for i, a in enumerate(poly):
-                for j, b in enumerate(cyclotomic(d)):
+                for j, b in enumerate(phi):
                     out[i + j] += a * b
             poly = out
     return tuple(poly)
+
+
+def recurrence_h_series(c, n: int) -> tuple[int, ...]:
+    """h_0, ..., h_{n-1}, the coefficients of 1/P_c, by the recurrence
+    h_k = -sum_{j=1..deg} P_j h_{k-j} on the factorwise P_c (P_0 = 1)."""
+    poly = factorwise_characteristic_polynomial(c)
+    deg = len(poly) - 1
+    tail = poly[:0:-1]      # P_deg, ..., P_1, against h_{k-deg}, ..., h_{k-1}
+    h = [0] * deg + [1]     # h_k = 0 for k < 0
+    while len(h) < deg + n:
+        h.append(-sum(map(operator.mul, tail, h[len(h) - deg:])))
+    return tuple(h[deg:deg + n])
 
 
 def poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -414,6 +414,22 @@ def test_torsion_listing_refused_by_rank_at_once():
                        "too many to list"}
 
 
+def test_euler_header_only_lenient_parse_at_rank_300_is_quick(tmp_path):
+    # the class count lists the cyclotomic indices from their factorizations;
+    # with a trial-division totient of each of the 8g^2 candidates this
+    # parse took 7.9 s
+    path = tmp_path / "g300.tsv"
+    path.write_text("genus: 300\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "agcoh.cli", "euler", "--g", "300",
+                           "--masses", str(path), "--lenient"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert json.loads(proc.stderr)["error"]["message"].startswith("work bound: rank 300")
+
+
 @pytest.mark.parametrize("text", ["genus: \u0661\n\u0663^1\t\u0661/3\n", "genus: 0_1\n",
                                   "genus: 1\n\uff13^1\t\uff11/3\n", "genus: +1\n"])
 def test_euler_mass_files_take_ascii_digits_only(tmp_path, text):

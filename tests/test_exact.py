@@ -64,12 +64,14 @@ def test_bernoulli_values_under_threads():
 
 
 def test_exact_keeps_no_process_state():
-    # no module-level container or lock: the only memos are the lru_caches
-    # of pure functions, which hold values, not progress
+    # no module-level container or lock: the only memo is the lru_cache of
+    # euler_phi, a pure function, which holds values, not progress
     held = {name: type(value).__name__ for name, value in vars(exact).items()
             if not name.startswith("__")
             and isinstance(value, (dict, list, set, type(threading.Lock())))}
     assert not held, held
+    assert [name for name, value in vars(exact).items() if hasattr(value, "cache_info")] \
+        == ["euler_phi"]
 
 
 def test_zeta_negative_examples():
@@ -108,6 +110,49 @@ def test_cyclotomic_degree_is_phi():
     for d in indices:
         poly = cyclotomic(d)
         assert len(poly) - 1 == euler_phi(d) and poly[-1] == 1, d
+
+
+def _times_by_loops(coeffs, e, k):
+    """coeffs times (1 - x^e)^k, truncated, one Python step per coefficient."""
+    out = list(coeffs)
+    for _ in range(k):
+        for i in range(len(out) - 1, e - 1, -1):
+            out[i] -= out[i - e]
+    for _ in range(-k):
+        for i in range(e, len(out)):
+            out[i] += out[i - e]
+    return out
+
+
+@pytest.mark.parametrize("n, e, k", [
+    (12, 3, 2), (12, 3, -2),            # k > 0 and k < 0
+    (10, 1, 4), (10, 1, -3),            # e = 1
+    (30, 5, -3), (36, 6, -2),           # e^2 <= n: sums per residue class
+    (30, 7, -3), (30, 29, -1), (30, 11, 2),     # e^2 > n: sums block by block
+    (10, 10, -2), (10, 12, 3),          # e >= n
+    (10, 3, 0), (0, 1, -1), (1, 1, 5),
+])
+def test_series_times_matches_the_coefficient_loops(n, e, k):
+    rng = random.Random(n * 1000 + e * 10 + k)
+    coeffs = [rng.choice((0, 1, -1, 3, -7, 10**30)) for _ in range(n)]
+    got = list(coeffs)
+    assert exact.series_times(got, e, k) is None
+    assert got == _times_by_loops(coeffs, e, k)
+    exact.series_times(got, e, -k)      # (1 - x^e)^k (1 - x^e)^(-k) = 1
+    assert got == coeffs
+
+
+def test_mobius_divisors_match_the_divisor_sum():
+    def mobius(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0
+                  and all(p % q for q in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    for d in range(1, 301):
+        got = exact.mobius_divisors(d)
+        assert got[0] == (d, 1) and len(got) == len(set(got)), d
+        assert sorted(got) == [(e, mobius(d // e)) for e in range(1, d + 1)
+                               if d % e == 0 and mobius(d // e)], d
 
 
 def test_negate_index_rule_and_involution():
@@ -248,9 +293,9 @@ def _dense(poly: LaurentPoly) -> tuple[int, ...]:
 
 
 def test_poly_mul_matches_the_laurent_product():
-    # poly_mul is the one dense integer product (cyclotomic powers and IH
-    # T-lists): pin it against the sparse product on seeded tuples with
-    # interior and trailing zeros, unit coefficients and a big entry
+    # poly_mul is the one dense integer product (IH T-lists): pin it against
+    # the sparse product on seeded tuples with interior and trailing zeros,
+    # unit coefficients and a big entry
     rng = random.Random(32)
     pool = (0, 0, 0, 1, 1, 1, -1, 2, -3, 10**20)
     samples = [(), (0,), (1,), (1, 0, 1), (0, 1, 0, 2, 0, 1, 0)] + [

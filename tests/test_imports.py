@@ -87,7 +87,8 @@ def test_cli_imports_no_engine():
 
 @pytest.mark.parametrize("argv, engines", [
     (["tables", "--id", "tor2"], {"agcoh.tables", "agcoh.records"}),
-    (["stable", "--space", "ag", "--max-degree", "6"], {"agcoh.tables", "agcoh.records"}),
+    (["stable", "--space", "ag", "--max-degree", "6"],
+     {"agcoh.tables", "agcoh.exact", "agcoh.records"}),
     (["taut", "--g", "3"], {"agcoh.tautring", "agcoh.exact"}),
     (["torsion", "--g", "2"], {"agcoh.torsion", "agcoh.exact", "agcoh.records"}),
     (["arthur", "--g", "2"], {"agcoh.arthur", "agcoh.symplectic", "agcoh.records"}),

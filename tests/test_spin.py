@@ -569,6 +569,22 @@ def test_ih_betti_matches_taut_ring_small_rank():
         assert sum((-1) ** k * b for k, b in enumerate(res.betti)) == 2 ** g
 
 
+def test_ih_betti_at_lambda_zero_matches_the_stable_series():
+    # the stable series holds in degrees below the rank, where no Betti
+    # number depends on the signs.  Measured for every g <= 11: the sum over
+    # shapes, any variant each, agrees with it through degree 2g - 2.
+    from agcoh.tables import stable_series
+    for g in range(1, 12):
+        res = sp.ih_betti(HighestWeight(g, (0,) * g), REG, signs="both")
+        stable = stable_series("ih_sat", g)["coefficients"]
+        total = [0] * g
+        for report in res.per_shape:
+            first = report.variants[0].betti[:g]
+            assert all(v.betti[:g] == first for v in report.variants), (g, report.shape)
+            total = [t + report.multiplicity * b for t, b in zip(total, first)]
+        assert total == stable[:g], g
+
+
 def test_ih_betti_vanishing_example():
     # even weight, yet no parameters: the cohomology vanishes identically
     res = sp.ih_betti(HighestWeight(3, (1, 1, 0)), REG)

@@ -17,8 +17,8 @@ from agcoh.exact import euler_phi, zeta_product
 from agcoh.spin import ih_betti
 from agcoh.symplectic import HighestWeight
 from agcoh.torsion import character_at_torsion
-from oracles import (factorwise_characteristic_polynomial, h_series,
-                     naive_elliptic_term, zeta_negative, zeta_negative_product)
+from oracles import (h_series, naive_elliptic_term, recurrence_h_series, zeta_negative,
+                     zeta_negative_product)
 
 DEMO_MASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "masses"
 
@@ -639,6 +639,13 @@ def test_elliptic_term_sets_nothing_on_the_table():
         assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
 
+def test_cyclotomic_indices_are_the_trial_division_list():
+    totients = [(d, euler_phi(d)) for d in range(1, to._index_bound(40) + 1)]
+    for g in range(1, 41):
+        assert to._cyclotomic_indices(g) == [
+            (d, phi) for d, phi in totients if d <= to._index_bound(g) and phi <= 2 * g], g
+
+
 def test_count_torsion_classes_matches_enumeration():
     counts = [to.count_torsion_classes(g) for g in range(1, 11)]
     assert counts == [5, 19, 59, 165, 419, 1001, 2257, 4877, 10133, 20399]
@@ -729,11 +736,15 @@ def test_every_valid_pair_multiset_is_enumerated(data):
     assert c in _class_set(g)
 
 
-def test_characteristic_polynomial_matches_factorwise_product():
-    for g in range(1, 7):
+def test_h_series_matches_the_characteristic_polynomial_recurrence():
+    # past 2g terms, every coefficient of P_c enters the recurrence
+    for g in range(1, 10):
+        n = 2 * g + 4
         for c in to.enumerate_torsion_classes(g):
-            assert c.characteristic_polynomial() == factorwise_characteristic_polynomial(c), c
-    assert to.TorsionClass(()).characteristic_polynomial() == (1,)
+            series = c.padded_h_series(2 * g + n)
+            assert series[:2 * g] == (0,) * (2 * g), c
+            assert series[2 * g:] == recurrence_h_series(c, n), c
+    assert to.TorsionClass(()).padded_h_series(3) == (1, 0, 0)
 
 
 def test_parsed_tables_are_their_records_negations_and_central_defaults():
@@ -761,7 +772,7 @@ def test_memo_leaves_equality_hash_and_order_alone():
     a, b = to.TorsionClass.parse("1^2,3^1"), to.TorsionClass.parse("1^2,3^1")
     h_series(a, 30)
     a.negate()
-    a.characteristic_polynomial()
+    h_series(a, 100)                # a longer series replaces the stored one
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.encode() == b.encode()     # the order of enumerate_torsion_classes
     assert {b: 1}[a] == 1
